@@ -37,7 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="PATH", help="INI config file")
     shared.add_argument("--seed", type=int, help="global random seed")
-    shared.add_argument("--workers", type=int, help="max in-flight requests")
+    shared.add_argument("--workers", type=int,
+                        help="translate requests in flight at once, across "
+                             "the whole corpus (sets translate.max_in_flight)")
     shared.add_argument("--strict", action="store_true",
                         help="abort on malformed input lines")
 
@@ -100,7 +102,6 @@ def _apply_cli_overrides(config: PipelineConfig, args: argparse.Namespace) -> No
         config.seed = args.seed
     if args.workers is not None:
         config.max_in_flight = args.workers
-        config.workers = args.workers
     if args.strict:
         config.strict = True
 

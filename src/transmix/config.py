@@ -47,7 +47,6 @@ class ConfigError(ValueError):
 class PipelineConfig:
     # run
     seed: int = 0
-    workers: int = 4
     strict: bool = False
     # corpus
     tokenizer: str = "whitespace"
@@ -262,7 +261,6 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
 
     config = PipelineConfig(
         seed=src.get_int("run", "seed", 0),
-        workers=src.get_int("run", "workers", 4),
         strict=src.get_bool("run", "strict", False),
         tokenizer=src.get("corpus", "tokenizer", "whitespace"),
         bpe_vocab=src.get("corpus", "bpe_vocab", ""),

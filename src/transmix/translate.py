@@ -10,17 +10,21 @@ failed documents land in a failure manifest instead of being silently lost.
 from __future__ import annotations
 
 import json
+import os
 import sys
+import threading
 import time
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .corpus import Document, read_corpus
 from .segment import Chunk, chunk_document, split_sentences
-from .tokenizer import TokenCounter
+from .tokenizer import TokenCounter, WhitespaceCounter
 
 __all__ = [
     "LANGUAGE_NAMES",
@@ -121,22 +125,39 @@ class BackendResult:
         return self.error is None and self.text is not None
 
 
-class MockEchoBackend:
-    """Returns the prompt's embedded source text unchanged. For tests/dry runs."""
+class _MockBackend:
+    """Recovers the prompt's embedded source text and transforms it.
 
-    kind = "mock-echo"
+    ``calls`` counts requests under a lock, since the request window calls
+    from several threads at once.
+    """
+
+    kind: str
 
     def __init__(self, template: PromptTemplate | None = None) -> None:
         self.template = template or PromptTemplate()
         self.calls = 0
+        self._lock = threading.Lock()
+
+    def transform(self, source: str) -> str:
+        return source
 
     def complete(self, prompt: str, max_tokens: int = 0,
                  temperature: float = 0.0) -> BackendResult:
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         source = self.template.extract_source(prompt)
         if source is None:
-            return BackendResult(error="echo backend could not locate source text")
-        return BackendResult(text=source)
+            return BackendResult(
+                error=f"{self.kind.removeprefix('mock-')} backend could not "
+                      "locate source text")
+        return BackendResult(text=self.transform(source))
+
+
+class MockEchoBackend(_MockBackend):
+    """Returns the prompt's embedded source text unchanged. For tests/dry runs."""
+
+    kind = "mock-echo"
 
 
 def cipher_map(text: str) -> str:
@@ -152,7 +173,7 @@ def cipher_map(text: str) -> str:
     return "".join(out)
 
 
-class MockCipherBackend:
+class MockCipherBackend(_MockBackend):
     """Applies a reversible character cipher to the source text.
 
     Simulates a language change while keeping round-trip equality testable:
@@ -161,17 +182,8 @@ class MockCipherBackend:
 
     kind = "mock-cipher"
 
-    def __init__(self, template: PromptTemplate | None = None) -> None:
-        self.template = template or PromptTemplate()
-        self.calls = 0
-
-    def complete(self, prompt: str, max_tokens: int = 0,
-                 temperature: float = 0.0) -> BackendResult:
-        self.calls += 1
-        source = self.template.extract_source(prompt)
-        if source is None:
-            return BackendResult(error="cipher backend could not locate source text")
-        return BackendResult(text=cipher_map(source))
+    def transform(self, source: str) -> str:
+        return cipher_map(source)
 
 
 class HttpCompletionBackend:
@@ -293,44 +305,76 @@ def trim_incomplete(raw: str, lang: str) -> tuple[str, int]:
     return raw[:sentences[keep - 1].end], dropped
 
 
-def translate_document(
-    doc: Document,
-    tgt: str,
-    backend,
-    template: PromptTemplate | None = None,
-    counter: TokenCounter | None = None,
-    chunk_limit: int = 300,
-    params: GenerationParams | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> tuple[Document | None, list[TranslationRecord]]:
-    """Translate one document chunk by chunk and reassemble in chunk order.
-
-    Chunks may complete concurrently but outputs are merged by index, so the
-    result is deterministic. Returns (document, records); the document is
-    None when any chunk failed after retries, and the records then carry the
-    error. Chunks whose trimmed output is empty are skipped but recorded.
-    """
-    template = template or PromptTemplate()
-    params = params or GenerationParams()
-    if counter is None:
-        from .tokenizer import WhitespaceCounter
-        counter = WhitespaceCounter()
-    chunks = chunk_document(doc, counter, chunk_limit)
+def _chunk_request(backend, template: PromptTemplate, chunk_limit: int,
+                   params: GenerationParams, sleep: Callable[[float], None]):
+    """Return request(doc, tgt, chunk): one chunk's prompt sent with retries."""
     max_tokens = params.resolve_max_tokens(chunk_limit)
 
-    def run_chunk(chunk: Chunk) -> BackendResult:
+    def request(doc: Document, tgt: str, chunk: Chunk) -> BackendResult:
         prompt = build_prompt(chunk, doc.lang, tgt, template)
         return complete_with_retries(
             backend, prompt, max_tokens=max_tokens,
             temperature=params.temperature, retries=params.retries,
             backoff=params.backoff, sleep=sleep)
 
-    if params.max_in_flight > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=params.max_in_flight) as pool:
-            results = list(pool.map(run_chunk, chunks))  # map preserves order
-    else:
-        results = [run_chunk(c) for c in chunks]
+    return request
 
+
+def _in_order(
+    pairs: Iterable[tuple[Document, str, list[Chunk]]],
+    request: Callable[[Document, str, Chunk], BackendResult],
+    max_in_flight: int,
+) -> Iterator[tuple[Document, str, list[Chunk], list[BackendResult]]]:
+    """Send every chunk of every (doc, target, chunks) pair through one
+    thread pool and yield each pair with its chunk results, in input order.
+
+    At most ``max_in_flight`` requests run at once, from any documents, and
+    at most ``max_in_flight`` pairs are held uncommitted, so memory is
+    bounded by the window; ``pairs`` is read only as the window needs
+    refilling. A request that raised re-raises when its pair's turn comes:
+    every earlier pair has been yielded and no later one is, and requests
+    not yet started are cancelled.
+    """
+    limit = max(1, max_in_flight)
+    source = iter(pairs)
+    window: deque[tuple[Document, str, list[Chunk], list[Future]]] = deque()
+    running: set[Future] = set()
+    feeding = None  # the newest pair while some of its chunks are unsent
+    pool = ThreadPoolExecutor(max_workers=limit)
+    try:
+        while True:
+            running = {f for f in running if not f.done()}
+            while len(running) < limit:
+                if feeding is None:
+                    pair = next(source, None) if len(window) < limit else None
+                    if pair is None:
+                        break
+                    feeding = (*pair, [])
+                    window.append(feeding)
+                doc, tgt, chunks, futures = feeding
+                if len(futures) < len(chunks):
+                    future = pool.submit(request, doc, tgt, chunks[len(futures)])
+                    futures.append(future)
+                    running.add(future)
+                if len(futures) == len(chunks):
+                    feeding = None
+            # an empty window after a refill means the input is used up
+            if not window:
+                return
+            doc, tgt, chunks, futures = window[0]
+            if window[0] is not feeding and all(f.done() for f in futures):
+                window.popleft()
+                yield doc, tgt, chunks, [f.result() for f in futures]
+                continue  # refill before blocking: the commit freed a slot
+            wait(running, return_when=FIRST_COMPLETED)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _assemble(doc: Document, tgt: str, chunks: list[Chunk],
+              results: list[BackendResult],
+              ) -> tuple[Document | None, list[TranslationRecord]]:
+    """Trim each chunk's output and join the pieces in chunk order."""
     records: list[TranslationRecord] = []
     pieces: list[str] = []
     failed = False
@@ -363,6 +407,35 @@ def translate_document(
     return out, records
 
 
+def translate_document(
+    doc: Document,
+    tgt: str,
+    backend,
+    template: PromptTemplate | None = None,
+    counter: TokenCounter | None = None,
+    chunk_limit: int = 300,
+    params: GenerationParams | None = None,
+    sleep: Callable[[float], None] = time.sleep,
+) -> tuple[Document | None, list[TranslationRecord]]:
+    """Translate one document chunk by chunk and reassemble in chunk order.
+
+    This is the request window of ``translate_corpus`` run over a single
+    document: up to ``params.max_in_flight`` chunks are in flight at once,
+    and outputs are merged by index, so the result is deterministic.
+    Returns (document, records); the document is None when any chunk failed
+    after retries, and the records then carry the error. Chunks whose
+    trimmed output is empty are skipped but recorded.
+    """
+    template = template or PromptTemplate()
+    params = params or GenerationParams()
+    counter = counter or WhitespaceCounter()
+    chunks = chunk_document(doc, counter, chunk_limit)
+    request = _chunk_request(backend, template, chunk_limit, params, sleep)
+    [(_, _, _, results)] = _in_order([(doc, tgt, chunks)], request,
+                                     params.max_in_flight)
+    return _assemble(doc, tgt, chunks, results)
+
+
 class JournalCorruptError(RuntimeError):
     """The checkpoint journal is unreadable; resume needs an explicit restart."""
 
@@ -387,22 +460,36 @@ def _load_journal(path: Path) -> list[dict]:
     return entries
 
 
-def _truncate_to_journal(out_path: Path, done_ids: set[str]) -> None:
-    """Keep only the output prefix covered by the journal; drop torn tails."""
-    if not out_path.exists():
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """Yield a file for the new contents of ``path``: it is written beside
+    ``path`` and renamed over it only once the block has finished, so a
+    crash leaves either the old file or the new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _keep_prefix(path: Path, key: Callable[[dict], object], keep: set) -> None:
+    """Cut a JSONL file back to its longest prefix of lines whose ``key`` is
+    in ``keep``, dropping everything from the first other or torn line on."""
+    if not path.exists():
         return
-    kept: list[str] = []
-    for line in out_path.read_text(encoding="utf-8").splitlines():
-        try:
-            obj = json.loads(line)
-            doc_id = obj["id"]
-        except (ValueError, KeyError, TypeError):
-            break
-        if doc_id not in done_ids:
-            break
-        kept.append(line)
-    out_path.write_text(
-        "".join(l + "\n" for l in kept), encoding="utf-8")
+    # split on "\n" only: raw U+2028 and the like may sit inside a JSON string
+    with open(path, encoding="utf-8", newline="\n") as src, _replacing(path) as dst:
+        for line in src:
+            try:
+                if key(json.loads(line)) not in keep:
+                    break
+            except (ValueError, KeyError, TypeError):
+                break
+            dst.write(line if line.endswith("\n") else line + "\n")
 
 
 @dataclass
@@ -434,12 +521,22 @@ def translate_corpus(
 ) -> TranslateManifest:
     """Translate a corpus into one output corpus per target, resumably.
 
+    Each document is chunked once, and its chunks are requested for every
+    target it still needs. ``params.max_in_flight`` bounds the requests in
+    flight across the whole corpus, not per document: one request window
+    spans documents and targets, and the input is read only as the window
+    needs refilling, so memory is bounded by the window. Results are
+    committed in input order: an output line, its failure lines and its
+    journal line are written once all chunks of a (doc, target) pair are
+    back and every earlier pair is committed.
+
     Completed (doc, target) pairs are recorded in ``journal.jsonl`` and
     skipped on resume; interrupted runs continue to byte-identical output.
     Failed documents are excluded from the output corpora and recorded in
     ``failures.jsonl``; a pair journaled as failed is not retried on resume
     (wipe with restart to retry). An existing journal requires an explicit
-    choice: resume to continue, restart to wipe.
+    choice: resume to continue, restart to wipe. An exception raised by the
+    backend stops the run after the last pair before it is committed.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -461,51 +558,61 @@ def translate_corpus(
     if resuming:
         entries = _load_journal(journal_path)
         done = {(e["doc_id"], e["target"]) for e in entries}
-        # rebuild journal without the torn tail
-        with open(journal_path, "w", encoding="utf-8") as fh:
+        with _replacing(journal_path) as fh:  # drops the torn tail
             for e in entries:
                 fh.write(json.dumps(e) + "\n")
         for tgt, p in out_paths.items():
             ok_ids = {e["doc_id"] + ":" + tgt for e in entries
                       if e["target"] == tgt and e["status"] == "ok"}
-            _truncate_to_journal(p, ok_ids)
-        _truncate_failures(failures_path, done)
+            _keep_prefix(p, lambda obj: obj["id"], ok_ids)
+        _keep_prefix(failures_path, lambda obj: (obj["doc_id"], obj["target"]), done)
 
+    template = template or PromptTemplate()
+    params = params or GenerationParams()
+    counter = counter or WhitespaceCounter()
     manifest = TranslateManifest(targets=list(targets))
+
+    def pairs() -> Iterator[tuple[Document, str, list[Chunk]]]:
+        for doc in read_corpus(in_path):
+            manifest.docs_in += 1
+            todo = [tgt for tgt in targets if (doc.id, tgt) not in done]
+            manifest.skipped_resume += len(targets) - len(todo)
+            if todo:
+                chunks = chunk_document(doc, counter, chunk_limit)
+                for tgt in todo:
+                    yield doc, tgt, chunks
+
     mode = "a" if resuming else "w"
     out_files = {tgt: open(p, mode, encoding="utf-8") for tgt, p in out_paths.items()}
     journal = open(journal_path, mode, encoding="utf-8")
     failures = open(failures_path, mode, encoding="utf-8")
     started = time.monotonic()
+    results = _in_order(pairs(), _chunk_request(backend, template, chunk_limit,
+                                                params, sleep),
+                        params.max_in_flight)
     try:
-        for doc in read_corpus(in_path):
-            manifest.docs_in += 1
-            for tgt in targets:
-                if (doc.id, tgt) in done:
-                    manifest.skipped_resume += 1
-                    continue
-                translated, records = translate_document(
-                    doc, tgt, backend, template=template, counter=counter,
-                    chunk_limit=chunk_limit, params=params, sleep=sleep)
-                manifest.chunk_calls += len(records)
-                manifest.dropped_sentences += sum(r.dropped_sentences for r in records)
-                status = "ok" if translated is not None else "failed"
-                if translated is not None:
-                    out_files[tgt].write(translated.to_json() + "\n")
-                    out_files[tgt].flush()
-                    manifest.ok += 1
-                else:
-                    manifest.failed += 1
-                for record in records:
-                    if record.status != "ok":
-                        failures.write(json.dumps(
-                            {"target": tgt, **json.loads(record.to_json())},
-                            ensure_ascii=False) + "\n")
-                failures.flush()
-                journal.write(json.dumps(
-                    {"doc_id": doc.id, "target": tgt, "status": status}) + "\n")
-                journal.flush()
+        for doc, tgt, chunks, chunk_results in results:
+            translated, records = _assemble(doc, tgt, chunks, chunk_results)
+            manifest.chunk_calls += len(records)
+            manifest.dropped_sentences += sum(r.dropped_sentences for r in records)
+            status = "ok" if translated is not None else "failed"
+            if translated is not None:
+                out_files[tgt].write(translated.to_json() + "\n")
+                out_files[tgt].flush()
+                manifest.ok += 1
+            else:
+                manifest.failed += 1
+            for record in records:
+                if record.status != "ok":
+                    failures.write(json.dumps(
+                        {"target": tgt, **json.loads(record.to_json())},
+                        ensure_ascii=False) + "\n")
+            failures.flush()
+            journal.write(json.dumps(
+                {"doc_id": doc.id, "target": tgt, "status": status}) + "\n")
+            journal.flush()
     finally:
+        results.close()
         for fh in [*out_files.values(), journal, failures]:
             fh.close()
     elapsed = time.monotonic() - started
@@ -514,20 +621,3 @@ def translate_corpus(
           f"{manifest.skipped_resume} skipped ({rate:.1f} docs/s)",
           file=sys.stderr)
     return manifest
-
-
-def _truncate_failures(path: Path, done: set[tuple[str, str]]) -> None:
-    """Drop failure lines for pairs the journal never confirmed."""
-    if not path.exists():
-        return
-    kept = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        try:
-            obj = json.loads(line)
-            pair = (obj["doc_id"], obj["target"])
-        except (ValueError, KeyError, TypeError):
-            break
-        if pair not in done:
-            break
-        kept.append(line)
-    path.write_text("".join(l + "\n" for l in kept), encoding="utf-8")

@@ -402,6 +402,197 @@ class TestTranslateCorpus:
                 (ref_dir / f"{tgt}.jsonl").read_bytes()
 
 
+# ---- the corpus-wide request window ------------------------------------------
+
+WINDOW = GenerationParams(retries=3, backoff=0.0, max_in_flight=8)
+
+
+class Killed(RuntimeError):
+    pass
+
+
+class KillingBackend(MockEchoBackend):
+    """Echoes until ``fuse`` calls have been made, then raises."""
+
+    def __init__(self, template, fuse):
+        super().__init__(template)
+        self.fuse = fuse
+
+    def complete(self, prompt, max_tokens=0, temperature=0.0):
+        if self.calls >= self.fuse:
+            raise Killed()
+        return super().complete(prompt, max_tokens, temperature)
+
+
+def outputs(out_dir, names):
+    return {name: (out_dir / name).read_bytes() for name in names}
+
+
+class TestRequestWindow:
+    def test_window_spans_documents(self, tmp_path, ws_counter):
+        # every call blocks until 8 are in flight at once; one-chunk documents
+        # can only get there when the window holds several documents
+        in_path = corpus_of(tmp_path, 16, sentences_per_doc=1)
+        barrier = threading.Barrier(8, timeout=10)
+
+        class Gathering(MockEchoBackend):
+            def complete(self, prompt, max_tokens=0, temperature=0.0):
+                barrier.wait()
+                return super().complete(prompt, max_tokens, temperature)
+
+        manifest = translate_corpus(
+            in_path, ["fr", "de", "es"], Gathering(PromptTemplate()),
+            tmp_path / "out", counter=ws_counter, params=WINDOW, sleep=NO_SLEEP)
+        assert manifest.ok == 48 and manifest.failed == 0
+        assert not barrier.broken
+
+    @pytest.mark.parametrize("kill_after", [1, 7, 16, 28, 50])
+    def test_kill_and_resume_with_window_matches_serial(
+            self, tmp_path, ws_counter, kill_after):
+        in_path = corpus_of(tmp_path, 12)
+        targets = ["fr", "de"]
+        names = ["fr.jsonl", "de.jsonl", "journal.jsonl", "failures.jsonl"]
+        ref_dir = tmp_path / "reference"
+        translate_corpus(in_path, targets, MockEchoBackend(PromptTemplate()),
+                         ref_dir, counter=ws_counter, chunk_limit=5,
+                         params=FAST, sleep=NO_SLEEP)
+
+        out_dir = tmp_path / "killed"
+        with pytest.raises(Killed):
+            translate_corpus(in_path, targets,
+                             KillingBackend(PromptTemplate(), kill_after),
+                             out_dir, counter=ws_counter, chunk_limit=5,
+                             params=WINDOW, sleep=NO_SLEEP)
+        with open(out_dir / "journal.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"doc_id": "doc')
+        translate_corpus(in_path, targets, MockEchoBackend(PromptTemplate()),
+                         out_dir, resume=True, counter=ws_counter, chunk_limit=5,
+                         params=WINDOW, sleep=NO_SLEEP)
+        assert outputs(out_dir, names) == outputs(ref_dir, names)
+
+    def test_failure_behind_finished_documents_commits_in_order(
+            self, tmp_path, ws_counter):
+        in_path = corpus_of(tmp_path, 12)
+        names = ["fr.jsonl", "journal.jsonl", "failures.jsonl"]
+
+        class FailOn2(MockEchoBackend):
+            def __init__(self, template, wait_for_later):
+                super().__init__(template)
+                self.wait_for_later = wait_for_later
+                self.later_done = threading.Event()
+                self.waited = False
+
+            def complete(self, prompt, max_tokens=0, temperature=0.0):
+                if "Doc 2 " in prompt:
+                    if self.wait_for_later:
+                        self.waited = self.later_done.wait(timeout=5)
+                    return BackendResult(error="synthetic")
+                result = super().complete(prompt, max_tokens, temperature)
+                if "Doc 6 " in prompt:
+                    self.later_done.set()
+                return result
+
+        translate_corpus(in_path, ["fr"], FailOn2(PromptTemplate(), False),
+                         tmp_path / "serial", counter=ws_counter, params=FAST,
+                         sleep=NO_SLEEP)
+        backend = FailOn2(PromptTemplate(), True)
+        manifest = translate_corpus(in_path, ["fr"], backend, tmp_path / "window",
+                                    counter=ws_counter, params=WINDOW,
+                                    sleep=NO_SLEEP)
+        assert backend.waited  # doc 6 was back before doc 2 failed
+        assert manifest.ok == 11 and manifest.failed == 1
+        assert outputs(tmp_path / "window", names) == \
+            outputs(tmp_path / "serial", names)
+
+    def test_each_document_chunked_once(self, tmp_path, ws_counter, monkeypatch):
+        import transmix.translate as translate_mod
+
+        calls = []
+        original = translate_mod.chunk_document
+
+        def counting(doc, *args, **kwargs):
+            calls.append(doc.id)
+            return original(doc, *args, **kwargs)
+
+        monkeypatch.setattr(translate_mod, "chunk_document", counting)
+        in_path = corpus_of(tmp_path, 5)
+        out_dir = tmp_path / "out"
+        translate_corpus(in_path, ["fr", "de", "es"], MockEchoBackend(PromptTemplate()),
+                         out_dir, counter=ws_counter, params=WINDOW, sleep=NO_SLEEP)
+        assert calls == [f"doc{i:04d}" for i in range(5)]
+        calls.clear()
+        manifest = translate_corpus(in_path, ["fr", "de", "es"],
+                                    MockEchoBackend(PromptTemplate()), out_dir,
+                                    resume=True, counter=ws_counter, params=WINDOW,
+                                    sleep=NO_SLEEP)
+        assert calls == [] and manifest.skipped_resume == 15
+
+    def test_one_thread_pool_per_corpus_run(self, tmp_path, ws_counter, monkeypatch):
+        import transmix.translate as translate_mod
+
+        pools = []
+
+        class CountedPool(translate_mod.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(translate_mod, "ThreadPoolExecutor", CountedPool)
+        translate_corpus(corpus_of(tmp_path, 6), ["fr", "de"],
+                         MockEchoBackend(PromptTemplate()), tmp_path / "out",
+                         counter=ws_counter, chunk_limit=5, params=WINDOW,
+                         sleep=NO_SLEEP)
+        assert len(pools) == 1
+
+    def test_resume_keeps_lines_holding_unicode_line_separators(
+            self, tmp_path, ws_counter):
+        # U+2028 and U+0085 stay raw inside JSON strings; resume must not
+        # split output lines on them
+        docs = [Document(id=f"u{i}", lang="en",
+                         text=f"Part {i} one. Part two.\x85Part three.")
+                for i in range(6)]
+        in_path = tmp_path / "in.jsonl"
+        write_corpus(in_path, docs)
+        ref_dir, out_dir = tmp_path / "reference", tmp_path / "killed"
+        translate_corpus(in_path, ["fr"], MockEchoBackend(PromptTemplate()),
+                         ref_dir, counter=ws_counter, params=FAST, sleep=NO_SLEEP)
+        with pytest.raises(Killed):
+            translate_corpus(in_path, ["fr"], KillingBackend(PromptTemplate(), 4),
+                             out_dir, counter=ws_counter, params=FAST,
+                             sleep=NO_SLEEP)
+        translate_corpus(in_path, ["fr"], MockEchoBackend(PromptTemplate()),
+                         out_dir, resume=True, counter=ws_counter, params=FAST,
+                         sleep=NO_SLEEP)
+        assert (out_dir / "fr.jsonl").read_bytes() == (ref_dir / "fr.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("backend_cls", [MockEchoBackend, MockCipherBackend])
+def test_mock_call_count_is_exact_under_threads(backend_cls):
+    import sys
+
+    template = PromptTemplate()
+    backend = backend_cls(template)
+    prompt = template.render("Count me.", "fr")
+    per_thread, n_threads = 2000, 8
+
+    def hammer():
+        for _ in range(per_thread):
+            backend.complete(prompt)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert backend.calls == per_thread * n_threads
+
+
 # ---- HTTP backend -----------------------------------------------------------
 
 class _Server:
