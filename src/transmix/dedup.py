@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from collections import defaultdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,16 +40,14 @@ ROWS = 8
 SHINGLE_SIZE = 5
 
 
+# \w is str.isalnum() plus "_", and \s is str.isspace(): this drops every
+# character that is neither alphanumeric nor whitespace
+_NOT_WORD_OR_SPACE = re.compile(r"[^\w\s]|_")
+
+
 def normalize_words(text: str) -> list[str]:
     """Lowercase, strip punctuation/symbols, collapse whitespace."""
-    cleaned = []
-    for ch in text.lower():
-        if ch.isalnum():
-            cleaned.append(ch)
-        elif ch.isspace():
-            cleaned.append(" ")
-        # everything else dropped
-    return "".join(cleaned).split()
+    return _NOT_WORD_OR_SPACE.sub("", text.lower()).split()
 
 
 def _hash64(s: str) -> int:
@@ -103,11 +102,15 @@ def signature(doc: Document | str, seed: int = 0,
     shingles = shingle_set(text, shingle_size)
     if not shingles:
         raise ValueError("cannot sign a document that is empty after normalization")
+    return _sign(shingles, seed)
+
+
+def _sign(shingles: set[int], seed: int) -> MinHashSignature:
     a, b = _hash_params(seed)
     x = np.fromiter(shingles, dtype=np.uint64, count=len(shingles))
     with np.errstate(over="ignore"):
         hashed = a[:, None] * x[None, :] + b[:, None]
-    return MinHashSignature(values=tuple(int(v) for v in hashed.min(axis=1)), seed=seed)
+    return MinHashSignature(values=tuple(hashed.min(axis=1).tolist()), seed=seed)
 
 
 def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
@@ -145,17 +148,22 @@ class LshIndex:
             key = sig.values[band * self.rows:(band + 1) * self.rows]
             self._tables[band][key].append(doc_id)
 
-    def candidate_pairs(self) -> set[tuple[str, str]]:
-        pairs: set[tuple[str, str]] = set()
+    def buckets(self) -> Iterator[list[str]]:
+        """Each band's buckets of two or more ids, band by band.
+
+        A bucket's ids are sorted and the buckets of one band come in the
+        order of their ids, so the sequence depends only on the ids and
+        signatures added, not on the order they were added in.
+        """
         for table in self._tables:
-            for bucket in table.values():
-                if len(bucket) < 2:
-                    continue
-                bucket = sorted(set(bucket))
-                for i in range(len(bucket)):
-                    for j in range(i + 1, len(bucket)):
-                        pairs.add((bucket[i], bucket[j]))
-        return pairs
+            band = [sorted(set(ids)) for ids in table.values() if len(ids) > 1]
+            yield from sorted(ids for ids in band if len(ids) > 1)
+
+    def candidate_pairs(self) -> set[tuple[str, str]]:
+        return {(ids[i], ids[j])
+                for ids in self.buckets()
+                for i in range(len(ids))
+                for j in range(i + 1, len(ids))}
 
 
 class _UnionFind:
@@ -209,10 +217,11 @@ def dedup_corpus(
     the threshold (signature estimate by default; exact shingle Jaccard when
     ``exact`` is set, for audits). Confirmed pairs are merged by union-find
     and the lexicographically smallest id of each cluster is kept, which also
-    makes the kept set independent of input order. Each language is deduped
-    independently, so translations of one document into several languages are
-    all kept. Documents that are empty after normalization are kept
-    unconditionally.
+    makes the kept set independent of input order. A cluster of n documents
+    lists in ``estimates`` the n - 1 ``[a, b, score]`` pairs that joined it.
+    Each language is deduped independently, so translations of one document
+    into several languages are all kept. Documents that are empty after
+    normalization are kept unconditionally.
     """
     docs = list(docs)
     seen: set[str] = set()
@@ -258,26 +267,23 @@ def _dedup_group(
     index = LshIndex(bands=bands, rows=rows)
     sigs: dict[str, MinHashSignature] = {}
     for doc in docs:
-        if not shingle_set(doc.text, shingle_size):
-            continue
-        sig = signature(doc, seed=seed, shingle_size=shingle_size)
-        sigs[doc.id] = sig
-        index.add(doc.id, sig)
+        shingles = shingle_set(doc.text, shingle_size)
+        if shingles:
+            sigs[doc.id] = _sign(shingles, seed)
+            index.add(doc.id, sigs[doc.id])
 
-    uf = _UnionFind()
-    confirmed: dict[tuple[str, str], float] = {}
-    for id_a, id_b in sorted(index.candidate_pairs()):
+    def score(a: str, b: str) -> float:
         if exact:
-            score = exact_jaccard(by_id[id_a].text, by_id[id_b].text, shingle_size)
-        else:
-            score = estimate_jaccard(sigs[id_a], sigs[id_b])
-        if score > threshold:
-            confirmed[(id_a, id_b)] = score
-            uf.union(id_a, id_b)
+            return exact_jaccard(by_id[a].text, by_id[b].text, shingle_size)
+        return estimate_jaccard(sigs[a], sigs[b])
 
+    uf, edges = _join_candidates(index.buckets(), score, threshold)
     members: dict[str, list[str]] = defaultdict(list)
     for doc_id in sigs:
         members[uf.find(doc_id)].append(doc_id)
+    estimates: dict[str, list[list]] = defaultdict(list)
+    for a, b, s in sorted(edges):
+        estimates[uf.find(a)].append([a, b, round(s, 4)])
 
     removed: set[str] = set()
     clusters: list[dict] = []
@@ -286,13 +292,52 @@ def _dedup_group(
         if len(group) < 2:
             continue
         removed.update(group[1:])
-        clusters.append({
-            "kept": group[0],
-            "removed": group[1:],
-            "estimates": [
-                [a, b, round(s, 4)]
-                for (a, b), s in sorted(confirmed.items())
-                if a in group and b in group
-            ],
-        })
+        clusters.append({"kept": group[0], "removed": group[1:], "estimates": estimates[root]})
     return removed, clusters
+
+
+def _join_candidates(
+    buckets: Iterable[list[str]],
+    score: Callable[[str, str], float],
+    threshold: float,
+) -> tuple[_UnionFind, list[tuple[str, str, float]]]:
+    """Union-find over the candidate pairs whose score exceeds the threshold.
+
+    Returns the union-find and the ``(a, b, score)`` pairs that joined two
+    components. Each bucket's earlier members are kept grouped by root, and a
+    member is scored against each other group only until one pair passes:
+    its remaining pairs into that group could only join components that are
+    already one. A passing pair (a, b) of a bucket therefore always ends up
+    joined, through a or through a member of a's group, so the components
+    equal those of scoring every candidate pair. A pair that fails is never
+    scored again.
+    """
+    uf = _UnionFind()
+    edges: list[tuple[str, str, float]] = []
+    rejected: set[tuple[str, str]] = set()
+
+    def join_first_match(members: list[str], doc_id: str) -> bool:
+        for other in members:
+            if (other, doc_id) in rejected:
+                continue
+            s = score(other, doc_id)
+            if s > threshold:
+                uf.union(other, doc_id)
+                edges.append((other, doc_id, s))
+                return True
+            rejected.add((other, doc_id))
+        return False
+
+    for bucket in buckets:
+        groups: dict[str, list[str]] = {}
+        for doc_id in bucket:
+            group = groups.pop(uf.find(doc_id), [])
+            for root in list(groups):
+                if join_first_match(groups[root], doc_id):
+                    other = groups.pop(root)
+                    if len(other) > len(group):
+                        group, other = other, group  # extend the longer list
+                    group.extend(other)
+            group.append(doc_id)
+            groups[uf.find(doc_id)] = group
+    return uf, edges

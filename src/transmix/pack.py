@@ -100,7 +100,8 @@ def pack_stream(
                 fh.write(np.asarray(seq, dtype="<u4").tobytes())
                 manifest.sequence_count += 1
     manifest.dropped_remainder = len(buffer)
-    assert manifest.identity_holds(), "token conservation identity violated"
+    if not manifest.identity_holds():
+        raise RuntimeError("token conservation identity violated")
     return manifest
 
 

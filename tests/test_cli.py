@@ -180,6 +180,14 @@ def test_pack_subcommand(tmp_path, small_corpus):
                           expected_length=manifest.sequence_length)
 
 
+def test_pack_identity_violation_fails_the_stage(tmp_path, small_corpus, monkeypatch, capsys):
+    monkeypatch.setattr(PackManifest, "identity_holds", lambda self: False)
+    out = tmp_path / "packed"
+    assert main(["pack", str(small_corpus), "--out-dir", str(out)]) == 1
+    assert "token conservation identity violated" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_probe_subcommand_with_echo_backend_records_zero_obtained(tmp_path):
     # the echo backend cannot serve empty prompts: every call fails, and the
     # report must say so rather than fabricate samples

@@ -8,9 +8,11 @@ estimator still trips them for a few percent of random seeds.
 
 import math
 import random
+from collections import defaultdict
 
 import pytest
 
+from transmix import dedup
 from transmix.corpus import Document
 from transmix.dedup import (
     LshIndex,
@@ -66,6 +68,24 @@ def test_package_shingles_agree_with_oracle_on_counts():
         text = " ".join(words)
         assert len(shingle_set(text)) == len(oracle_shingles(text))
     assert normalize_words("Hello,  WORLD!") == ["hello", "world"]
+
+
+def loop_normalize_words(text: str) -> list[str]:
+    """Reference: keep alphanumerics, turn whitespace into spaces, drop the rest."""
+    cleaned = []
+    for ch in text.lower():
+        if ch.isalnum():
+            cleaned.append(ch)
+        elif ch.isspace():
+            cleaned.append(" ")
+    return "".join(cleaned).split()
+
+
+def test_normalize_words_matches_loop_on_every_code_point():
+    # "a" between code points: a kept one joins its neighbours into a word,
+    # a dropped one joins them without itself, whitespace splits them
+    text = "a" + "a".join(map(chr, range(0x110000))) + "a"
+    assert normalize_words(text) == loop_normalize_words(text)
 
 
 # ---- signatures -------------------------------------------------------------
@@ -162,6 +182,37 @@ def make_corpus_with_plants(rng, buckets, n_unique):
     return docs, pairs
 
 
+def near_duplicate_families(rng, families, size):
+    """Each family edits one 200-word base at random spots, so its pairs
+    spread over similarities on both sides of 0.8."""
+    docs = []
+    for f in range(families):
+        base = [f"f{f}w{j}" for j in range(200)]
+        for m in range(size):
+            words = base[:]
+            for _ in range(rng.randint(0, 6)):
+                words[rng.randrange(len(words))] = f"e{f}x{m}x{rng.randrange(10**6)}"
+            docs.append(Document(id=f"fam{f}m{m:02d}", lang="en", text=" ".join(words)))
+    return docs
+
+
+def find_root(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def all_pairs_roots(ids, pairs, passes):
+    """Reference clustering: join every pair that passes; the smallest id of
+    each component is its root."""
+    parent = {x: x for x in ids}
+    for a, b in pairs:
+        if passes(a, b):
+            ra, rb = find_root(parent, a), find_root(parent, b)
+            parent[max(ra, rb)] = min(ra, rb)
+    return {x: find_root(parent, x) for x in ids}
+
+
 def cluster_roots(result):
     root = {}
     for cluster in result.clusters:
@@ -180,6 +231,18 @@ class TestLshIndex:
         pairs = index.candidate_pairs()
         assert ("a", "b") in pairs
         assert not any("c" in p for p in pairs)
+
+    def test_buckets_independent_of_insertion_order(self):
+        docs = near_duplicate_families(random.Random(28), families=3, size=10)
+        sigs = [(doc.id, signature(doc, seed=0)) for doc in docs]
+        indexes = [LshIndex(), LshIndex()]
+        for doc_id, sig in sigs:
+            indexes[0].add(doc_id, sig)
+        for doc_id, sig in reversed(sigs):
+            indexes[1].add(doc_id, sig)
+        buckets = list(indexes[0].buckets())
+        assert buckets == list(indexes[1].buckets())
+        assert all(len(ids) > 1 and ids == sorted(set(ids)) for ids in buckets)
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -224,11 +287,96 @@ class TestDedupCorpus:
         rng = random.Random(23)
         buckets = [("0.95", 190, 5, 10), ("0.90", 180, 10, 10)]
         docs, _ = make_corpus_with_plants(rng, buckets, 40)
-        kept_a = set(dedup_corpus(docs, seed=5).kept_ids)
+        docs += near_duplicate_families(random.Random(26), families=4, size=12)
+        result_a = dedup_corpus(docs, seed=5)
         shuffled = docs[:]
         rng.shuffle(shuffled)
-        kept_b = set(dedup_corpus(shuffled, seed=5).kept_ids)
-        assert kept_a == kept_b
+        result_b = dedup_corpus(shuffled, seed=5)
+        assert set(result_a.kept_ids) == set(result_b.kept_ids)
+        assert result_a.clusters == result_b.clusters
+
+    def test_identical_docs_verified_once_per_merge(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return estimate_jaccard(a, b)
+
+        monkeypatch.setattr(dedup, "estimate_jaccard", counting)
+        n = 200
+        text = " ".join(f"w{i}" for i in range(60))
+        docs = [Document(id=f"copy{i:03d}", lang="en", text=text) for i in range(n)]
+        result = dedup_corpus(docs, seed=0)
+        assert result.kept_ids == ["copy000"]
+        assert len(calls) == n - 1
+        assert len(result.clusters[0]["estimates"]) == n - 1
+
+    def test_each_document_shingled_once(self, monkeypatch):
+        calls = []
+
+        def counting(text, n=5):
+            calls.append(text)
+            return shingle_set(text, n)
+
+        monkeypatch.setattr(dedup, "shingle_set", counting)
+        rng = random.Random(25)
+        docs, _ = make_corpus_with_plants(rng, [("0.95", 190, 5, 10)], 20)
+        docs.append(Document(id="empty", lang="en", text="..."))
+        result = dedup_corpus(docs, seed=0)
+        assert len(calls) == len(docs)
+        assert "empty" in result.kept_ids
+
+    def test_join_candidates_equals_scoring_every_pair(self):
+        # random buckets and score tables: members that join two groups of
+        # one bucket, and pairs that share a single bucket, both occur
+        rng = random.Random(29)
+        for _ in range(300):
+            ids = [f"d{i:02d}" for i in range(rng.randint(2, 14))]
+            buckets = [sorted(rng.sample(ids, rng.randint(2, len(ids))))
+                       for _ in range(rng.randint(1, 4))]
+            table = {(a, b): rng.random() for a in ids for b in ids if a < b}
+            calls = []
+
+            def score(a, b):
+                calls.append((a, b))
+                return table[(a, b)]
+
+            uf, edges = dedup._join_candidates(buckets, score, 0.6)
+            pairs = {(a, b) for bucket in buckets for a in bucket for b in bucket if a < b}
+            expected = all_pairs_roots(ids, pairs, lambda a, b: table[(a, b)] > 0.6)
+            assert {x: uf.find(x) for x in ids} == expected
+            assert len(edges) == len(ids) - len(set(expected.values()))
+            assert all(table[(a, b)] == s > 0.6 for a, b, s in edges)
+            assert len(calls) == len(set(calls)) and set(calls) <= pairs
+
+    def test_clusters_equal_all_pairs_verification(self):
+        docs = near_duplicate_families(random.Random(27), families=6, size=15)
+        threshold, seed = 0.8, 4
+        sigs = {doc.id: signature(doc, seed=seed) for doc in docs}
+        index = LshIndex()
+        for doc_id, sig in sigs.items():
+            index.add(doc_id, sig)
+        pairs = index.candidate_pairs()
+        scores = {(a, b): estimate_jaccard(sigs[a], sigs[b]) for a, b in pairs}
+        roots = all_pairs_roots(sigs, pairs, lambda a, b: scores[(a, b)] > threshold)
+        members = defaultdict(list)
+        for doc_id in sorted(sigs):
+            members[roots[doc_id]].append(doc_id)
+        expected = sorted(group for group in members.values() if len(group) > 1)
+        # the corpus exercises both outcomes of verification
+        assert len(expected) >= 6 and min(scores.values()) <= threshold
+
+        result = dedup_corpus(docs, threshold=threshold, seed=seed)
+        assert [[c["kept"], *c["removed"]] for c in result.clusters] == expected
+        for cluster in result.clusters:
+            # the merge edges form a spanning tree of the cluster
+            group = [cluster["kept"], *cluster["removed"]]
+            assert len(cluster["estimates"]) == len(group) - 1
+            assert all(round(scores[(a, b)], 4) == s > threshold
+                       for a, b, s in cluster["estimates"])
+            tree = all_pairs_roots(group, [(a, b) for a, b, _ in cluster["estimates"]],
+                                   lambda a, b: True)
+            assert set(tree.values()) == {cluster["kept"]}
 
     def test_no_doc_in_two_clusters(self):
         rng = random.Random(24)

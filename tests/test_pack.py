@@ -7,6 +7,7 @@ import pytest
 from transmix.corpus import Document
 from transmix.pack import (
     PackFormatError,
+    PackManifest,
     pack_stream,
     sequence_count,
     unpack_inspect,
@@ -71,6 +72,11 @@ class TestPackStream:
             assert manifest.dropped_remainder == remainder
             assert manifest.skipped_empty_docs == skipped
             assert manifest.identity_holds()
+
+    def test_identity_violation_raises(self, ws_counter, tmp_path, monkeypatch):
+        monkeypatch.setattr(PackManifest, "identity_holds", lambda self: False)
+        with pytest.raises(RuntimeError, match="token conservation identity violated"):
+            pack_stream([doc_of(10)], ws_counter, tmp_path / "t.bin")
 
     def test_eos_between_consecutive_docs(self, ws_counter, tmp_path):
         docs = [doc_of(3, i) for i in range(20)]

@@ -604,6 +604,7 @@ class _Server:
 
     def stop(self):
         self.httpd.shutdown()
+        self.httpd.server_close()
 
 
 @pytest.fixture
