@@ -1,6 +1,8 @@
 """Pipeline configuration: one INI-style file, env-var overrides, full
 validation up front, and a resolved snapshot written next to every artifact.
 
+The fields of ``PipelineConfig`` are the table of options, each with its INI
+section and option, default and parser; ``load_config`` rejects any other key.
 Any option can be overridden with ``TWP_<SECTION>_<OPTION>`` environment
 variables (e.g. ``TWP_DEDUP_THRESHOLD=0.85``), which is how cluster batch
 jobs inject settings without editing files.
@@ -11,8 +13,9 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
+from typing import Any, Callable, Iterator
 
 from .quality import RuleConfig
 from .tokenizer import BpeCounter, TokenCounter, WhitespaceCounter
@@ -43,53 +46,88 @@ class ConfigError(ValueError):
                          "\n".join(f"  - {p}" for p in problems))
 
 
+def _parse_as(convert: Callable[[str], Any], noun: str) -> Callable[[str], Any]:
+    def parse(raw: str) -> Any:
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"not {noun}: {raw!r}") from None
+    return parse
+
+
+def _parse_list(raw: str) -> list[str]:
+    return [item.strip() for item in raw.split(",") if item.strip()]
+
+
+def _parse_sources(raw: str) -> list[tuple[str, str]]:
+    sources = []
+    for item in _parse_list(raw):
+        name, sep, path = item.partition(":")
+        if not sep:
+            raise ValueError(f"expected name:path, got {item!r}")
+        sources.append((name.strip(), path.strip()))
+    return sources
+
+
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES  # 1/0, true/false, yes/no, on/off
+# the parser of an option that names none, by the type of its default
+_PARSERS = {bool: _parse_as(lambda raw: _BOOLEANS[raw.lower()], "a boolean"),
+            int: _parse_as(int, "an integer"), float: _parse_as(float, "a number"), str: str}
+
+
+def _opt(section: str, default: Any, option: str = "", parse: Callable | None = None) -> Any:
+    """A field set by ``[section] option``, which defaults to the field's name."""
+    meta = {"section": section, "option": option,
+            "parse": parse or _PARSERS[type(default)]}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class PipelineConfig:
-    # run
-    seed: int = 0
-    strict: bool = False
-    # corpus
-    tokenizer: str = "whitespace"
-    bpe_vocab: str = ""
-    bpe_merges: str = ""
-    # segment
-    chunk_limit: int = 300
-    abbreviation_dir: str = ""
-    # translate
-    translate_enabled: bool = True
-    targets: list[str] = field(default_factory=lambda: ["fr", "de", "es"])
-    backend: str = "mock-echo"
-    endpoint: str = ""
-    model: str = ""
-    response_path: str = "choices.0.text"
-    http_timeout: float = 60.0
-    max_tokens: int = 0
-    temperature: float = 0.0
-    retries: int = 3
-    backoff: float = 1.0
-    max_in_flight: int = 32
-    wrapper_open: str = "[INST]"
-    wrapper_close: str = "[/INST]"
-    instruction: str = ""
-    # quality
-    quality: RuleConfig = field(default_factory=RuleConfig)
-    stopword_dir: str = ""
-    # dedup
-    dedup_threshold: float = 0.8
-    dedup_bands: int = 16
-    dedup_rows: int = 8
-    shingle_size: int = 5
-    # mix
-    mix_budget_per_source: int = 0  # 0 = smallest source total
-    mix_buffer_size: int = 100_000
-    mix_sources: list[tuple[str, str]] = field(default_factory=list)
-    # pack
-    sequence_length: int = 2048
-    # probe
-    probe_n: int = 512
-    probe_max_tokens: int = 300
-    probe_temperature: float = 1.0
-    probe_model_path: str = ""
+    seed: int = _opt("run", 0)
+    strict: bool = _opt("run", False)
+    tokenizer: str = _opt("corpus", "whitespace")
+    bpe_vocab: str = _opt("corpus", "")
+    bpe_merges: str = _opt("corpus", "")
+    chunk_limit: int = _opt("segment", 300)
+    abbreviation_dir: str = _opt("segment", "")
+    translate_enabled: bool = _opt("translate", True, "enabled")
+    targets: list[str] = _opt("translate", ["fr", "de", "es"], parse=_parse_list)
+    backend: str = _opt("translate", "mock-echo")
+    endpoint: str = _opt("translate", "")
+    model: str = _opt("translate", "")
+    response_path: str = _opt("translate", "choices.0.text")
+    http_timeout: float = _opt("translate", 60.0, "timeout")
+    max_tokens: int = _opt("translate", 0)
+    temperature: float = _opt("translate", 0.0)
+    retries: int = _opt("translate", 3)
+    backoff: float = _opt("translate", 1.0)
+    max_in_flight: int = _opt("translate", 32)
+    wrapper_open: str = _opt("translate", "[INST]")
+    wrapper_close: str = _opt("translate", "[/INST]")
+    instruction: str = _opt("translate", "")
+    # [quality] sets these RuleConfig fields, with RuleConfig's defaults
+    quality: RuleConfig = field(default_factory=RuleConfig, metadata={
+        "section": "quality", "rules": (
+            "min_words", "max_words", "min_mean_word_length",
+            "max_mean_word_length", "max_symbol_word_ratio",
+            "max_bullet_line_fraction", "max_ellipsis_line_fraction",
+            "min_alpha_word_fraction", "min_stop_words", "check_repetition")})
+    stopword_dir: str = _opt("quality", "")
+    dedup_threshold: float = _opt("dedup", 0.8, "threshold")
+    dedup_bands: int = _opt("dedup", 16, "bands")
+    dedup_rows: int = _opt("dedup", 8, "rows")
+    shingle_size: int = _opt("dedup", 5)
+    mix_budget_per_source: int = _opt("mix", 0, "budget_per_source")  # 0 = smallest source total
+    mix_buffer_size: int = _opt("mix", 100_000, "buffer_size")
+    mix_sources: list[tuple[str, str]] = _opt("mix", [], "sources", _parse_sources)
+    sequence_length: int = _opt("pack", 2048)
+    probe_n: int = _opt("probe", 512, "n")
+    probe_max_tokens: int = _opt("probe", 300, "max_tokens")
+    probe_temperature: float = _opt("probe", 1.0, "temperature")
+    probe_model_path: str = _opt("probe", "", "model_path")
 
     def validate(self) -> None:
         problems: list[str] = []
@@ -170,9 +208,7 @@ class PipelineConfig:
         )
 
     def snapshot(self) -> dict:
-        data = asdict(self)
-        data["quality"] = asdict(self.quality)
-        return data
+        return asdict(self)
 
     def write_snapshot(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -180,124 +216,48 @@ class PipelineConfig:
             encoding="utf-8")
 
 
-def _env_override(section: str, option: str, fallback: str | None) -> str | None:
-    return os.environ.get(f"{ENV_PREFIX}_{section}_{option}".upper(), fallback)
+def _options() -> Iterator[tuple[str, str, str, Callable[[str], Any], bool]]:
+    """(section, option, field, parse, is_rule) for each option of the table;
+    a rule option sets a field of ``PipelineConfig.quality``."""
+    rule_types = {f.name: type(f.default) for f in fields(RuleConfig)}
+    for f in fields(PipelineConfig):
+        meta = f.metadata
+        if "rules" in meta:
+            yield from ((meta["section"], name, name, _PARSERS[rule_types[name]], True)
+                        for name in meta["rules"])
+        else:
+            yield meta["section"], meta["option"] or f.name, f.name, meta["parse"], False
 
 
-class _Source:
-    """INI file merged with environment overrides."""
-
-    def __init__(self, parser: configparser.ConfigParser) -> None:
-        self.parser = parser
-        self.problems: list[str] = []
-
-    def get(self, section: str, option: str, fallback: str = "") -> str:
-        raw = self.parser.get(section, option, fallback=fallback)
-        value = _env_override(section, option, raw)
-        return value if value is not None else fallback
-
-    def get_int(self, section: str, option: str, fallback: int) -> int:
-        raw = self.get(section, option, str(fallback))
-        try:
-            return int(raw)
-        except ValueError:
-            self.problems.append(f"{section}.{option}: not an integer: {raw!r}")
-            return fallback
-
-    def get_float(self, section: str, option: str, fallback: float) -> float:
-        raw = self.get(section, option, str(fallback))
-        try:
-            return float(raw)
-        except ValueError:
-            self.problems.append(f"{section}.{option}: not a number: {raw!r}")
-            return fallback
-
-    def get_bool(self, section: str, option: str, fallback: bool) -> bool:
-        raw = self.get(section, option, "true" if fallback else "false").lower()
-        if raw in ("1", "true", "yes", "on"):
-            return True
-        if raw in ("0", "false", "no", "off"):
-            return False
-        self.problems.append(f"{section}.{option}: not a boolean: {raw!r}")
-        return fallback
-
-    def get_list(self, section: str, option: str, fallback: str = "") -> list[str]:
-        raw = self.get(section, option, fallback)
-        return [item.strip() for item in raw.split(",") if item.strip()]
+_OPTIONS = list(_options())
+_KNOWN = {(section, option) for section, option, *_ in _OPTIONS}
 
 
 def load_config(path: str | Path | None = None) -> PipelineConfig:
     """Load, override from the environment, and validate in full."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # with no default section, a [DEFAULT] header is just an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     if path is not None:
         if not Path(path).exists():
             raise ConfigError([f"config file not found: {path}"])
         parser.read(path, encoding="utf-8")
-    src = _Source(parser)
 
-    quality = RuleConfig(
-        min_words=src.get_int("quality", "min_words", 50),
-        max_words=src.get_int("quality", "max_words", 100_000),
-        min_mean_word_length=src.get_float("quality", "min_mean_word_length", 3.0),
-        max_mean_word_length=src.get_float("quality", "max_mean_word_length", 10.0),
-        max_symbol_word_ratio=src.get_float("quality", "max_symbol_word_ratio", 0.1),
-        max_bullet_line_fraction=src.get_float(
-            "quality", "max_bullet_line_fraction", 0.9),
-        max_ellipsis_line_fraction=src.get_float(
-            "quality", "max_ellipsis_line_fraction", 0.3),
-        min_alpha_word_fraction=src.get_float(
-            "quality", "min_alpha_word_fraction", 0.8),
-        min_stop_words=src.get_int("quality", "min_stop_words", 2),
-        check_repetition=src.get_bool("quality", "check_repetition", False),
-    )
-
-    sources: list[tuple[str, str]] = []
-    for item in src.get_list("mix", "sources"):
-        name, sep, src_path = item.partition(":")
-        if not sep:
-            src.problems.append(f"mix.sources: expected name:path, got {item!r}")
-            continue
-        sources.append((name.strip(), src_path.strip()))
-
-    config = PipelineConfig(
-        seed=src.get_int("run", "seed", 0),
-        strict=src.get_bool("run", "strict", False),
-        tokenizer=src.get("corpus", "tokenizer", "whitespace"),
-        bpe_vocab=src.get("corpus", "bpe_vocab", ""),
-        bpe_merges=src.get("corpus", "bpe_merges", ""),
-        chunk_limit=src.get_int("segment", "chunk_limit", 300),
-        abbreviation_dir=src.get("segment", "abbreviation_dir", ""),
-        translate_enabled=src.get_bool("translate", "enabled", True),
-        targets=src.get_list("translate", "targets", "fr, de, es"),
-        backend=src.get("translate", "backend", "mock-echo"),
-        endpoint=src.get("translate", "endpoint", ""),
-        model=src.get("translate", "model", ""),
-        response_path=src.get("translate", "response_path", "choices.0.text"),
-        http_timeout=src.get_float("translate", "timeout", 60.0),
-        max_tokens=src.get_int("translate", "max_tokens", 0),
-        temperature=src.get_float("translate", "temperature", 0.0),
-        retries=src.get_int("translate", "retries", 3),
-        backoff=src.get_float("translate", "backoff", 1.0),
-        max_in_flight=src.get_int("translate", "max_in_flight", 32),
-        wrapper_open=src.get("translate", "wrapper_open", "[INST]"),
-        wrapper_close=src.get("translate", "wrapper_close", "[/INST]"),
-        instruction=src.get("translate", "instruction", ""),
-        quality=quality,
-        stopword_dir=src.get("quality", "stopword_dir", ""),
-        dedup_threshold=src.get_float("dedup", "threshold", 0.8),
-        dedup_bands=src.get_int("dedup", "bands", 16),
-        dedup_rows=src.get_int("dedup", "rows", 8),
-        shingle_size=src.get_int("dedup", "shingle_size", 5),
-        mix_budget_per_source=src.get_int("mix", "budget_per_source", 0),
-        mix_buffer_size=src.get_int("mix", "buffer_size", 100_000),
-        mix_sources=sources,
-        sequence_length=src.get_int("pack", "sequence_length", 2048),
-        probe_n=src.get_int("probe", "n", 512),
-        probe_max_tokens=src.get_int("probe", "max_tokens", 300),
-        probe_temperature=src.get_float("probe", "temperature", 1.0),
-        probe_model_path=src.get("probe", "model_path", ""),
-    )
-    if src.problems:
-        raise ConfigError(src.problems)
+    sections = {section for section, _ in _KNOWN}
+    problems = [f"{s}: unknown section" for s in parser.sections() if s not in sections]
+    problems += [f"{s}.{o}: unknown option" for s in parser.sections() if s in sections
+                 for o in parser.options(s) if (s, o) not in _KNOWN]
+    values: dict[str, Any] = {}
+    rules: dict[str, Any] = {}
+    for section, option, name, parse, is_rule in _OPTIONS:
+        raw = os.environ.get(f"{ENV_PREFIX}_{section}_{option}".upper(),
+                             parser.get(section, option, fallback=None))
+        try:
+            if raw is not None:
+                (rules if is_rule else values)[name] = parse(raw)
+        except ValueError as exc:
+            problems.append(f"{section}.{option}: {exc}")
+    if problems:
+        raise ConfigError(problems)
+    config = PipelineConfig(**values, quality=RuleConfig(**rules))
     config.validate()
     return config

@@ -121,11 +121,13 @@ def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
 
 
 def exact_jaccard(text_a: str, text_b: str, n: int = SHINGLE_SIZE) -> float:
-    sa, sb = shingle_set(text_a, n), shingle_set(text_b, n)
-    if not sa and not sb:
-        return 1.0
-    union = len(sa | sb)
-    return len(sa & sb) / union if union else 0.0
+    return _set_jaccard(shingle_set(text_a, n), shingle_set(text_b, n))
+
+
+def _set_jaccard(sa: set[int], sb: set[int]) -> float:
+    shared = len(sa & sb)
+    union = len(sa) + len(sb) - shared
+    return shared / union if union else 1.0  # two empty sets are equal
 
 
 class LshIndex:
@@ -263,18 +265,20 @@ def _dedup_group(
     rows: int,
     shingle_size: int,
 ) -> tuple[set[str], list[dict]]:
-    by_id = {doc.id: doc for doc in docs}
     index = LshIndex(bands=bands, rows=rows)
     sigs: dict[str, MinHashSignature] = {}
+    shingle_sets: dict[str, set[int]] = {}  # kept only for exact verification
     for doc in docs:
         shingles = shingle_set(doc.text, shingle_size)
         if shingles:
             sigs[doc.id] = _sign(shingles, seed)
             index.add(doc.id, sigs[doc.id])
+            if exact:
+                shingle_sets[doc.id] = shingles
 
     def score(a: str, b: str) -> float:
         if exact:
-            return exact_jaccard(by_id[a].text, by_id[b].text, shingle_size)
+            return _set_jaccard(shingle_sets[a], shingle_sets[b])
         return estimate_jaccard(sigs[a], sigs[b])
 
     uf, edges = _join_candidates(index.buckets(), score, threshold)

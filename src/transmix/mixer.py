@@ -113,16 +113,22 @@ def balanced_sample(
         raise MixtureError(
             f"corpus has {total} tokens but the budget is {budget} "
             f"(short by {budget - total})")
-    order = list(range(len(docs)))
+    return [docs[idx] for idx in _take(counts, budget, seed)]
+
+
+def _take(counts: Sequence[int], budget: int, seed: int) -> list[int]:
+    """Indices in seeded shuffle order, taken until their token counts reach
+    the budget (the overshooting one included)."""
+    order = list(range(len(counts)))
     _shuffle(order, random.Random(seed))
-    sampled: list[Document] = []
+    taken: list[int] = []
     acc = 0
     for idx in order:
-        sampled.append(docs[idx])
+        taken.append(idx)
         acc += counts[idx]
         if acc >= budget:
             break
-    return sampled
+    return taken
 
 
 def interleave(
@@ -166,12 +172,11 @@ def compose_stage(
     loaded: dict[str, list[Document]] = {
         e.name: list(read_corpus(e.path)) for e in spec.entries
     }
+    counts = {name: [counter.count(d.text) for d in docs] for name, docs in loaded.items()}
 
     shortfalls = []
-    token_totals = {}
     for entry in spec.entries:
-        total = sum(counter.count(d.text) for d in loaded[entry.name])
-        token_totals[entry.name] = total
+        total = sum(counts[entry.name])
         if total < budgets[entry.name]:
             shortfalls.append(
                 f"{entry.name}: have {total}, need {budgets[entry.name]}")
@@ -182,13 +187,12 @@ def compose_stage(
     realized: dict[str, dict] = {}
     for entry in spec.entries:
         sub_seed = derive_seed(spec.seed, f"sample:{entry.name}")
-        sample = balanced_sample(loaded[entry.name], budgets[entry.name],
-                                 counter, seed=sub_seed)
-        samples[entry.name] = sample
+        taken = _take(counts[entry.name], budgets[entry.name], sub_seed)
+        samples[entry.name] = [loaded[entry.name][idx] for idx in taken]
         realized[entry.name] = {
             "budget": budgets[entry.name],
-            "tokens": sum(counter.count(d.text) for d in sample),
-            "docs": len(sample),
+            "tokens": sum(counts[entry.name][idx] for idx in taken),
+            "docs": len(taken),
             "seed": sub_seed,
         }
 

@@ -18,7 +18,7 @@ import urllib.request
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -62,41 +62,30 @@ class PromptTemplate:
     """Instruction wrapper with {TARGET_LANGUAGE} and {SOURCE_TEXT} slots.
 
     The default wording is a workable starting point, not canonical; adjust
-    it per serving setup through the config file. Per-target overrides
-    replace the instruction text for a single language.
+    it per serving setup through the config file.
     """
 
     instruction: str = DEFAULT_INSTRUCTION
     wrapper_open: str = "[INST]"
     wrapper_close: str = "[/INST]"
-    overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for label, inst in [("default", self.instruction),
-                            *((f"override:{k}", v) for k, v in self.overrides.items())]:
-            if inst.count("{SOURCE_TEXT}") != 1:
-                raise TemplateError(
-                    f"{label} instruction must contain {{SOURCE_TEXT}} exactly once")
-            if "{TARGET_LANGUAGE}" not in inst:
-                raise TemplateError(
-                    f"{label} instruction must contain {{TARGET_LANGUAGE}}")
-
-    def _instruction_for(self, tgt: str) -> str:
-        return self.overrides.get(tgt, self.instruction)
+        if self.instruction.count("{SOURCE_TEXT}") != 1:
+            raise TemplateError("instruction must contain {SOURCE_TEXT} exactly once")
+        if "{TARGET_LANGUAGE}" not in self.instruction:
+            raise TemplateError("instruction must contain {TARGET_LANGUAGE}")
 
     def render(self, source_text: str, tgt: str) -> str:
         if tgt not in LANGUAGE_NAMES:
             raise TemplateError(f"no language name configured for target {tgt!r}")
-        inst = self._instruction_for(tgt)
-        body = inst.replace("{TARGET_LANGUAGE}", LANGUAGE_NAMES[tgt])
+        body = self.instruction.replace("{TARGET_LANGUAGE}", LANGUAGE_NAMES[tgt])
         body = body.replace("{SOURCE_TEXT}", source_text)
         return f"{self.wrapper_open} {body} {self.wrapper_close}"
 
     def extract_source(self, prompt: str) -> str | None:
         """Invert render(): recover the embedded source text, if possible."""
         for tgt in LANGUAGE_NAMES:
-            inst = self._instruction_for(tgt)
-            body = inst.replace("{TARGET_LANGUAGE}", LANGUAGE_NAMES[tgt])
+            body = self.instruction.replace("{TARGET_LANGUAGE}", LANGUAGE_NAMES[tgt])
             prefix, suffix = body.split("{SOURCE_TEXT}")
             full_prefix = f"{self.wrapper_open} {prefix}"
             full_suffix = f"{suffix} {self.wrapper_close}"

@@ -1,8 +1,12 @@
 """Configuration loading, env overrides, and validation diagnostics."""
 
+import configparser
+from pathlib import Path
+
 import pytest
 
 from transmix.config import ConfigError, PipelineConfig, load_config
+from transmix.config import _OPTIONS
 from transmix.tokenizer import bundled_bpe_paths
 from transmix.translate import MockCipherBackend, MockEchoBackend
 
@@ -114,3 +118,28 @@ def test_mix_sources_parsing(tmp_path):
 
 def test_default_backend_is_echo():
     assert isinstance(PipelineConfig().make_backend(), MockEchoBackend)
+
+
+def test_unknown_keys_rejected_with_their_names(tmp_path):
+    path = tmp_path / "pipeline.ini"
+    path.write_text("[dedup]\ntreshold = 0.9\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"dedup\.treshold: unknown option"):
+        load_config(path)
+    # an option removed from the table is no longer accepted either
+    path.write_text("[run]\nseed = 3\nworkers = 4\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"run\.workers: unknown option"):
+        load_config(path)
+    path.write_text("[dedupe]\nthreshold = 0.9\n[DEFAULT]\nseed = 1\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.problems == ["dedupe: unknown section", "DEFAULT: unknown section"]
+
+
+def test_example_ini_states_the_table_defaults():
+    example = Path(__file__).resolve().parent.parent / "pipeline.example.ini"
+    assert load_config(example) == load_config(None) == PipelineConfig()
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(example, encoding="utf-8")
+    pairs = {(s, o) for s in parser.sections() for o in parser.options(s)}
+    assert pairs == {(section, option) for section, option, *_ in _OPTIONS}

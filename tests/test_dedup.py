@@ -311,7 +311,8 @@ class TestDedupCorpus:
         assert len(calls) == n - 1
         assert len(result.clusters[0]["estimates"]) == n - 1
 
-    def test_each_document_shingled_once(self, monkeypatch):
+    @pytest.mark.parametrize("exact", [False, True], ids=["estimate", "exact"])
+    def test_each_document_shingled_once(self, monkeypatch, exact):
         calls = []
 
         def counting(text, n=5):
@@ -322,9 +323,10 @@ class TestDedupCorpus:
         rng = random.Random(25)
         docs, _ = make_corpus_with_plants(rng, [("0.95", 190, 5, 10)], 20)
         docs.append(Document(id="empty", lang="en", text="..."))
-        result = dedup_corpus(docs, seed=0)
+        result = dedup_corpus(docs, seed=0, exact=exact)
         assert len(calls) == len(docs)
         assert "empty" in result.kept_ids
+        assert result.removed_ids
 
     def test_join_candidates_equals_scoring_every_pair(self):
         # random buckets and score tables: members that join two groups of

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from transmix.corpus import Document, write_corpus
+from transmix.corpus import Document, read_corpus, write_corpus
 from transmix.mixer import (
     MixtureEntry,
     MixtureError,
@@ -210,6 +210,38 @@ class TestComposeStage:
         first, _ = compose_stage(spec, ws_counter)
         second, _ = compose_stage(spec, ws_counter)
         assert [d.id for d in first] == [d.id for d in second]
+
+    def test_counts_each_document_once_and_samples_like_balanced_sample(
+            self, tmp_path, ws_counter):
+        rng = random.Random(5)
+        entries = []
+        for lang in ("en", "fr"):
+            docs = [Document(id=f"{lang}{i}", lang=lang,
+                             text=" ".join(["w"] * rng.randint(1, 40)))
+                    for i in range(80)]
+            write_corpus(tmp_path / f"{lang}.jsonl", docs)
+            entries.append(MixtureEntry(name=lang, path=str(tmp_path / f"{lang}.jsonl"),
+                                        token_budget=600))
+        spec = MixtureSpec(stage="s", seed=9, entries=entries)
+
+        class CountingCounter(type(ws_counter)):
+            calls = 0
+
+            def count(self, text):
+                CountingCounter.calls += 1
+                return super().count(text)
+
+        mixed, manifest = compose_stage(spec, CountingCounter())
+        assert CountingCounter.calls == 160
+        for entry in entries:
+            docs = [d for d in mixed if d.lang == entry.name]
+            expected = balanced_sample(
+                read_corpus(entry.path), 600, ws_counter,
+                seed=derive_seed(9, f"sample:{entry.name}"))
+            assert sorted(d.id for d in docs) == sorted(d.id for d in expected)
+            realized = manifest["sources"][entry.name]
+            assert realized["tokens"] == sum(ws_counter.count(d.text) for d in expected)
+            assert realized["docs"] == len(expected)
 
 
 def test_derive_seed_stable_and_distinct():

@@ -52,12 +52,6 @@ class TestPromptTemplate:
         with pytest.raises(TemplateError, match="TARGET_LANGUAGE"):
             PromptTemplate(instruction="Translate this: {SOURCE_TEXT}")
 
-    def test_override_applies_per_target(self):
-        template = PromptTemplate(overrides={
-            "de": "Ins {TARGET_LANGUAGE}e: {SOURCE_TEXT}"})
-        assert "Ins Germane" in template.render("x", "de")
-        assert "following text" in template.render("x", "fr")
-
     def test_unknown_target_language(self):
         with pytest.raises(TemplateError, match="target"):
             PromptTemplate().render("x", "xx")
