@@ -5,7 +5,8 @@ The fields of ``PipelineConfig`` are the table of options, each with its INI
 section and option, default and parser; ``load_config`` rejects any other key.
 Any option can be overridden with ``TWP_<SECTION>_<OPTION>`` environment
 variables (e.g. ``TWP_DEDUP_THRESHOLD=0.85``), which is how cluster batch
-jobs inject settings without editing files.
+jobs inject settings without editing files; a ``TWP_`` variable that names
+no option is rejected too.
 """
 
 from __future__ import annotations
@@ -231,6 +232,7 @@ def _options() -> Iterator[tuple[str, str, str, Callable[[str], Any], bool]]:
 
 _OPTIONS = list(_options())
 _KNOWN = {(section, option) for section, option, *_ in _OPTIONS}
+_ENV_NAMES = [f"{ENV_PREFIX}_{section}_{option}".upper() for section, option, *_ in _OPTIONS]
 
 
 def load_config(path: str | Path | None = None) -> PipelineConfig:
@@ -240,17 +242,25 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
     if path is not None:
         if not Path(path).exists():
             raise ConfigError([f"config file not found: {path}"])
-        parser.read(path, encoding="utf-8")
+        try:
+            parser.read(path, encoding="utf-8")
+        except configparser.Error as exc:
+            # a repeated option, a key before any header, an unparsable line:
+            # configparser's message names the file and the line
+            raise ConfigError([" ".join(str(exc).split())]) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"{path}: not UTF-8 text ({exc.reason})"]) from None
 
     sections = {section for section, _ in _KNOWN}
     problems = [f"{s}: unknown section" for s in parser.sections() if s not in sections]
     problems += [f"{s}.{o}: unknown option" for s in parser.sections() if s in sections
                  for o in parser.options(s) if (s, o) not in _KNOWN]
+    problems += [f"{name}: unknown environment override" for name in sorted(os.environ)
+                 if name.startswith(ENV_PREFIX + "_") and name not in _ENV_NAMES]
     values: dict[str, Any] = {}
     rules: dict[str, Any] = {}
-    for section, option, name, parse, is_rule in _OPTIONS:
-        raw = os.environ.get(f"{ENV_PREFIX}_{section}_{option}".upper(),
-                             parser.get(section, option, fallback=None))
+    for (section, option, name, parse, is_rule), env_name in zip(_OPTIONS, _ENV_NAMES):
+        raw = os.environ.get(env_name, parser.get(section, option, fallback=None))
         try:
             if raw is not None:
                 (rules if is_rule else values)[name] = parse(raw)

@@ -53,6 +53,8 @@ class NgramLanguageModel:
         self.counts: dict[str, dict[int, Counter]] = {}
         self.totals: dict[str, dict[int, int]] = {}
         self.vocab_sizes: dict[int, int] = {}
+        # lang -> order -> (gram -> log-probability, log-probability of an unseen gram)
+        self._log_probs: dict[str, dict[int, tuple[dict[str, float], float]]] = {}
 
     @property
     def languages(self) -> list[str]:
@@ -64,6 +66,7 @@ class NgramLanguageModel:
         for n in NGRAM_ORDERS:
             per_order[n].update(_grams(text, n))
         self.totals[lang] = {n: sum(per_order[n].values()) for n in NGRAM_ORDERS}
+        self._log_probs = {}  # stale until finalize()
 
     def finalize(self) -> None:
         """Fix smoothing vocabularies from the union over languages."""
@@ -72,20 +75,30 @@ class NgramLanguageModel:
             for lang in self.counts:
                 seen.update(self.counts[lang][n])
             self.vocab_sizes[n] = len(seen) + 1  # one slot for unseen grams
+        self._tabulate()
+
+    def _tabulate(self) -> None:
+        """Fix each gram's smoothed log-probability from the counts and the
+        vocabulary sizes, so scoring looks grams up instead of taking logs."""
+        self._log_probs = {}
+        for lang, per_order in self.counts.items():
+            tables = self._log_probs[lang] = {}
+            for n, counts in per_order.items():
+                denom = self.totals[lang][n] + self.vocab_sizes[n]
+                tables[n] = ({gram: math.log((c + 1) / denom) for gram, c in counts.items()},
+                             math.log(1 / denom))
 
     def log_prob(self, lang: str, text: str) -> float:
         """Average log-probability per character of the text under ``lang``."""
         if not text:
             return float("-inf")
         total = 0.0
-        grams = 0
         for n in NGRAM_ORDERS:
-            counts = self.counts[lang][n]
-            denom = self.totals[lang][n] + self.vocab_sizes[n]
+            table, unseen = self._log_probs[lang][n]
+            get = table.get
             for gram in _grams(text, n):
-                total += math.log((counts.get(gram, 0) + 1) / denom)
-                grams += 1
-        return total / len(text) if grams else float("-inf")
+                total += get(gram, unseen)
+        return total / len(text)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -109,6 +122,7 @@ class NgramLanguageModel:
             model.totals[lang] = {
                 n: sum(c.values()) for n, c in model.counts[lang].items()}
         model.vocab_sizes = {int(k): v for k, v in payload["vocab_sizes"].items()}
+        model._tabulate()
         return model
 
 
@@ -207,6 +221,7 @@ def probe_prior(
     pair_hits = 0
     evidence: list[dict] = []
     obtained = 0
+    language_names = load_language_names() if detect_pairs else frozenset()
     for i in range(n):
         result = backend.complete(prompt, max_tokens=max_tokens,
                                   temperature=temperature)
@@ -217,7 +232,8 @@ def probe_prior(
         label = score.label if score.label in model.languages else "others"
         labels[label] += 1
         if detect_pairs:
-            is_pair, why = detect_translation_pair(result.text, model)
+            is_pair, why = detect_translation_pair(
+                result.text, model, language_names=language_names)
             if is_pair:
                 pair_hits += 1
                 evidence.append({"index": i, **why})

@@ -9,6 +9,7 @@ as non-boundaries.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -27,6 +28,7 @@ __all__ = [
 
 TERMINALS = ".!?…"
 CLOSERS = "\"')]}»›”’"
+_CANDIDATES = re.compile(f"\n|[{re.escape(TERMINALS)}]+")
 
 _DATA_DIR = Path(__file__).parent / "data" / "abbreviations"
 _default_dir: str | None = None
@@ -103,37 +105,25 @@ def split_sentences(text: str, lang: str = "en",
             piece = text[start:end]
             sentences.append(Sentence(piece, start, end, _is_terminal_text(piece)))
 
-    start = _skip_ws(text, 0)
-    i = start
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            j = i + 1
+    # candidate positions: a newline or a maximal run of terminals
+    start = pos = _skip_ws(text, 0)
+    while (m := _CANDIDATES.search(text, pos)) is not None:
+        i, pos = m.span()
+        if text[i] == "\n":
+            j = pos
             while j < n and text[j] in " \t\r":
                 j += 1
             if j >= n or text[j] == "\n":
                 # blank line: forced boundary regardless of punctuation
                 emit(start, i)
-                start = _skip_ws(text, j)
-                i = start
-                continue
-            i += 1
+                start = pos = _skip_ws(text, j)
             continue
-        if ch in TERMINALS:
-            run_end = i
-            while run_end + 1 < n and text[run_end + 1] in TERMINALS:
-                run_end += 1
-            k = run_end + 1
-            while k < n and text[k] in CLOSERS:
-                k += 1
-            if _is_boundary(text, i, run_end, k, lang, abbreviations):
-                emit(start, k)
-                start = _skip_ws(text, k)
-                i = start
-                continue
-            i = run_end + 1
-            continue
-        i += 1
+        k = pos
+        while k < n and text[k] in CLOSERS:
+            k += 1
+        if _is_boundary(text, i, pos - 1, k, lang, abbreviations):
+            emit(start, k)
+            start = pos = _skip_ws(text, k)
     emit(start, n)
     return sentences
 

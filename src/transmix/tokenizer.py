@@ -22,6 +22,8 @@ __all__ = [
 _WORD_END = "</w>"
 _UNK = "<unk>"
 _EOS = "<eos>"
+# most words a counter caches, so a stream of unique words cannot grow it unbounded
+_WORD_CACHE_CAP = 100_000
 
 
 class TokenCounter:
@@ -43,7 +45,8 @@ class WhitespaceCounter(TokenCounter):
 
     Token ids are stable 32-bit hashes of the word; id 0 is reserved for EOS.
     Good enough for packing and budget arithmetic when no BPE files are at
-    hand, not reversible.
+    hand, not reversible. Ids are cached per counter, up to
+    ``_WORD_CACHE_CAP`` distinct words, so a repeated word is hashed once.
     """
 
     mode = "whitespace"
@@ -51,12 +54,21 @@ class WhitespaceCounter(TokenCounter):
     def __init__(self) -> None:
         self.eos_id = 0
         self.fingerprint = "ws:1"
+        self._word_cache: dict[str, int] = {}
 
     def count(self, text: str) -> int:
         return len(text.split())
 
     def encode(self, text: str) -> list[int]:
-        return [_word_id(w) for w in text.split()]
+        ids: list[int] = []
+        for word in text.split():
+            cached = self._word_cache.get(word)
+            if cached is None:
+                cached = _word_id(word)
+                if len(self._word_cache) < _WORD_CACHE_CAP:
+                    self._word_cache[word] = cached
+            ids.append(cached)
+        return ids
 
 
 def _word_id(word: str) -> int:
@@ -115,7 +127,7 @@ class BpeCounter(TokenCounter):
                     self.token_to_id.get(sym, self.unk_id)
                     for sym in self._bpe_word(word)
                 ]
-                if len(self._word_cache) < 100_000:
+                if len(self._word_cache) < _WORD_CACHE_CAP:
                     self._word_cache[word] = cached
             ids.extend(cached)
         return ids

@@ -1,10 +1,12 @@
 """Configuration loading, env overrides, and validation diagnostics."""
 
 import configparser
+import re
 from pathlib import Path
 
 import pytest
 
+from transmix.cli import main
 from transmix.config import ConfigError, PipelineConfig, load_config
 from transmix.config import _OPTIONS
 from transmix.tokenizer import bundled_bpe_paths
@@ -143,3 +145,36 @@ def test_example_ini_states_the_table_defaults():
     parser.read(example, encoding="utf-8")
     pairs = {(s, o) for s in parser.sections() for o in parser.options(s)}
     assert pairs == {(section, option) for section, option, *_ in _OPTIONS}
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[dedup]\nthreshold = 0.9\nthreshold = 0.7\n", 3),  # an option given twice
+    ("threshold = 0.9\n[dedup]\n", 1),  # a key before any section header
+], ids=["duplicate_option", "missing_section_header"])
+def test_malformed_ini_is_config_error_naming_file_and_line(tmp_path, capsys, text, line):
+    path = tmp_path / "pipeline.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    [problem] = err.value.problems
+    assert "pipeline.ini" in problem and re.search(rf"\bline:? {line}\b", problem)
+    assert main(["filter", str(tmp_path / "in.jsonl"), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(path)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_non_utf8_ini_is_config_error(tmp_path):
+    path = tmp_path / "pipeline.ini"
+    path.write_bytes(b"[dedup]\nthreshold = 0.9 \xff\n")
+    with pytest.raises(ConfigError, match=r"pipeline\.ini: not UTF-8 text"):
+        load_config(path)
+
+
+def test_unknown_env_override_rejected_with_its_name(monkeypatch):
+    monkeypatch.setenv("TWP_DEDUP_TRESHOLD", "0.9")
+    monkeypatch.setenv("TWP_RUN_WORKERS", "4")
+    monkeypatch.setenv("TWP_DEDUP_THRESHOLD", "0.9")  # a known one is still taken
+    with pytest.raises(ConfigError) as err:
+        load_config(None)
+    assert err.value.problems == ["TWP_DEDUP_TRESHOLD: unknown environment override",
+                                  "TWP_RUN_WORKERS: unknown environment override"]

@@ -1,10 +1,12 @@
 """Language ID, prior probing, and translation-pair detection tests."""
 
 import itertools
+import math
 import random
 
 import pytest
 
+from transmix import probe
 from transmix.probe import (
     NgramLanguageModel,
     bundled_seed_paths,
@@ -67,6 +69,30 @@ class TestTrainLangid:
                      "Die Flut kommt schnell.", "La marea sube rápido."):
             assert classify_language(text, loaded).label == \
                 classify_language(text, model).label
+
+
+def reference_log_prob(model, lang, text):
+    """The per-gram ``math.log`` scoring that the precomputed tables replaced."""
+    total = 0.0
+    for n in (1, 2, 3):
+        counts = model.counts[lang][n]
+        denom = model.totals[lang][n] + model.vocab_sizes[n]
+        for i in range(len(text) - n + 1):
+            total += math.log((counts.get(text[i:i + n], 0) + 1) / denom)
+    return total / len(text)
+
+
+def test_log_prob_tables_equal_per_gram_logs_bit_for_bit(model, held_out, tmp_path):
+    path = tmp_path / "langid.json"
+    model.save(path)
+    loaded = NgramLanguageModel.load(path)
+    texts = [line for lines in held_out.values() for line in lines[:25]]
+    texts += ["x", "Ω", "qqq zzz", "12 ab", "\t\n"]
+    for text in texts:
+        for lang in model.languages:
+            expected = reference_log_prob(model, lang, text)
+            assert model.log_prob(lang, text) == expected
+            assert loaded.log_prob(lang, text) == expected
 
 
 class TestClassifyLanguage:
@@ -184,6 +210,16 @@ class TestProbePrior:
                                        temperature=1.0)
         assert report.translation_pair_percent == 50.0
         assert evidence and evidence[0]["rule"] == "name_prefix"
+
+    def test_language_names_read_once_per_probe(self, model, monkeypatch):
+        reads = []
+        real = probe.load_language_names
+        monkeypatch.setattr(probe, "load_language_names",
+                            lambda: reads.append(1) or real())
+        pair_text = "English: The bridge reopens.\nFrench: Le pont rouvre."
+        report, _ = probe_prior(ReplayBackend([pair_text]), model, n=20)
+        assert report.translation_pair_percent == 100.0
+        assert len(reads) == 1
 
 
 class TestDetectTranslationPair:

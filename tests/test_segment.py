@@ -5,7 +5,18 @@ import random
 import pytest
 
 from transmix.corpus import Document
-from transmix.segment import Chunk, chunk_document, split_sentences
+from transmix.segment import (
+    CLOSERS,
+    TERMINALS,
+    Chunk,
+    Sentence,
+    _is_boundary,
+    _is_terminal_text,
+    _skip_ws,
+    chunk_document,
+    load_abbreviations,
+    split_sentences,
+)
 
 from conftest import seed_lines
 
@@ -52,6 +63,81 @@ def reconstructable(text, sentences):
             return False
         pos = s.end
     return not text[pos:].strip()
+
+
+def reference_split(text, lang="en"):
+    """The per-character segmentation loop that ``split_sentences`` replaced,
+    kept as the reference it must equal on every input."""
+    abbreviations = load_abbreviations(lang)
+    n = len(text)
+    sentences = []
+
+    def emit(start, end):
+        while end > start and text[end - 1].isspace():
+            end -= 1
+        if end > start:
+            piece = text[start:end]
+            sentences.append(Sentence(piece, start, end, _is_terminal_text(piece)))
+
+    start = _skip_ws(text, 0)
+    i = start
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            j = i + 1
+            while j < n and text[j] in " \t\r":
+                j += 1
+            if j >= n or text[j] == "\n":
+                emit(start, i)
+                start = _skip_ws(text, j)
+                i = start
+                continue
+            i += 1
+            continue
+        if ch in TERMINALS:
+            run_end = i
+            while run_end + 1 < n and text[run_end + 1] in TERMINALS:
+                run_end += 1
+            k = run_end + 1
+            while k < n and text[k] in CLOSERS:
+                k += 1
+            if _is_boundary(text, i, run_end, k, lang, abbreviations):
+                emit(start, k)
+                start = _skip_ws(text, k)
+                i = start
+                continue
+            i = run_end + 1
+            continue
+        i += 1
+    emit(start, n)
+    return sentences
+
+
+# pieces for fuzzed segmentation input: words, terminal runs, closers,
+# German ordinals, and the whitespace the rules tell apart, blank lines included
+FUZZ_PIECES = (
+    ["word", "Word", "élan", "Über", "x", "3", "12", "3.14", "z.B.", "U.S.", "3.", "12.", "123."]
+    + list(TERMINALS) + ["...", "?!", "!!!", "…", "..", ".…"]
+    + list(CLOSERS) + ['."', ".)", "!»", "?”"]
+    + [" ", " ", " ", "  ", "\t", "\r", "\n", "\n\n", "\n \t\r\n", " \n", "\r\n", "\u00a0"]
+)
+
+
+def fuzz_text(rng, lang):
+    pieces = FUZZ_PIECES + sorted(load_abbreviations(lang))[:40]
+    return "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 40)))
+
+
+@pytest.mark.parametrize("lang", ["en", "fr", "de", "es"])
+def test_split_sentences_equals_the_per_character_loop(lang):
+    rng = random.Random(f"split-{lang}")
+    for _ in range(4000):
+        text = fuzz_text(rng, lang)
+        assert split_sentences(text, lang) == reference_split(text, lang), repr(text)
+    for line in seed_lines(lang)[:300]:
+        assert split_sentences(line, lang) == reference_split(line, lang)
+    text = "\n\n".join(" ".join(seed_lines(lang)[i:i + 5]) for i in range(0, 300, 5))
+    assert split_sentences(text, lang) == reference_split(text, lang)
 
 
 class TestSplitSentences:

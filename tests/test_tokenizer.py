@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from transmix import tokenizer
 from transmix.tokenizer import (
     BpeCounter,
+    WhitespaceCounter,
+    _word_id,
     bundled_bpe_paths,
     learn_bpe,
     write_bpe_files,
@@ -74,6 +77,24 @@ class TestWhitespaceCounter:
         words = [f"w{rng.randrange(10**6)}" for _ in range(5000)]
         ids = ws_counter.encode(" ".join(words))
         assert ws_counter.eos_id not in ids
+
+    def test_encode_equals_hashing_every_word(self, ws_counter):
+        rng = random.Random(3)
+        words = seed_lines("en")[:50] + ["", "  ", "\t\n", "é", "\u00a0x"]
+        for _ in range(300):  # the second pass over a text hits the cache
+            text = " ".join(rng.choice(words) for _ in range(rng.randrange(30)))
+            assert ws_counter.encode(text) == [_word_id(w) for w in text.split()]
+            assert ws_counter.encode(text) == [_word_id(w) for w in text.split()]
+
+    def test_word_cache_never_grows_past_its_cap(self, monkeypatch):
+        monkeypatch.setattr(tokenizer, "_WORD_CACHE_CAP", 50)
+        counter = WhitespaceCounter()
+        words = [f"w{i}" for i in range(200)]
+        text = " ".join(words)
+        for _ in range(2):
+            assert counter.encode(text) == [_word_id(w) for w in words]
+            assert len(counter._word_cache) == 50
+        assert counter.fingerprint == "ws:1"
 
     def test_concat_count_monotone(self, ws_counter):
         rng = random.Random(2)
