@@ -225,14 +225,8 @@ def run_translate(config: PipelineConfig, input_path: str, stage_dir: Path,
 def run_mix(config: PipelineConfig, sources: list[tuple[str, str]],
             stage_dir: Path) -> Path:
     counter = config.make_counter()
-    budget = config.mix_budget_per_source
-    if budget <= 0:
-        totals = []
-        for _, path in sources:
-            totals.append(sum(counter.count(d.text) for d in read_corpus(path)))
-        if not totals:
-            raise StageFailure("mix: no sources configured")
-        budget = min(totals)
+    # no budget: compose_stage gives each source the smallest source's total
+    budget = config.mix_budget_per_source if config.mix_budget_per_source > 0 else None
     spec = MixtureSpec(
         stage="mix",
         entries=[MixtureEntry(name=n, path=p, token_budget=budget)

@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from collections import defaultdict
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -81,18 +82,13 @@ class MinHashSignature:
             raise ValueError(f"signature must have {NUM_HASHES} values")
 
 
-_param_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=8)
 def _hash_params(seed: int, num_hashes: int = NUM_HASHES) -> tuple[np.ndarray, np.ndarray]:
-    cached = _param_cache.get(seed)
-    if cached is None:
-        rng = np.random.default_rng(seed)
-        # odd multipliers for a multiply-shift family on the 2^64 ring
-        a = rng.integers(1, 2**63, size=num_hashes, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
-        b = rng.integers(0, 2**63, size=num_hashes, dtype=np.uint64)
-        cached = _param_cache[seed] = (a, b)
-    return cached
+    rng = np.random.default_rng(seed)
+    # odd multipliers for a multiply-shift family on the 2^64 ring
+    a = rng.integers(1, 2**63, size=num_hashes, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    b = rng.integers(0, 2**63, size=num_hashes, dtype=np.uint64)
+    return a, b
 
 
 def signature(doc: Document | str, seed: int = 0,

@@ -63,7 +63,11 @@ class MixtureEntry:
 
 @dataclass
 class MixtureSpec:
-    """Named sources with per-source token budgets or weights for one stage."""
+    """Named sources with per-source token budgets or weights for one stage.
+
+    When no entry carries either, every source gets the smallest source's
+    token total as its budget, resolved once the sources are counted.
+    """
 
     stage: str
     entries: list[MixtureEntry]
@@ -77,8 +81,8 @@ class MixtureSpec:
         weights = [e.weight is not None for e in self.entries]
         if any(budgets) and any(weights):
             raise MixtureError("entries must use budgets or weights, not a mix")
-        if not any(budgets) and not any(weights):
-            raise MixtureError("entries must carry token budgets or weights")
+        if any(budgets) != all(budgets) or any(weights) != all(weights):
+            raise MixtureError("give every entry a budget or a weight, or none of them")
         if all(weights):
             total = sum(e.weight for e in self.entries)
             if abs(total - 1.0) > 1e-9:
@@ -86,11 +90,19 @@ class MixtureSpec:
             if self.total_tokens is None:
                 raise MixtureError("weight-based entries need total_tokens")
 
-    def resolved_budgets(self) -> dict[str, int]:
+    def resolved_budgets(self, totals: dict[str, int] | None = None) -> dict[str, int]:
+        """Token budget per source; ``totals`` (tokens per source) is needed
+        only when the entries carry neither budgets nor weights."""
         self.validate()
-        if self.entries[0].token_budget is not None:
+        first = self.entries[0]
+        if first.token_budget is not None:
             return {e.name: int(e.token_budget) for e in self.entries}
-        return {e.name: int(round(e.weight * self.total_tokens)) for e in self.entries}
+        if first.weight is not None:
+            return {e.name: int(round(e.weight * self.total_tokens)) for e in self.entries}
+        if totals is None:
+            raise MixtureError("the smallest-source budget needs the source totals")
+        smallest = min(totals[e.name] for e in self.entries)
+        return {e.name: smallest for e in self.entries}
 
 
 def balanced_sample(
@@ -166,17 +178,21 @@ def compose_stage(
     """Sample every source to its budget, interleave, and report realized counts.
 
     All sources are loaded and checked before anything is emitted, so a
-    shortfall in any source fails the stage with no partial output.
+    shortfall in any source fails the stage with no partial output. Each
+    source is read once and each document counted once, also when the
+    budget is the smallest source's total.
     """
-    budgets = spec.resolved_budgets()
+    spec.validate()
     loaded: dict[str, list[Document]] = {
         e.name: list(read_corpus(e.path)) for e in spec.entries
     }
     counts = {name: [counter.count(d.text) for d in docs] for name, docs in loaded.items()}
+    totals = {name: sum(c) for name, c in counts.items()}
+    budgets = spec.resolved_budgets(totals)
 
     shortfalls = []
     for entry in spec.entries:
-        total = sum(counts[entry.name])
+        total = totals[entry.name]
         if total < budgets[entry.name]:
             shortfalls.append(
                 f"{entry.name}: have {total}, need {budgets[entry.name]}")

@@ -92,13 +92,25 @@ class NgramLanguageModel:
         """Average log-probability per character of the text under ``lang``."""
         if not text:
             return float("-inf")
+        return self._score(lang, _all_grams(text)) / len(text)
+
+    def log_probs(self, text: str) -> dict[str, float]:
+        """``log_prob`` under every language, slicing the text's grams once."""
+        if not text:
+            return {lang: float("-inf") for lang in self.languages}
+        grams = _all_grams(text)
+        return {lang: self._score(lang, grams) / len(text) for lang in self.languages}
+
+    def _score(self, lang: str, grams: list[tuple[int, list[str]]]) -> float:
+        # summed in text order, order by order, as one language's own pass
+        # would, so sharing the grams leaves every score the same float
         total = 0.0
-        for n in NGRAM_ORDERS:
+        for n, order_grams in grams:
             table, unseen = self._log_probs[lang][n]
             get = table.get
-            for gram in _grams(text, n):
+            for gram in order_grams:
                 total += get(gram, unseen)
-        return total / len(text)
+        return total
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -130,6 +142,10 @@ def _grams(text: str, n: int) -> Iterable[str]:
     if n == 1:
         return text
     return (text[i:i + n] for i in range(len(text) - n + 1))
+
+
+def _all_grams(text: str) -> list[tuple[int, list[str]]]:
+    return [(n, list(_grams(text, n))) for n in NGRAM_ORDERS]
 
 
 def bundled_seed_paths() -> dict[str, Path]:
@@ -168,7 +184,7 @@ def classify_language(text: str, model: NgramLanguageModel,
         return LangScore(scores={lang: float("-inf") for lang in model.languages},
                          label="other", margin=0.0,
                          low_confidence=len(text) < LOW_CONFIDENCE_CHARS)
-    scores = {lang: model.log_prob(lang, text) for lang in model.languages}
+    scores = model.log_probs(text)
     ranked = sorted(scores.items(), key=lambda kv: kv[1], reverse=True)
     best_lang, best = ranked[0]
     margin = best - ranked[1][1] if len(ranked) > 1 else float("inf")

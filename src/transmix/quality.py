@@ -7,6 +7,7 @@ Words are maximal non-whitespace runs; alphabetic means Unicode letter.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
 from pathlib import Path
@@ -27,6 +28,12 @@ __all__ = [
 BULLET_CHARS = ("•", "‣", "▪", "-", "*")
 
 _DATA_DIR = Path(__file__).parent / "data" / "stopwords"
+
+# most distinct words a word cache holds, so a stream of unique words cannot
+# grow it unbounded
+_WORD_CACHE_CAP = 100_000
+# word -> (length, has a letter, stop-word key); the same in every language
+WordCache = dict[str, tuple[int, bool, str]]
 
 
 @dataclass(frozen=True)
@@ -117,9 +124,16 @@ def _strip_edges(word: str) -> str:
 
 
 def gopher_filter(doc: Document, rules: RuleConfig | None = None,
-                  stopwords: frozenset[str] | None = None) -> QualityReport:
-    """Evaluate every enabled rule against one document."""
+                  stopwords: frozenset[str] | None = None,
+                  word_cache: WordCache | None = None) -> QualityReport:
+    """Evaluate every enabled rule against one document.
+
+    ``word_cache`` keeps per-word features across calls, up to 100,000
+    words; ``filter_corpus`` passes one dict for its whole corpus.
+    """
     rules = rules or RuleConfig()
+    if word_cache is None:
+        word_cache = {}
     if stopwords is None:
         stopwords = load_stopwords(doc.lang)
 
@@ -133,7 +147,25 @@ def gopher_filter(doc: Document, rules: RuleConfig | None = None,
     measured["word_count"] = (
         float(num_words), rules.min_words <= num_words <= rules.max_words)
 
-    mean_len = sum(len(w) for w in words) / num_words if num_words else 0.0
+    # one pass over the distinct words; the sums stay integers, so every
+    # ratio is the same float a pass over all words gives
+    total_len = alpha_words = 0
+    distinct_stops: set[str] = set()
+    for word, count in Counter(words).items():
+        features = word_cache.get(word)
+        if features is None:
+            features = (len(word), any(c.isalpha() for c in word),
+                        _strip_edges(word).lower())
+            if len(word_cache) < _WORD_CACHE_CAP:
+                word_cache[word] = features
+        length, has_alpha, key = features
+        total_len += length * count
+        if has_alpha:
+            alpha_words += count
+        if key in stopwords:
+            distinct_stops.add(key)
+
+    mean_len = total_len / num_words if num_words else 0.0
     measured["mean_word_length"] = (
         mean_len, rules.min_mean_word_length <= mean_len <= rules.max_mean_word_length)
 
@@ -154,13 +186,10 @@ def gopher_filter(doc: Document, rules: RuleConfig | None = None,
     measured["ellipsis_line_fraction"] = (
         ellipsis_frac, ellipsis_frac <= rules.max_ellipsis_line_fraction)
 
-    alpha_frac = (
-        sum(1 for w in words if any(c.isalpha() for c in w)) / num_words
-        if num_words else 0.0)
+    alpha_frac = alpha_words / num_words if num_words else 0.0
     measured["alpha_word_fraction"] = (
         alpha_frac, alpha_frac >= rules.min_alpha_word_fraction)
 
-    distinct_stops = {w for w in (_strip_edges(w).lower() for w in words) if w in stopwords}
     measured["stop_words"] = (
         float(len(distinct_stops)), len(distinct_stops) >= rules.min_stop_words)
 
@@ -197,9 +226,10 @@ def filter_corpus(
     their relative order.
     """
     rules = rules or RuleConfig()
+    word_cache: WordCache = {}
     for doc in docs:
         stopwords = load_stopwords(doc.lang, stopword_dir)
-        yield doc, gopher_filter(doc, rules, stopwords)
+        yield doc, gopher_filter(doc, rules, stopwords, word_cache)
 
 
 def partition_corpus(

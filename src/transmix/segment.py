@@ -21,6 +21,7 @@ __all__ = [
     "Sentence",
     "Chunk",
     "split_sentences",
+    "is_terminal_text",
     "chunk_document",
     "load_abbreviations",
     "set_default_abbreviation_dir",
@@ -79,7 +80,8 @@ def load_abbreviations(lang: str, data_dir: str | None = None) -> frozenset[str]
     return frozenset(entries)
 
 
-def _is_terminal_text(text: str) -> bool:
+def is_terminal_text(text: str) -> bool:
+    """True when the text ends in terminal punctuation, closers allowed after it."""
     stripped = text.rstrip(CLOSERS)
     return bool(stripped) and stripped[-1] in TERMINALS
 
@@ -103,7 +105,7 @@ def split_sentences(text: str, lang: str = "en",
             end -= 1
         if end > start:
             piece = text[start:end]
-            sentences.append(Sentence(piece, start, end, _is_terminal_text(piece)))
+            sentences.append(Sentence(piece, start, end, is_terminal_text(piece)))
 
     # candidate positions: a newline or a maximal run of terminals
     start = pos = _skip_ws(text, 0)

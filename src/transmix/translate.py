@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .corpus import Document, read_corpus
-from .segment import Chunk, chunk_document, split_sentences
+from .segment import Chunk, chunk_document, is_terminal_text, split_sentences
 from .tokenizer import TokenCounter, WhitespaceCounter
 
 __all__ = [
@@ -283,7 +283,13 @@ def trim_incomplete(raw: str, lang: str) -> tuple[str, int]:
 
     Returns the trimmed prefix (cut at a sentence boundary) and the number of
     sentences removed. Input with no complete sentence trims to "".
+    Only output that does not end in a complete sentence is split: otherwise
+    the last sentence is a suffix of ``raw.rstrip()`` that holds its final
+    terminal run and closers, so it is terminal and nothing is dropped.
     """
+    stripped = raw.rstrip()
+    if is_terminal_text(stripped):
+        return stripped, 0
     sentences = split_sentences(raw, lang)
     keep = len(sentences)
     while keep > 0 and not sentences[keep - 1].terminal:

@@ -171,6 +171,45 @@ def test_mix_subcommand_uses_configured_sources(tmp_path):
     assert (out / "mixed.jsonl").exists()
 
 
+def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):
+    import transmix.cli as cli_mod
+    import transmix.mixer as mixer_mod
+    from transmix.config import load_config
+    from transmix.tokenizer import WhitespaceCounter
+
+    sources = []
+    for name, count in (("a", 20), ("b", 14), ("c", 17)):
+        path = tmp_path / f"{name}.jsonl"
+        write_corpus(path, pipeline_docs(count, random.Random(count)))
+        sources.append((name, str(path)))
+    reads, counted = [], []
+
+    def counting_read(path, *args, **kwargs):
+        reads.append(str(path))
+        return read_corpus(path, *args, **kwargs)
+
+    class CountingCounter(WhitespaceCounter):
+        def count(self, text):
+            counted.append(text)
+            return super().count(text)
+
+    monkeypatch.setattr(cli_mod, "read_corpus", counting_read)
+    monkeypatch.setattr(mixer_mod, "read_corpus", counting_read)
+    config = load_config(None)
+    assert config.mix_budget_per_source == 0  # the smallest-source default
+    monkeypatch.setattr(config, "make_counter", CountingCounter)
+    out = tmp_path / "mixed"
+    out.mkdir()
+    cli_mod.run_mix(config, sources, out)
+
+    assert sorted(reads) == sorted(path for _, path in sources)
+    assert len(counted) == 20 + 14 + 17
+    totals = {name: sum(WhitespaceCounter().count(d.text) for d in read_corpus(path))
+              for name, path in sources}
+    manifest = read_manifest(out)
+    assert {v["budget"] for v in manifest["sources"].values()} == {min(totals.values())}
+
+
 def test_pack_subcommand(tmp_path, small_corpus):
     out = tmp_path / "packed"
     assert main(["pack", str(small_corpus), "--out-dir", str(out)]) == 0

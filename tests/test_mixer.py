@@ -146,6 +146,21 @@ class TestMixtureSpec:
         with pytest.raises(MixtureError, match="sum"):
             spec.validate()
 
+    def test_budgets_given_to_some_entries_only_rejected(self):
+        spec = MixtureSpec(stage="s", entries=[
+            MixtureEntry(name="a", path="x", token_budget=10),
+            MixtureEntry(name="b", path="y"),
+        ])
+        with pytest.raises(MixtureError, match="or none of them"):
+            spec.validate()
+
+    def test_no_budgets_resolve_to_the_smallest_total(self):
+        spec = MixtureSpec(stage="s", entries=[
+            MixtureEntry(name="a", path="x"), MixtureEntry(name="b", path="y")])
+        assert spec.resolved_budgets({"a": 70, "b": 40}) == {"a": 40, "b": 40}
+        with pytest.raises(MixtureError, match="source totals"):
+            spec.resolved_budgets()
+
     def test_weight_resolution(self):
         spec = MixtureSpec(stage="s", total_tokens=1000, entries=[
             MixtureEntry(name="a", path="x", weight=0.5),
@@ -195,6 +210,15 @@ class TestComposeStage:
         target = 0.002 * 10_000
         realized = manifest["sources"]["fr"]["tokens"]
         assert abs(realized - target) / target <= 0.10
+
+    def test_default_budget_is_the_smallest_source_total(self, tmp_path, ws_counter):
+        entries = self.write_sources(tmp_path, {"en": 40, "fr": 25, "de": 31})
+        spec = MixtureSpec(stage="s", seed=4, entries=[
+            MixtureEntry(name=n, path=p) for n, p in entries])
+        mixed, manifest = compose_stage(spec, ws_counter)
+        assert {v["budget"] for v in manifest["sources"].values()} == {250}
+        assert manifest["sources"]["fr"]["docs"] == 25
+        assert all(250 <= v["tokens"] < 260 for v in manifest["sources"].values())
 
     def test_shortfall_fails_before_any_output(self, tmp_path, ws_counter):
         entries = self.write_sources(tmp_path, {"en": 100, "fr": 2})

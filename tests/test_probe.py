@@ -95,6 +95,19 @@ def test_log_prob_tables_equal_per_gram_logs_bit_for_bit(model, held_out, tmp_pa
             assert loaded.log_prob(lang, text) == expected
 
 
+def test_classify_scores_equal_per_language_reference(model, held_out, tmp_path):
+    path = tmp_path / "langid.json"
+    model.save(path)
+    loaded = NgramLanguageModel.load(path)
+    texts = [line for lines in held_out.values() for line in lines[25:40]]
+    texts += ["\n\n".join(held_out["fr"][:3] + held_out["de"][:3]), "x", "ab"]
+    for text in texts:
+        expected = {lang: reference_log_prob(model, lang, text) for lang in model.languages}
+        assert model.log_probs(text) == expected
+        assert classify_language(text, model).scores == expected
+        assert classify_language(text, loaded).scores == expected
+
+
 class TestClassifyLanguage:
     def test_held_out_accuracy(self, model, held_out):
         correct = total = 0

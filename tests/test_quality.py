@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from transmix import quality
 from transmix.corpus import Document
 from transmix.quality import (
+    QualityReport,
     RuleConfig,
+    RuleResult,
     filter_corpus,
     gopher_filter,
     load_stopwords,
@@ -216,3 +219,129 @@ def test_partition_corpus_shapes():
     assert len(rejected) == 1
     doc, report = rejected[0]
     assert doc.id == "bad" and report.first_failed == "word_count"
+
+
+def reference_gopher_filter(doc, rules, stopwords):
+    """The three-pass ``gopher_filter`` (a ``len`` sum, an ``isalpha`` scan and
+    a stop-word strip per word) that the one pass over distinct words
+    replaced, kept as the reference its reports must equal."""
+    edges = "\"'.,;:!?()[]{}«»“”‘’-"
+    words = doc.text.split()
+    num_words = len(words)
+    lines = [ln for ln in doc.text.splitlines() if ln.strip()]
+    num_lines = len(lines)
+    measured = {}
+    measured["word_count"] = (
+        float(num_words), rules.min_words <= num_words <= rules.max_words)
+    mean_len = sum(len(w) for w in words) / num_words if num_words else 0.0
+    measured["mean_word_length"] = (
+        mean_len, rules.min_mean_word_length <= mean_len <= rules.max_mean_word_length)
+    symbols = doc.text.count("#") + doc.text.count("…") + doc.text.count("...")
+    symbol_ratio = symbols / num_words if num_words else 1.0
+    measured["symbol_word_ratio"] = (symbol_ratio, symbol_ratio <= rules.max_symbol_word_ratio)
+    bullet_frac = (
+        sum(1 for ln in lines if ln.lstrip().startswith(("•", "‣", "▪", "-", "*")))
+        / num_lines if num_lines else 0.0)
+    measured["bullet_line_fraction"] = (
+        bullet_frac, bullet_frac <= rules.max_bullet_line_fraction)
+    ellipsis_frac = (
+        sum(1 for ln in lines if ln.rstrip().endswith(("…", "..."))) / num_lines
+        if num_lines else 0.0)
+    measured["ellipsis_line_fraction"] = (
+        ellipsis_frac, ellipsis_frac <= rules.max_ellipsis_line_fraction)
+    alpha_frac = (
+        sum(1 for w in words if any(c.isalpha() for c in w)) / num_words
+        if num_words else 0.0)
+    measured["alpha_word_fraction"] = (alpha_frac, alpha_frac >= rules.min_alpha_word_fraction)
+    distinct_stops = {w for w in (w.strip(edges).lower() for w in words) if w in stopwords}
+    measured["stop_words"] = (
+        float(len(distinct_stops)), len(distinct_stops) >= rules.min_stop_words)
+    if rules.check_repetition:
+        def dup(items):
+            return (len(items) - len(set(items))) / len(items) if items else 0.0
+        measured["duplicate_line_fraction"] = (
+            dup(lines), dup(lines) <= rules.max_duplicate_line_fraction)
+        paragraphs = [p.strip() for p in doc.text.split("\n\n") if p.strip()]
+        measured["duplicate_paragraph_fraction"] = (
+            dup(paragraphs), dup(paragraphs) <= rules.max_duplicate_paragraph_fraction)
+    report = QualityReport(doc_id=doc.id)
+    for rule in rules.active_rules():
+        value, passed = measured[rule]
+        report.results.append(RuleResult(rule=rule, value=value, passed=passed))
+    return report
+
+
+def fuzz_document(rng, pool, lang, i):
+    """Seed words mixed with case changes, edge punctuation, symbols, digits,
+    bullets and ellipses, so that every rule passes or fails somewhere."""
+    words = " ".join(rng.choice(pool) for _ in range(rng.randint(0, 12))).split()
+    out = []
+    for w in words:
+        r = rng.random()
+        if r < 0.1:
+            w = w.upper()
+        elif r < 0.2:
+            w = rng.choice(["«", "\"", "(", "‘", "-"]) + w + rng.choice(["»", "\"", ")", "!", ".."])
+        elif r < 0.25:
+            w = rng.choice(["#", "...", "…", "12", "3,5", "--", "•", "ÆØÅ", "ℕ"])
+        out.append(w)
+        if rng.random() < 0.08:
+            out.append(rng.choice(["\n", "\n\n", "\n* ", "\n- ", "...\n", " …\n"]))
+    return Document(id=f"f{i}", lang=lang, text=" ".join(out))
+
+
+@pytest.mark.parametrize("lang", ["en", "fr", "de", "es"])
+def test_reports_equal_three_pass_reference_on_fuzz(lang):
+    rng = random.Random(f"quality:{lang}")
+    pool = seed_lines(lang)
+    stops = load_stopwords(lang)
+    configs = [RuleConfig(), RuleConfig(check_repetition=True, min_words=5)]
+    kept = rejected = 0
+    for i in range(400):
+        doc = fuzz_document(rng, pool, lang, i)
+        for rules in configs:
+            report = gopher_filter(doc, rules, stops)
+            assert report.to_dict() == reference_gopher_filter(doc, rules, stops).to_dict()
+            kept += report.keep
+            rejected += not report.keep
+    assert kept > 50 and rejected > 50
+
+
+def test_reports_equal_three_pass_reference_on_seed_documents():
+    rules = RuleConfig()
+    for lang in ("en", "fr", "de", "es"):
+        lines = seed_lines(lang)
+        stops = load_stopwords(lang)
+        docs = [Document(id=f"{lang}{i}", lang=lang, text=" ".join(lines[i:i + n]))
+                for n in (1, 3, 6, 12) for i in range(0, len(lines), 17)]
+        docs.append(Document(id=f"{lang}-empty", lang=lang, text=""))
+        for doc in docs:
+            assert gopher_filter(doc, rules, stops).to_dict() == \
+                reference_gopher_filter(doc, rules, stops).to_dict()
+
+
+def test_word_cache_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(quality, "_WORD_CACHE_CAP", 5)
+    words = [f"Word{i}," for i in range(60)] + ["the", "and", "of"] * 5
+    doc = Document(id="capped", lang="en", text=" ".join(words))
+    stops = load_stopwords("en")
+    cache = {}
+    for _ in range(2):  # the second pass reads the cached words back
+        report = gopher_filter(doc, RuleConfig(), stops, cache)
+        assert report.to_dict() == reference_gopher_filter(doc, RuleConfig(), stops).to_dict()
+        assert len(cache) == 5
+
+
+def test_filter_corpus_shares_one_word_cache(monkeypatch):
+    caches = []
+    real = quality.gopher_filter
+
+    def spy(doc, rules, stopwords, word_cache):
+        caches.append(word_cache)
+        return real(doc, rules, stopwords, word_cache)
+
+    monkeypatch.setattr(quality, "gopher_filter", spy)
+    docs = [Document(id=f"d{i}", lang="en", text=GOOD_PARAGRAPH) for i in range(3)]
+    assert all(report.keep for _, report in filter_corpus(docs))
+    assert len(caches) == 3 and all(c is caches[0] for c in caches)
+    assert "committee" in caches[0]

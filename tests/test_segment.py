@@ -11,9 +11,9 @@ from transmix.segment import (
     Chunk,
     Sentence,
     _is_boundary,
-    _is_terminal_text,
     _skip_ws,
     chunk_document,
+    is_terminal_text,
     load_abbreviations,
     split_sentences,
 )
@@ -77,7 +77,7 @@ def reference_split(text, lang="en"):
             end -= 1
         if end > start:
             piece = text[start:end]
-            sentences.append(Sentence(piece, start, end, _is_terminal_text(piece)))
+            sentences.append(Sentence(piece, start, end, is_terminal_text(piece)))
 
     start = _skip_ws(text, 0)
     i = start

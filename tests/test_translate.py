@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from transmix.corpus import Document, read_corpus, write_corpus
-from transmix.segment import split_sentences
+from transmix.segment import CLOSERS, TERMINALS, load_abbreviations, split_sentences
 from transmix.translate import (
     BackendResult,
     GenerationParams,
@@ -144,6 +144,104 @@ class TestTrimIncomplete:
             if trimmed:
                 last = split_sentences(trimmed, "en")[-1]
                 assert last.terminal
+
+
+def reference_trim(raw, lang):
+    """The split-every-output ``trim_incomplete`` that the terminal fast path
+    replaced, kept as the reference it must equal."""
+    sentences = split_sentences(raw, lang)
+    keep = len(sentences)
+    while keep > 0 and not sentences[keep - 1].terminal:
+        keep -= 1
+    dropped = len(sentences) - keep
+    if keep == 0:
+        return "", dropped
+    return raw[:sentences[keep - 1].end], dropped
+
+
+TRIM_LANGS = ("en", "fr", "de", "es")
+# whitespace that str.rstrip() and str.isspace() both treat as such
+TRIM_SPACES = [" ", "  ", "\n", "\n\n", "\n \t\n", "\t", "\r\n", "\u3000", "\x85",
+               "\u2028", "\xa0"]
+
+
+def fuzz_output(rng, abbreviations):
+    """A backend output built from pieces that sit near the splitter's rules:
+    terminal runs, closers after them, abbreviations, German ordinals,
+    blank lines and unterminated tails."""
+    pieces = []
+    for _ in range(rng.randrange(12)):
+        kind = rng.randrange(8)
+        if kind == 0:
+            pieces.append(rng.choice(["word", "Word", "le", "Der", "x1", "ñu", "3.14"]))
+        elif kind == 1:
+            pieces.append("".join(rng.choice(TERMINALS) for _ in range(rng.randint(1, 3))))
+        elif kind == 2:
+            pieces.append("".join(rng.choice(CLOSERS) for _ in range(rng.randint(1, 2))))
+        elif kind == 3:
+            pieces.append(rng.choice(abbreviations))
+        elif kind == 4:
+            pieces.append(f"{rng.randrange(100)}.")
+        elif kind == 5:
+            pieces.append(rng.choice(["…", "...", "?!", "!\u201d", ".\u00bb"]))
+        else:
+            pieces.append(rng.choice(TRIM_SPACES))
+        if rng.random() < 0.6:
+            pieces.append(rng.choice(TRIM_SPACES))
+    return "".join(pieces)
+
+
+class TestTrimFastPath:
+    """The terminal fast path gives exactly what splitting every output gave."""
+
+    @pytest.mark.parametrize("lang", TRIM_LANGS)
+    def test_equals_split_reference_on_fuzz(self, lang):
+        rng = random.Random(f"trim:{lang}")
+        abbreviations = sorted(load_abbreviations(lang))
+        for _ in range(3000):
+            raw = fuzz_output(rng, abbreviations)
+            assert trim_incomplete(raw, lang) == reference_trim(raw, lang), repr(raw)
+
+    @pytest.mark.parametrize("raw, lang", [
+        ("Done.  \n\t ", "en"),
+        ("Done.\u3000\u2028", "en"),
+        ('He said "stop."', "en"),
+        ("Il a dit « non ! »", "fr"),
+        ("(Fini.)\u201d ", "fr"),
+        ("First one.\n\n\u00bb", "fr"),
+        ("First one.\n\n\")\n", "en"),
+        ("We met the Dr.", "en"),
+        ("Bring fruit, veg, etc. ", "en"),
+        ("Bring fruit, veg, etc.\n\n", "en"),
+        ("Wir kommen am 3.", "de"),
+        ("Wir kommen am 3. ", "de"),
+        ("Am 3. Oktober", "de"),
+        ("Y luego…", "es"),
+        ("Y luego…… ", "es"),
+        ("Y luego… y nada", "es"),
+        ("", "en"),
+        ("   \n\t ", "en"),
+        ("Complete. Then an unfinished", "en"),
+        ("Complete! \u00bb", "fr"),
+        ("3.14", "en"),
+    ])
+    def test_equals_split_reference_on_edge_cases(self, raw, lang):
+        assert trim_incomplete(raw, lang) == reference_trim(raw, lang)
+
+    def test_terminal_output_is_not_split(self, monkeypatch):
+        import transmix.translate as translate_mod
+
+        calls = []
+
+        def counting_split(*args, **kwargs):
+            calls.append(args)
+            return split_sentences(*args, **kwargs)
+
+        monkeypatch.setattr(translate_mod, "split_sentences", counting_split)
+        assert trim_incomplete("One. Two!\u201d \n", "en") == ("One. Two!\u201d", 0)
+        assert calls == []
+        assert trim_incomplete("One. Two", "en") == ("One.", 1)
+        assert len(calls) == 1
 
 
 class FlakyBackend:
