@@ -6,6 +6,12 @@ collapsed) and shingled into word 5-grams hashed to 64 bits. Signatures are
 pairs, which are confirmed against the similarity threshold before
 union-find clustering. All randomness derives from one seed, recorded in the
 cluster manifest so runs are comparable.
+
+``dedup_corpus`` signs each language's documents into the rows of one
+``(n, 128)`` ``uint64`` matrix, about 1 KB per document, and the LSH index
+buckets each band by sorting that matrix's columns. The hash values are
+those of hashing each joined 5-gram with 8-byte blake2b, so signatures,
+kept ids and manifests do not depend on this layout.
 """
 
 from __future__ import annotations
@@ -51,23 +57,37 @@ def normalize_words(text: str) -> list[str]:
     return _NOT_WORD_OR_SPACE.sub("", text.lower()).split()
 
 
-def _hash64(s: str) -> int:
-    return int.from_bytes(
-        hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "little")
+# copied per shingle: a copy hashes like a new blake2b(digest_size=8) but
+# skips parsing the parameters
+_BLAKE2B_64 = hashlib.blake2b(digest_size=8)
 
 
 def shingle_set(text: str, n: int = SHINGLE_SIZE) -> set[int]:
     """64-bit hashes of normalized word n-grams.
 
-    Documents shorter than n words fall back to the singleton shingle of the
-    whole normalized text.
+    A shingle's hash is the little-endian 8-byte blake2b digest of its words
+    joined by single spaces, in UTF-8. Documents shorter than n words fall
+    back to the singleton shingle of the whole normalized text.
     """
     words = normalize_words(text)
     if not words:
         return set()
+    # The words are encoded once and each n-gram is a slice of the buffer.
+    # Normalized words hold no whitespace and UTF-8 puts no 0x20 byte inside
+    # a character, so the buffer's 0x20 bytes are exactly the word breaks.
+    buf = " ".join(words).encode("utf-8")
     if len(words) < n:
-        return {_hash64(" ".join(words))}
-    return {_hash64(" ".join(words[i:i + n])) for i in range(len(words) - n + 1)}
+        starts, ends = [0], [len(buf)]
+    else:
+        spaces = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 0x20)
+        starts = [0, *(spaces[:len(words) - n] + 1).tolist()]
+        ends = [*spaces[n - 1:].tolist(), len(buf)]
+    digests = []
+    for start, end in zip(starts, ends):
+        h = _BLAKE2B_64.copy()
+        h.update(buf[start:end])
+        digests.append(h.digest())
+    return set(np.frombuffer(b"".join(digests), dtype="<u8").tolist())
 
 
 @dataclass(frozen=True)
@@ -102,11 +122,39 @@ def signature(doc: Document | str, seed: int = 0,
 
 
 def _sign(shingles: set[int], seed: int) -> MinHashSignature:
+    row = np.empty(NUM_HASHES, dtype=np.uint64)
+    scratch = np.empty((min(len(shingles), _SIGN_BLOCK), NUM_HASHES), dtype=np.uint64)
+    _sign_into(shingles, seed, row, scratch)
+    return _row_signature(row, seed)
+
+
+# shingles per block of the a * x + b scratch (512 x 128 x 8 B = 512 KB)
+_SIGN_BLOCK = 512
+
+
+def _sign_into(shingles: set[int], seed: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the MinHash of a non-empty shingle set into the row ``out``.
+
+    Hash i of shingle x is ``a[i] * x + b[i]`` mod 2^64. It is computed for
+    one block of shingles at a time in ``scratch``, a ``(k, NUM_HASHES)``
+    uint64 buffer, and ``out`` carries the running minimum across blocks.
+    """
     a, b = _hash_params(seed)
     x = np.fromiter(shingles, dtype=np.uint64, count=len(shingles))
-    with np.errstate(over="ignore"):
-        hashed = a[:, None] * x[None, :] + b[:, None]
-    return MinHashSignature(values=tuple(hashed.min(axis=1).tolist()), seed=seed)
+    width = scratch.shape[0]
+    for lo in range(0, len(x), width):
+        column = x[lo:lo + width, None]
+        block = scratch[:len(column)]
+        np.multiply(column, a, out=block)
+        np.add(block, b, out=block)
+        if lo:
+            np.minimum(out, block.min(axis=0), out=out)
+        else:
+            block.min(axis=0, out=out)
+
+
+def _row_signature(row: np.ndarray, seed: int) -> MinHashSignature:
+    return MinHashSignature(values=tuple(row.tolist()), seed=seed)
 
 
 def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
@@ -130,6 +178,8 @@ class LshIndex:
     """Banded index over signatures: 16 bands x 8 rows by default.
 
     Two documents become a candidate pair iff all rows of some band agree.
+    Signatures are held as uint64 rows; each band is bucketed by sorting
+    its columns, so only buckets of two or more ids become Python lists.
     """
 
     def __init__(self, bands: int = BANDS, rows: int = ROWS) -> None:
@@ -137,14 +187,21 @@ class LshIndex:
             raise ValueError(f"bands*rows must equal {NUM_HASHES}")
         self.bands = bands
         self.rows = rows
-        self._tables: list[dict[tuple[int, ...], list[str]]] = [
-            defaultdict(list) for _ in range(bands)
-        ]
+        self._ids: list[str] = []
+        self._blocks: list[np.ndarray] = []  # (k, NUM_HASHES) uint64 each
 
     def add(self, doc_id: str, sig: MinHashSignature) -> None:
-        for band in range(self.bands):
-            key = sig.values[band * self.rows:(band + 1) * self.rows]
-            self._tables[band][key].append(doc_id)
+        self.add_rows([doc_id], np.array([sig.values], dtype=np.uint64))
+
+    def add_rows(self, doc_ids: Sequence[str], rows: np.ndarray) -> None:
+        """Add one signature per id, given as the rows of a uint64 matrix.
+
+        The index keeps ``rows`` without copying it.
+        """
+        if rows.shape != (len(doc_ids), NUM_HASHES):
+            raise ValueError(f"expected {len(doc_ids)} rows of {NUM_HASHES} values")
+        self._ids.extend(doc_ids)
+        self._blocks.append(rows)
 
     def buckets(self) -> Iterator[list[str]]:
         """Each band's buckets of two or more ids, band by band.
@@ -153,9 +210,27 @@ class LshIndex:
         order of their ids, so the sequence depends only on the ids and
         signatures added, not on the order they were added in.
         """
-        for table in self._tables:
-            band = [sorted(set(ids)) for ids in table.values() if len(ids) > 1]
-            yield from sorted(ids for ids in band if len(ids) > 1)
+        if not self._ids:
+            return
+        if len(self._blocks) > 1:
+            self._blocks = [np.concatenate(self._blocks)]
+        matrix = self._blocks[0]
+        for band in range(self.bands):
+            keys = matrix[:, band * self.rows:(band + 1) * self.rows]
+            order = np.lexsort(keys.T)
+            ordered = keys[order]
+            # a run of equal keys starts at 0 and wherever a key differs from
+            # the one before it
+            starts = np.flatnonzero(np.concatenate(
+                ([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
+            ends = np.append(starts[1:], len(order))
+            shared = ends - starts > 1
+            table = []
+            for lo, hi in zip(starts[shared].tolist(), ends[shared].tolist()):
+                ids = sorted({self._ids[i] for i in order[lo:hi].tolist()})
+                if len(ids) > 1:
+                    table.append(ids)
+            yield from sorted(table)
 
     def candidate_pairs(self) -> set[tuple[str, str]]:
         return {(ids[i], ids[j])
@@ -261,25 +336,32 @@ def _dedup_group(
     rows: int,
     shingle_size: int,
 ) -> tuple[set[str], list[dict]]:
-    index = LshIndex(bands=bands, rows=rows)
-    sigs: dict[str, MinHashSignature] = {}
+    ids: list[str] = []
+    matrix = np.empty((len(docs), NUM_HASHES), dtype=np.uint64)
+    scratch = np.empty((_SIGN_BLOCK, NUM_HASHES), dtype=np.uint64)
     shingle_sets: dict[str, set[int]] = {}  # kept only for exact verification
     for doc in docs:
         shingles = shingle_set(doc.text, shingle_size)
         if shingles:
-            sigs[doc.id] = _sign(shingles, seed)
-            index.add(doc.id, sigs[doc.id])
+            _sign_into(shingles, seed, matrix[len(ids)], scratch)
+            ids.append(doc.id)
             if exact:
                 shingle_sets[doc.id] = shingles
+    del scratch
+    matrix = matrix[:len(ids)]
+    index = LshIndex(bands=bands, rows=rows)
+    index.add_rows(ids, matrix)
+    row_of = {doc_id: i for i, doc_id in enumerate(ids)}
 
     def score(a: str, b: str) -> float:
         if exact:
             return _set_jaccard(shingle_sets[a], shingle_sets[b])
-        return estimate_jaccard(sigs[a], sigs[b])
+        return estimate_jaccard(_row_signature(matrix[row_of[a]], seed),
+                                _row_signature(matrix[row_of[b]], seed))
 
     uf, edges = _join_candidates(index.buckets(), score, threshold)
     members: dict[str, list[str]] = defaultdict(list)
-    for doc_id in sigs:
+    for doc_id in ids:
         members[uf.find(doc_id)].append(doc_id)
     estimates: dict[str, list[list]] = defaultdict(list)
     for a, b, s in sorted(edges):

@@ -95,10 +95,14 @@ def pack_stream(
             manifest.eos_count += 1
             buffer.extend(ids)
             buffer.append(eos)
-            while len(buffer) >= sequence_length:
-                seq, buffer = buffer[:sequence_length], buffer[sequence_length:]
-                fh.write(np.asarray(seq, dtype="<u4").tobytes())
-                manifest.sequence_count += 1
+            full = len(buffer) // sequence_length
+            if full:
+                # every complete sequence in one write; only the remainder,
+                # shorter than one sequence, stays buffered
+                cut = full * sequence_length
+                fh.write(np.asarray(buffer[:cut], dtype="<u4").tobytes())
+                del buffer[:cut]
+                manifest.sequence_count += full
     manifest.dropped_remainder = len(buffer)
     if not manifest.identity_holds():
         raise RuntimeError("token conservation identity violated")

@@ -6,16 +6,21 @@ their seeds: the 3-sigma and recall bounds are tight enough that a correct
 estimator still trips them for a few percent of random seeds.
 """
 
+import hashlib
 import math
 import random
+import tracemalloc
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
+from conftest import seed_lines
 from transmix import dedup
 from transmix.corpus import Document
 from transmix.dedup import (
     LshIndex,
+    MinHashSignature,
     dedup_corpus,
     estimate_jaccard,
     normalize_words,
@@ -449,3 +454,234 @@ class TestDedupCorpus:
         result = dedup_corpus(docs, seed=0)
         assert sorted(result.kept_ids) == ["a:en", "a:fr"]
         assert result.removed_ids == {"b:en"}
+
+
+# ---- equivalence with the per-shingle, per-tuple reference -------------------
+#
+# The reference is the straightforward form of the same scheme: each n-gram
+# joined into a str and hashed on its own, each signature a tuple, each LSH
+# band a dict keyed by tuples. The matrix path must match it bit for bit.
+
+def reference_shingle_set(text: str, n: int = 5) -> set[int]:
+    def hash64(s: str) -> int:
+        return int.from_bytes(
+            hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "little")
+
+    words = normalize_words(text)
+    if not words:
+        return set()
+    if len(words) < n:
+        return {hash64(" ".join(words))}
+    return {hash64(" ".join(words[i:i + n])) for i in range(len(words) - n + 1)}
+
+
+def reference_sign(shingles: set[int], seed: int) -> tuple[int, ...]:
+    a, b = dedup._hash_params(seed)
+    x = np.fromiter(shingles, dtype=np.uint64, count=len(shingles))
+    with np.errstate(over="ignore"):
+        hashed = a[:, None] * x[None, :] + b[:, None]
+    return tuple(hashed.min(axis=1).tolist())
+
+
+def reference_buckets(entries, bands: int = 16, rows: int = 8) -> list[list[str]]:
+    tables = [defaultdict(list) for _ in range(bands)]
+    for doc_id, values in entries:
+        for band in range(bands):
+            tables[band][tuple(values[band * rows:(band + 1) * rows])].append(doc_id)
+    out = []
+    for table in tables:
+        band = [sorted(set(ids)) for ids in table.values() if len(ids) > 1]
+        out.extend(sorted(ids for ids in band if len(ids) > 1))
+    return out
+
+
+def reference_dedup_corpus(docs, threshold=0.8, seed=0, exact=False):
+    """Kept ids and clusters of the tuple path; clustering is shared."""
+    groups = defaultdict(list)
+    for doc in docs:
+        groups[doc.lang].append(doc)
+    removed, clusters = set(), []
+    for lang in sorted(groups):
+        sigs, sets = {}, {}
+        for doc in groups[lang]:
+            shingles = reference_shingle_set(doc.text)
+            if shingles:
+                sigs[doc.id] = reference_sign(shingles, seed)
+                sets[doc.id] = shingles
+
+        def score(a, b):
+            if exact:
+                return len(sets[a] & sets[b]) / len(sets[a] | sets[b])
+            return sum(x == y for x, y in zip(sigs[a], sigs[b])) / NUM_HASHES
+
+        uf, edges = dedup._join_candidates(
+            reference_buckets(sigs.items()), score, threshold)
+        members = defaultdict(list)
+        for doc_id in sigs:
+            members[uf.find(doc_id)].append(doc_id)
+        estimates = defaultdict(list)
+        for a, b, s in sorted(edges):
+            estimates[uf.find(a)].append([a, b, round(s, 4)])
+        for root in sorted(members):
+            group = sorted(members[root])
+            if len(group) > 1:
+                removed.update(group[1:])
+                clusters.append({"kept": group[0], "removed": group[1:],
+                                 "estimates": estimates[root]})
+    return [doc.id for doc in docs if doc.id not in removed], clusters
+
+
+FUZZ_WORDS = [
+    "harbour", "Straße", "STRASSE", "ß", "ẞig", "café", "naïve", "Ærøskøbing",
+    "İstanbul", "Ĳssel", "ﬁne", "東京", "中文字", "ひらがな", "한국어", "😀", "a😀b",
+    "👩\u200d👩\u200d👧", "2024", "٣٤", "3.14", "x_y", "_", "__init__", "--", "...",
+    "?!", "«»", "¿Qué?", "l'été", "e-mail", "Ω", "µ", "½", "\u0301",
+]
+PUNCT_WORDS = ["--", "...", "?!", "«»", "😀", "_", "__", "\u0301", "%"]
+SPACES = [" ", "  ", "\t", "\n", "\r\n", "\u00a0", "\u3000", "\u2028", "\x0b", "\x1c"]
+EDGE_TEXTS = [
+    "", "   ", "\t\n", "...", "😀 !! _", "one", "a b c d", "a b c d e",
+    "a\tb\nc\u00a0d\u3000e f", "Straße ß ẞ STRASSE strasse", "東京 大阪 京都 名古屋 札幌 福岡",
+    "x_y z_w _ a__b c d e", "  lead and trail spaces here  ", "w w w w w w w w",
+]
+
+
+def fuzz_text(rng: random.Random) -> str:
+    kind = rng.random()
+    if kind < 0.1:
+        words = [rng.choice(PUNCT_WORDS) for _ in range(rng.randint(0, 6))]
+    else:
+        if kind < 0.25:
+            count = rng.randint(1, 4)
+        elif kind < 0.35:
+            count = rng.randint(600, 1200)  # more than one signing block
+        else:
+            count = rng.randint(5, 80)
+        words = [rng.choice(FUZZ_WORDS) if rng.random() < 0.5 else f"w{rng.randrange(40)}"
+                 for _ in range(count)]
+    return rng.choice(["", " ", "\n"]) + "".join(w + rng.choice(SPACES) for w in words)
+
+
+def fuzz_texts(seed: int, count: int) -> list[str]:
+    rng = random.Random(seed)
+    return EDGE_TEXTS + [fuzz_text(rng) for _ in range(count)]
+
+
+class TestMatrixPathEqualsReference:
+    def test_shingle_set_on_fuzzed_text(self):
+        texts = fuzz_texts(41, 400)
+        sizes = [len(normalize_words(text)) for text in texts]
+        # the fuzz reaches every kind of document
+        assert 0 in sizes and any(0 < n < 5 for n in sizes)
+        assert any(n > 600 for n in sizes)
+        assert any(t and not normalize_words(t) for t in texts)
+        for text in texts:
+            for n in (1, 3, 5, 8):
+                assert shingle_set(text, n) == reference_shingle_set(text, n), (text, n)
+
+    def test_signature_on_fuzzed_text(self):
+        texts = [t for t in fuzz_texts(42, 200) if normalize_words(t)]
+        assert any(len(reference_shingle_set(t)) > dedup._SIGN_BLOCK for t in texts)
+        for text in texts:
+            for seed in (0, 7):
+                assert signature(text, seed=seed).values == \
+                    reference_sign(reference_shingle_set(text), seed)
+
+    @pytest.mark.parametrize("width", [1, 3, 512, 1000, 1500])
+    def test_sign_carries_the_minimum_across_blocks(self, width):
+        rng = random.Random(43)
+        shingles = {rng.getrandbits(64) for _ in range(1000)}
+        out = np.empty(NUM_HASHES, dtype=np.uint64)
+        dedup._sign_into(shingles, 5, out, np.empty((width, NUM_HASHES), dtype=np.uint64))
+        assert tuple(out.tolist()) == reference_sign(shingles, 5)
+
+    @pytest.mark.parametrize("bands,rows", [(16, 8), (32, 4), (8, 16)])
+    def test_lsh_buckets(self, bands, rows):
+        rng = random.Random(47 + bands)
+        sigs = {f"s{i:03d}": [rng.getrandbits(64) for _ in range(NUM_HASHES)]
+                for i in range(300)}
+        ids = list(sigs)
+        for _ in range(400):
+            # force collisions: copy a whole band, or all of it but its first
+            # or its last row, from one signature to another
+            a, b = rng.sample(ids, 2)
+            lo = rng.randrange(bands) * rows
+            hi = lo + rows
+            miss = rng.random()
+            if miss < 0.15:
+                lo += 1
+            elif miss < 0.3:
+                hi -= 1
+            sigs[b][lo:hi] = sigs[a][lo:hi]
+        sigs["copy"] = list(sigs["s000"])
+        entries = [(doc_id, tuple(values)) for doc_id, values in sigs.items()]
+        entries.append(("s001", tuple(sigs["s001"])))  # the same id twice
+        entries.append(("s002", tuple(rng.getrandbits(64) for _ in range(NUM_HASHES))))
+        rng.shuffle(entries)
+
+        index = LshIndex(bands=bands, rows=rows)
+        half = len(entries) // 2
+        for doc_id, values in entries[:half]:
+            index.add(doc_id, MinHashSignature(values=values, seed=0))
+        index.add_rows([doc_id for doc_id, _ in entries[half:]],
+                       np.array([values for _, values in entries[half:]], dtype=np.uint64))
+        expected = reference_buckets(entries, bands, rows)
+        assert any(len(ids) > 2 for ids in expected)
+        assert list(index.buckets()) == expected
+        assert list(index.buckets()) == expected  # buckets() can be called again
+
+    def test_lsh_rejects_rows_of_the_wrong_shape(self):
+        with pytest.raises(ValueError):
+            LshIndex().add_rows(["a", "b"], np.zeros((1, NUM_HASHES), dtype=np.uint64))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("exact", [False, True], ids=["estimate", "exact"])
+    def test_dedup_corpus_on_planted_corpora(self, seed, exact):
+        rng = random.Random(100 + seed)
+        plants = [("0.95", 190, 5, 6), ("0.90", 180, 10, 6), ("0.80", 160, 20, 6),
+                  ("0.50", 100, 50, 4)]
+        docs, _ = make_corpus_with_plants(rng, plants, 20)
+        docs += near_duplicate_families(rng, families=3, size=8)
+        for i, text in enumerate(fuzz_texts(200 + seed, 40)):
+            docs.append(Document(id=f"z{i:03d}", lang=rng.choice(["en", "fr"]), text=text))
+            words = text.split()
+            if len(words) > 20:  # a one-word edit of a fuzzed document
+                words[rng.randrange(len(words))] = "edited"
+                docs.append(Document(id=f"z{i:03d}e", lang="en", text=" ".join(words)))
+        rng.shuffle(docs)
+
+        result = dedup_corpus(docs, threshold=0.8, seed=seed, exact=exact)
+        kept, clusters = reference_dedup_corpus(docs, threshold=0.8, seed=seed, exact=exact)
+        assert len(clusters) >= 10
+        assert result.kept_ids == kept
+        assert result.clusters == clusters
+        assert result.params == {
+            "seed": seed, "threshold": 0.8, "num_hashes": 128, "bands": 16, "rows": 8,
+            "shingle_size": 5, "verification": "exact" if exact else "estimate",
+        }
+
+
+def test_dedup_corpus_memory_per_document_is_bounded():
+    # signatures are 1 KB rows of one matrix; the text was loaded before
+    # tracing starts, so the peak counts only what dedup holds
+    rng = random.Random(53)
+    lines = seed_lines("en")
+    docs = []
+    for i in range(2000):
+        if i % 10 == 9:  # a near-duplicate of the document before it
+            words = docs[-1].text.split()
+            words[rng.randrange(len(words))] = "edited"
+            text = " ".join(words)
+        else:
+            text = " ".join(rng.sample(lines, rng.randint(4, 8)))
+        docs.append(Document(id=f"m{i:04d}", lang="en", text=text))
+    dedup_corpus(docs[:20], seed=0)  # first use imports numpy.random
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = dedup_corpus(docs, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.removed_ids) >= 150
+    assert (peak - base) / len(docs) <= 2048

@@ -1,7 +1,9 @@
 """Sequence packing tests against a naive materialize-everything oracle."""
 
 import random
+import time
 
+import numpy as np
 import pytest
 
 from transmix.corpus import Document
@@ -72,6 +74,23 @@ class TestPackStream:
             assert manifest.dropped_remainder == remainder
             assert manifest.skipped_empty_docs == skipped
             assert manifest.identity_holds()
+
+    def test_huge_document_packs_in_linear_time(self, ws_counter, tmp_path):
+        # one document of 2M tokens is about 1,000 sequences; copying the
+        # rest of the buffer once per sequence made this quadratic
+        text = " ".join(f"w{i % 1000}" for i in range(2_000_000))
+        start = time.process_time()
+        ids = ws_counter.encode(text)
+        encode_s = time.process_time() - start
+        path = tmp_path / "t.bin"
+        start = time.process_time()
+        manifest = pack_stream([Document(id="huge", lang="en", text=text)], ws_counter,
+                               path, sequence_length=2048)
+        pack_s = time.process_time() - start
+        assert pack_s < 3 * encode_s
+        assert manifest.sequence_count == (len(ids) + 1) // 2048
+        payload = path.read_bytes()[32:]
+        assert payload == np.asarray(ids[:len(payload) // 4], dtype="<u4").tobytes()
 
     def test_identity_violation_raises(self, ws_counter, tmp_path, monkeypatch):
         monkeypatch.setattr(PackManifest, "identity_holds", lambda self: False)
