@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from array import array
 from pathlib import Path
+from typing import Iterator
 
 from . import corpus as corpus_mod
 from . import dedup as dedup_mod
@@ -21,7 +23,8 @@ from . import probe as probe_mod
 from . import quality as quality_mod
 from . import translate as translate_mod
 from .config import ConfigError, PipelineConfig, load_config
-from .corpus import read_corpus, read_header, write_corpus
+from .corpus import (Document, FileStamp, doc_hash, read_corpus, read_header,
+                     write_corpus)
 from .mixer import MixtureEntry, MixtureSpec, derive_seed
 from .segment import chunk_document, set_default_abbreviation_dir
 
@@ -181,9 +184,18 @@ def run_filter(config: PipelineConfig, input_path: str, stage_dir: Path) -> Path
 
 def run_dedup(config: PipelineConfig, input_path: str, stage_dir: Path,
               exact: bool) -> Path:
-    docs = list(read_corpus(input_path, strict=config.strict))
+    # The input is read twice, and no document is held in between: the
+    # first pass signs every document, the second writes the kept ones.
+    stamp = FileStamp.take(input_path)
+    hashes = array("q")  # doc_hash of each document of the first pass
+
+    def first_pass() -> Iterator[Document]:
+        for doc in read_corpus(input_path, strict=config.strict):
+            hashes.append(doc_hash(doc))
+            yield doc
+
     result = dedup_mod.dedup_corpus(
-        docs,
+        first_pass(),
         threshold=config.dedup_threshold,
         seed=derive_seed(config.seed, "dedup"),
         exact=exact,
@@ -192,11 +204,11 @@ def run_dedup(config: PipelineConfig, input_path: str, stage_dir: Path,
         shingle_size=config.shingle_size,
     )
     kept_path = stage_dir / "kept.jsonl"
-    kept_ids = set(result.kept_ids)
-    write_corpus(kept_path, (d for d in docs if d.id in kept_ids))
+    second_pass = stamp.reread(read_corpus(input_path, strict=config.strict), hashes)
+    write_corpus(kept_path, (d for d in second_pass if d.id not in result.removed_ids))
     result.write_manifest(stage_dir / "clusters.jsonl")
     _write_manifest(stage_dir, {
-        "stage": "dedup", "in": len(docs), "kept": len(result.kept_ids),
+        "stage": "dedup", "in": len(hashes), "kept": len(result.kept_ids),
         "removed": len(result.removed_ids), "clusters": len(result.clusters),
         **result.params,
     })

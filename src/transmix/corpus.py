@@ -3,14 +3,23 @@
 The interchange format is JSONL: one ``{"id", "lang", "text", "source"?}``
 object per line, with an optional first header line
 ``{"_header": true, "tokenizer_fingerprint": "..."}``.
+
+``scan_corpus`` is the one line loop: it yields each document with the byte
+offset of its line, and ``read_corpus`` is that loop without the offsets.
+Stages that read their input twice (dedup and mix) take a ``FileStamp`` of
+it first, read documents back with ``read_at`` or a second scan, and check
+each one against its ``doc_hash`` from the first pass.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
+from operator import itemgetter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .tokenizer import TokenCounter
 
@@ -19,7 +28,12 @@ __all__ = [
     "Document",
     "ReadError",
     "CorpusFormatError",
+    "CorpusRereadError",
+    "FileStamp",
+    "doc_hash",
+    "scan_corpus",
     "read_corpus",
+    "read_at",
     "read_header",
     "write_corpus",
     "CorpusStats",
@@ -34,6 +48,11 @@ LANGUAGES = ("en", "fr", "de", "es", "other")
 
 class CorpusFormatError(ValueError):
     """Raised on malformed corpus input in strict mode."""
+
+
+class CorpusRereadError(RuntimeError):
+    """A corpus that a stage reads twice is not a regular file, or it changed
+    between the reads."""
 
 
 @dataclass(frozen=True)
@@ -103,21 +122,50 @@ def read_header(path: str | Path) -> dict | None:
     return None
 
 
-def read_corpus(
+def _split_ends(raw: bytes) -> list[bytes]:
+    """The lines of one binary line that holds a ``\\r``, without their ends.
+
+    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in text mode with
+    universal newlines; a final ``\\r`` ends the last line.
+    """
+    if raw.endswith(b"\n"):
+        return raw[:-2 if raw.endswith(b"\r\n") else -1].split(b"\r")
+    lines = raw.split(b"\r")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _text_lines(fh: BinaryIO) -> Iterator[tuple[int, str]]:
+    """``(byte offset, text)`` of each line of a binary file, split as text
+    mode splits it. The text may keep its ``\\n``."""
+    start = 0
+    for raw in fh:
+        offset, start = start, start + len(raw)
+        if b"\r" not in raw:  # the common case
+            yield offset, raw.decode("utf-8")
+            continue
+        for piece in _split_ends(raw):
+            yield offset, piece.decode("utf-8")
+            offset += len(piece) + 1
+
+
+def scan_corpus(
     path: str | Path,
     strict: bool = False,
     on_error: Callable[[ReadError], None] | None = None,
-) -> Iterator[Document]:
-    """Stream Documents from a JSONL file without loading it whole.
+) -> Iterator[tuple[int, Document]]:
+    """Stream ``(byte offset of its line, Document)`` pairs from a JSONL file.
 
     Malformed lines are reported through ``on_error`` and skipped; in strict
     mode the first one aborts the stream with CorpusFormatError, and id
     uniqueness is enforced as well. A leading header line is skipped
-    transparently (see read_header).
+    transparently (see read_header). Whitespace-only lines are skipped but
+    counted in line numbers.
     """
     seen_ids: set[str] | None = set() if strict else None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for line_no, (offset, line) in enumerate(_text_lines(fh), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -134,12 +182,94 @@ def read_corpus(
                     if doc.id in seen_ids:
                         raise ValueError(f"duplicate document id {doc.id!r}")
                     seen_ids.add(doc.id)
-                yield doc
             except (ValueError, KeyError) as exc:
                 if strict:
                     raise CorpusFormatError(f"{path}:{line_no}: {exc}") from exc
                 if on_error is not None:
                     on_error(ReadError(line_no=line_no, message=str(exc), raw=line))
+                continue
+            yield offset, doc
+
+
+def read_corpus(
+    path: str | Path,
+    strict: bool = False,
+    on_error: Callable[[ReadError], None] | None = None,
+) -> Iterator[Document]:
+    """Stream Documents from a JSONL file without loading it whole: the
+    documents of ``scan_corpus``, with the same error handling."""
+    return map(itemgetter(1), scan_corpus(path, strict, on_error))
+
+
+def read_at(path: str | Path, offsets: Iterable[int]) -> list[Document]:
+    """The documents whose lines start at ``offsets`` (from ``scan_corpus``),
+    in the order given. A line that holds no document raises
+    CorpusFormatError."""
+    docs = []
+    with open(path, "rb") as fh:
+        for offset in offsets:
+            fh.seek(offset)
+            _, line = next(_text_lines(fh), (offset, ""))
+            line = line.strip()
+            try:
+                docs.append(_parse_line(line))
+            except (ValueError, KeyError) as exc:
+                raise CorpusFormatError(f"{path}: byte {offset}: {exc}") from exc
+    return docs
+
+
+def doc_hash(doc: Document) -> int:
+    """Hash of a document's id, language and text, recorded on a first read
+    to check a second read in the same process."""
+    return hash((doc.id, doc.lang, doc.text))
+
+
+@dataclass(frozen=True)
+class FileStamp:
+    """Size and modification time of a regular file that a stage reads twice.
+
+    A pipe or a device can be read only once, and a file that changes
+    between the reads would give the second read other documents, so both
+    are refused with CorpusRereadError.
+    """
+
+    path: str
+    size: int
+    mtime_ns: int
+
+    @classmethod
+    def take(cls, path: str | Path) -> FileStamp:
+        st = os.stat(path)
+        if not stat.S_ISREG(st.st_mode):
+            raise CorpusRereadError(
+                f"{path} is not a regular file; this stage reads its input twice")
+        return cls(str(path), st.st_size, st.st_mtime_ns)
+
+    def check(self) -> None:
+        """Raise CorpusRereadError if the file's size or mtime changed."""
+        if FileStamp.take(self.path) != self:
+            raise CorpusRereadError(f"{self.path} changed between reads")
+
+    def check_doc(self, doc: Document | None, recorded: int) -> Document:
+        """Return ``doc``, read again, if its ``doc_hash`` is ``recorded``,
+        the one of the first read; else raise CorpusRereadError."""
+        if doc is None or doc_hash(doc) != recorded:
+            raise CorpusRereadError(
+                f"{self.path} changed between reads: a document read again "
+                "is not the one first read there")
+        return doc
+
+    def reread(self, docs: Iterable[Document], hashes: Sequence[int]) -> Iterator[Document]:
+        """Yield ``docs``, a second read of the whole file, checking each
+        against ``hashes``, the ``doc_hash`` of every document of the first
+        read in order."""
+        self.check()
+        docs = iter(docs)
+        for recorded in hashes:
+            yield self.check_doc(next(docs, None), recorded)
+        if next(docs, None) is not None:
+            raise CorpusRereadError(
+                f"{self.path} changed between reads: it holds more documents")
 
 
 def write_corpus(

@@ -7,18 +7,21 @@ pairs, which are confirmed against the similarity threshold before
 union-find clustering. All randomness derives from one seed, recorded in the
 cluster manifest so runs are comparable.
 
-``dedup_corpus`` signs each language's documents into the rows of one
-``(n, 128)`` ``uint64`` matrix, about 1 KB per document, and the LSH index
-buckets each band by sorting that matrix's columns. The hash values are
-those of hashing each joined 5-gram with 8-byte blake2b, so signatures,
-kept ids and manifests do not depend on this layout.
+``dedup_corpus`` reads its documents once and keeps no text. It signs each
+language's documents into ``uint64`` rows held in fixed-size blocks, about
+1 KB per document, and keeps their ids; ``exact`` verification also keeps
+each document's shingles as one sorted ``uint64`` array. The LSH index
+buckets each band by sorting the band's columns, and clustering state is
+kept only for ids that share a bucket. The hash values are those of hashing
+each joined 5-gram with 8-byte blake2b, so signatures, kept ids and
+manifests do not depend on this layout.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from collections import defaultdict
 from functools import lru_cache
@@ -47,14 +50,32 @@ ROWS = 8
 SHINGLE_SIZE = 5
 
 
-# \w is str.isalnum() plus "_", and \s is str.isspace(): this drops every
-# character that is neither alphanumeric nor whitespace
-_NOT_WORD_OR_SPACE = re.compile(r"[^\w\s]|_")
+# code points the str.translate table below remembers
+_DROP_CAP = 65_536
+
+
+class _DropTable(dict):
+    """``str.translate`` table deleting every character that is ``_`` or
+    neither alphanumeric nor whitespace, and keeping the rest.
+
+    A pure memo of at most ``_DROP_CAP`` code points: past the cap, a
+    character's entry is computed on each lookup and not stored.
+    """
+
+    def __missing__(self, code: int) -> int | None:
+        ch = chr(code)
+        entry = code if ch != "_" and (ch.isalnum() or ch.isspace()) else None
+        if len(self) < _DROP_CAP:
+            self[code] = entry
+        return entry
+
+
+_DROP = _DropTable()
 
 
 def normalize_words(text: str) -> list[str]:
     """Lowercase, strip punctuation/symbols, collapse whitespace."""
-    return _NOT_WORD_OR_SPACE.sub("", text.lower()).split()
+    return text.lower().translate(_DROP).split()
 
 
 # copied per shingle: a copy hashes like a new blake2b(digest_size=8) but
@@ -128,19 +149,21 @@ def _sign(shingles: set[int], seed: int) -> MinHashSignature:
     return _row_signature(row, seed)
 
 
-# shingles per block of the a * x + b scratch (512 x 128 x 8 B = 512 KB)
-_SIGN_BLOCK = 512
+# shingles per block of the a * x + b scratch (128 x 128 x 8 B = 128 KB)
+_SIGN_BLOCK = 128
 
 
-def _sign_into(shingles: set[int], seed: int, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write the MinHash of a non-empty shingle set into the row ``out``.
+def _sign_into(shingles: set[int] | np.ndarray, seed: int, out: np.ndarray,
+               scratch: np.ndarray) -> None:
+    """Write the MinHash of a non-empty shingle set (or uint64 array of
+    distinct shingles) into the row ``out``.
 
     Hash i of shingle x is ``a[i] * x + b[i]`` mod 2^64. It is computed for
     one block of shingles at a time in ``scratch``, a ``(k, NUM_HASHES)``
     uint64 buffer, and ``out`` carries the running minimum across blocks.
     """
     a, b = _hash_params(seed)
-    x = np.fromiter(shingles, dtype=np.uint64, count=len(shingles))
+    x = shingles if isinstance(shingles, np.ndarray) else _shingle_array(shingles)
     width = scratch.shape[0]
     for lo in range(0, len(x), width):
         column = x[lo:lo + width, None]
@@ -151,6 +174,10 @@ def _sign_into(shingles: set[int], seed: int, out: np.ndarray, scratch: np.ndarr
             np.minimum(out, block.min(axis=0), out=out)
         else:
             block.min(axis=0, out=out)
+
+
+def _shingle_array(shingles: set[int]) -> np.ndarray:
+    return np.fromiter(shingles, dtype=np.uint64, count=len(shingles))
 
 
 def _row_signature(row: np.ndarray, seed: int) -> MinHashSignature:
@@ -165,12 +192,14 @@ def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
 
 
 def exact_jaccard(text_a: str, text_b: str, n: int = SHINGLE_SIZE) -> float:
-    return _set_jaccard(shingle_set(text_a, n), shingle_set(text_b, n))
+    return _array_jaccard(np.sort(_shingle_array(shingle_set(text_a, n))),
+                          np.sort(_shingle_array(shingle_set(text_b, n))))
 
 
-def _set_jaccard(sa: set[int], sb: set[int]) -> float:
-    shared = len(sa & sb)
-    union = len(sa) + len(sb) - shared
+def _array_jaccard(a: np.ndarray, b: np.ndarray) -> float:
+    """Jaccard similarity of two sorted arrays of distinct shingles."""
+    shared = np.intersect1d(a, b, assume_unique=True).size
+    union = len(a) + len(b) - shared
     return shared / union if union else 1.0  # two empty sets are equal
 
 
@@ -178,8 +207,9 @@ class LshIndex:
     """Banded index over signatures: 16 bands x 8 rows by default.
 
     Two documents become a candidate pair iff all rows of some band agree.
-    Signatures are held as uint64 rows; each band is bucketed by sorting
-    its columns, so only buckets of two or more ids become Python lists.
+    Signatures are held as blocks of uint64 rows; each band is bucketed by
+    sorting its columns, gathered from every block, so only buckets of two
+    or more ids become Python lists.
     """
 
     def __init__(self, bands: int = BANDS, rows: int = ROWS) -> None:
@@ -189,6 +219,7 @@ class LshIndex:
         self.rows = rows
         self._ids: list[str] = []
         self._blocks: list[np.ndarray] = []  # (k, NUM_HASHES) uint64 each
+        self._starts: list[int] = []  # the row index of each block's first row
 
     def add(self, doc_id: str, sig: MinHashSignature) -> None:
         self.add_rows([doc_id], np.array([sig.values], dtype=np.uint64))
@@ -200,34 +231,47 @@ class LshIndex:
         """
         if rows.shape != (len(doc_ids), NUM_HASHES):
             raise ValueError(f"expected {len(doc_ids)} rows of {NUM_HASHES} values")
+        self._starts.append(len(self._ids))
         self._ids.extend(doc_ids)
         self._blocks.append(rows)
 
-    def buckets(self) -> Iterator[list[str]]:
+    def row(self, i: int) -> np.ndarray:
+        """The signature row added ``i``-th, counting from 0."""
+        k = bisect_right(self._starts, i) - 1
+        return self._blocks[k][i - self._starts[k]]
+
+    def buckets(self, row_of: dict[str, int] | None = None) -> Iterator[list[str]]:
         """Each band's buckets of two or more ids, band by band.
 
         A bucket's ids are sorted and the buckets of one band come in the
         order of their ids, so the sequence depends only on the ids and
-        signatures added, not on the order they were added in.
+        signatures added, not on the order they were added in. If given,
+        ``row_of`` is updated to map each id in a bucket to its row index
+        (see ``row``).
         """
         if not self._ids:
             return
-        if len(self._blocks) > 1:
-            self._blocks = [np.concatenate(self._blocks)]
-        matrix = self._blocks[0]
         for band in range(self.bands):
-            keys = matrix[:, band * self.rows:(band + 1) * self.rows]
-            order = np.lexsort(keys.T)
-            ordered = keys[order]
+            # the band's columns, each gathered from every block
+            columns = [np.concatenate([block[:, c] for block in self._blocks])
+                       for c in range(band * self.rows, (band + 1) * self.rows)]
+            order = np.lexsort(columns[::-1])
             # a run of equal keys starts at 0 and wherever a key differs from
-            # the one before it
-            starts = np.flatnonzero(np.concatenate(
-                ([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
+            # the one before it in some column
+            differs = np.zeros(len(order) - 1, dtype=bool)
+            for column in columns:
+                ordered = column[order]
+                differs |= ordered[1:] != ordered[:-1]
+            del columns, ordered
+            starts = np.flatnonzero(np.concatenate(([True], differs)))
             ends = np.append(starts[1:], len(order))
             shared = ends - starts > 1
             table = []
             for lo, hi in zip(starts[shared].tolist(), ends[shared].tolist()):
-                ids = sorted({self._ids[i] for i in order[lo:hi].tolist()})
+                rows = order[lo:hi].tolist()
+                if row_of is not None:
+                    row_of.update((self._ids[i], i) for i in rows)
+                ids = sorted({self._ids[i] for i in rows})
                 if len(ids) > 1:
                     table.append(ids)
             yield from sorted(table)
@@ -295,25 +339,32 @@ def dedup_corpus(
     Each language is deduped independently, so translations of one document
     into several languages are all kept. Documents that are empty after
     normalization are kept unconditionally.
+
+    ``docs`` is iterated once, and no document is held after it is signed.
     """
-    docs = list(docs)
-    seen: set[str] = set()
-    groups: dict[str, list[Document]] = defaultdict(list)
+    order: dict[str, None] = {}  # every id, in input order
+    groups: dict[str, _SignedGroup] = {}
+    scratch = np.empty((_SIGN_BLOCK, NUM_HASHES), dtype=np.uint64)
     for doc in docs:
-        if doc.id in seen:
+        if doc.id in order:
             raise ValueError(f"duplicate document id {doc.id!r}")
-        seen.add(doc.id)
-        groups[doc.lang].append(doc)
+        order[doc.id] = None
+        shingles = shingle_set(doc.text, shingle_size)
+        if shingles:
+            group = groups.get(doc.lang)
+            if group is None:
+                group = groups[doc.lang] = _SignedGroup(seed, exact, bands, rows)
+            group.add(doc.id, shingles, scratch)
+    del scratch
 
     removed: set[str] = set()
     clusters: list[dict] = []
     for lang in sorted(groups):
-        lang_removed, lang_clusters = _dedup_group(
-            groups[lang], threshold, seed, exact, bands, rows, shingle_size)
+        lang_removed, lang_clusters = _dedup_group(groups.pop(lang), threshold)
         removed |= lang_removed
         clusters.extend(lang_clusters)
 
-    kept_ids = [doc.id for doc in docs if doc.id not in removed]
+    kept_ids = [doc_id for doc_id in order if doc_id not in removed]
     params = {
         "seed": seed,
         "threshold": threshold,
@@ -327,41 +378,58 @@ def dedup_corpus(
                        clusters=clusters, params=params)
 
 
-def _dedup_group(
-    docs: list[Document],
-    threshold: float,
-    seed: int,
-    exact: bool,
-    bands: int,
-    rows: int,
-    shingle_size: int,
-) -> tuple[set[str], list[dict]]:
-    ids: list[str] = []
-    matrix = np.empty((len(docs), NUM_HASHES), dtype=np.uint64)
-    scratch = np.empty((_SIGN_BLOCK, NUM_HASHES), dtype=np.uint64)
-    shingle_sets: dict[str, set[int]] = {}  # kept only for exact verification
-    for doc in docs:
-        shingles = shingle_set(doc.text, shingle_size)
-        if shingles:
-            _sign_into(shingles, seed, matrix[len(ids)], scratch)
-            ids.append(doc.id)
-            if exact:
-                shingle_sets[doc.id] = shingles
-    del scratch
-    matrix = matrix[:len(ids)]
-    index = LshIndex(bands=bands, rows=rows)
-    index.add_rows(ids, matrix)
-    row_of = {doc_id: i for i, doc_id in enumerate(ids)}
+# signature rows per block; a group's last block holds at most this many
+# unused rows (256 x 1 KB)
+_ROW_BLOCK = 256
+
+
+class _SignedGroup:
+    """One language's signed documents: an LSH index over their ids and
+    signature rows, filled one fixed-size block of rows at a time, and for
+    exact verification each document's sorted shingle array, by row."""
+
+    def __init__(self, seed: int, exact: bool, bands: int, rows: int) -> None:
+        self.seed = seed
+        self.index = LshIndex(bands=bands, rows=rows)
+        self.shingles: list[np.ndarray] | None = [] if exact else None
+        self._ids: list[str] = []  # the ids of the rows in ``_block``
+        self._block: np.ndarray | None = None
+
+    def add(self, doc_id: str, shingles: set[int], scratch: np.ndarray) -> None:
+        if self._block is None:
+            self._block = np.empty((_ROW_BLOCK, NUM_HASHES), dtype=np.uint64)
+        x: set[int] | np.ndarray = shingles
+        if self.shingles is not None:
+            x = np.sort(_shingle_array(shingles))
+            self.shingles.append(x)
+        _sign_into(x, self.seed, self._block[len(self._ids)], scratch)
+        self._ids.append(doc_id)
+        if len(self._ids) == _ROW_BLOCK:
+            self.finish()
+
+    def finish(self) -> LshIndex:
+        """Hand the rows signed so far to the index, and return the index."""
+        if self._block is not None:
+            self.index.add_rows(self._ids, self._block[:len(self._ids)])
+            self._ids, self._block = [], None
+        return self.index
+
+
+def _dedup_group(group: _SignedGroup, threshold: float) -> tuple[set[str], list[dict]]:
+    index = group.finish()
+    row_of: dict[str, int] = {}  # filled only with the ids that share a bucket
+    shingles = group.shingles
 
     def score(a: str, b: str) -> float:
-        if exact:
-            return _set_jaccard(shingle_sets[a], shingle_sets[b])
-        return estimate_jaccard(_row_signature(matrix[row_of[a]], seed),
-                                _row_signature(matrix[row_of[b]], seed))
+        i, j = row_of[a], row_of[b]
+        if shingles is not None:
+            return _array_jaccard(shingles[i], shingles[j])
+        return estimate_jaccard(_row_signature(index.row(i), group.seed),
+                                _row_signature(index.row(j), group.seed))
 
-    uf, edges = _join_candidates(index.buckets(), score, threshold)
+    uf, edges = _join_candidates(index.buckets(row_of), score, threshold)
     members: dict[str, list[str]] = defaultdict(list)
-    for doc_id in ids:
+    for doc_id in list(uf.parent):
         members[uf.find(doc_id)].append(doc_id)
     estimates: dict[str, list[list]] = defaultdict(list)
     for a, b, s in sorted(edges):
@@ -370,11 +438,12 @@ def _dedup_group(
     removed: set[str] = set()
     clusters: list[dict] = []
     for root in sorted(members):
-        group = sorted(members[root])
-        if len(group) < 2:
+        group_ids = sorted(members[root])
+        if len(group_ids) < 2:
             continue
-        removed.update(group[1:])
-        clusters.append({"kept": group[0], "removed": group[1:], "estimates": estimates[root]})
+        removed.update(group_ids[1:])
+        clusters.append({"kept": group_ids[0], "removed": group_ids[1:],
+                         "estimates": estimates[root]})
     return removed, clusters
 
 

@@ -5,17 +5,27 @@ until the cumulative token count reaches the budget, including the final
 overshooting document. Streams from several sources are then interleaved
 with a bounded-memory buffer shuffle. All randomness is seed-driven and
 recorded in the composition manifest.
+
+``compose_stage`` holds numbers, not text: one pass over each source records
+every document's byte offset, token count and hash, the sample and the
+shuffle are made over those records, and the ``MixedCorpus`` it returns
+reads the sampled lines back by offset each time it is iterated.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
-from .corpus import Document, read_corpus
+import numpy as np
+
+from .corpus import Document, FileStamp, doc_hash, read_at, scan_corpus
 from .tokenizer import TokenCounter
+
+T = TypeVar("T")
 
 __all__ = [
     "MixtureEntry",
@@ -24,6 +34,7 @@ __all__ = [
     "balanced_sample",
     "interleave",
     "compose_stage",
+    "MixedCorpus",
     "derive_seed",
 ]
 
@@ -144,20 +155,21 @@ def _take(counts: Sequence[int], budget: int, seed: int) -> list[int]:
 
 
 def interleave(
-    corpora: Sequence[Iterable[Document]],
+    corpora: Sequence[Iterable[T]],
     seed: int = 0,
     buffer_size: int = DEFAULT_BUFFER_SIZE,
-) -> Iterator[Document]:
+) -> Iterator[T]:
     """Shuffle the union of several streams with a fixed-size buffer.
 
-    Every input document appears exactly once. With a buffer at least as
-    large as the input this is an exact uniform shuffle; smaller buffers
-    trade exactness for bounded memory.
+    Every input item (a document, or a reference to one) appears exactly
+    once, and the order depends only on the seed and the stream lengths.
+    With a buffer at least as large as the input this is an exact uniform
+    shuffle; smaller buffers trade exactness for bounded memory.
     """
     if buffer_size < 1:
         raise ValueError("buffer_size must be >= 1")
     rng = random.Random(seed)
-    buffer: list[Document] = []
+    buffer: list[T] = []
     for corpus in corpora:
         for doc in corpus:
             if len(buffer) < buffer_size:
@@ -170,24 +182,91 @@ def interleave(
     yield from buffer
 
 
+# documents read back at a time by MixedCorpus
+_READ_BLOCK = 256
+
+
+class _Source:
+    """One scanned mix source: where each document's line starts and the
+    ``doc_hash`` the scan saw, 16 bytes a document."""
+
+    def __init__(self, stamp: FileStamp, offsets: array, hashes: array) -> None:
+        self.stamp = stamp
+        self.offsets = np.frombuffer(offsets, dtype=np.int64)
+        self.hashes = np.frombuffer(hashes, dtype=np.int64)
+
+    def read_back(self, indices: np.ndarray) -> list[Document]:
+        """The documents at the given scan indices, read again and checked."""
+        self.stamp.check()
+        docs = read_at(self.stamp.path, self.offsets[indices].tolist())
+        return [self.stamp.check_doc(doc, recorded)
+                for doc, recorded in zip(docs, self.hashes[indices].tolist())]
+
+
+def _scan(path: str, counter: TokenCounter) -> tuple[_Source, array]:
+    """One pass over a source: its _Source and each document's token count."""
+    stamp = FileStamp.take(path)
+    offsets, hashes, counts = array("q"), array("q"), array("q")
+    for offset, doc in scan_corpus(path):
+        offsets.append(offset)
+        hashes.append(doc_hash(doc))
+        counts.append(counter.count(doc.text))
+    return _Source(stamp, offsets, hashes), counts
+
+
+class MixedCorpus:
+    """The mixed documents of ``compose_stage``: a sized sequence that reads
+    them back from the sources on each iteration.
+
+    It holds one integer per document. Each iteration reads the documents
+    back by byte offset, a few hundred at a time, and raises
+    CorpusRereadError if a source changed since ``compose_stage`` read it.
+    """
+
+    def __init__(self, sources: list[_Source], refs: np.ndarray) -> None:
+        self._sources = sources
+        self._refs = refs  # index * len(sources) + source, in output order
+
+    def __len__(self) -> int:
+        return len(self._refs)
+
+    def __iter__(self) -> Iterator[Document]:
+        k = len(self._sources)
+        for lo in range(0, len(self._refs), _READ_BLOCK):
+            block = self._refs[lo:lo + _READ_BLOCK]
+            docs: list[Document | None] = [None] * len(block)
+            for s, source in enumerate(self._sources):
+                slots = np.flatnonzero(block % k == s)
+                if not len(slots):
+                    continue
+                indices = block[slots] // k
+                # read each source front to back
+                ahead = np.argsort(source.offsets[indices])
+                for slot, doc in zip(slots[ahead].tolist(),
+                                     source.read_back(indices[ahead])):
+                    docs[slot] = doc
+            yield from docs
+
+
 def compose_stage(
     spec: MixtureSpec,
     counter: TokenCounter,
     buffer_size: int = DEFAULT_BUFFER_SIZE,
-) -> tuple[list[Document], dict]:
+) -> tuple[MixedCorpus, dict]:
     """Sample every source to its budget, interleave, and report realized counts.
 
-    All sources are loaded and checked before anything is emitted, so a
-    shortfall in any source fails the stage with no partial output. Each
-    source is read once and each document counted once, also when the
-    budget is the smallest source's total.
+    Each source is scanned once, counting each document once, before
+    anything is emitted, so a shortfall in any source fails the stage with
+    no partial output. The scan keeps each document's byte offset, token
+    count and hash, not its text; the budget is the smallest source's total
+    when the spec gives none. The mixed documents come back as a
+    ``MixedCorpus`` that reads them from the sources by offset, so the
+    sources must be regular files that do not change until it has been
+    read (CorpusRereadError otherwise).
     """
     spec.validate()
-    loaded: dict[str, list[Document]] = {
-        e.name: list(read_corpus(e.path)) for e in spec.entries
-    }
-    counts = {name: [counter.count(d.text) for d in docs] for name, docs in loaded.items()}
-    totals = {name: sum(c) for name, c in counts.items()}
+    scans = {e.name: _scan(e.path, counter) for e in spec.entries}
+    totals = {name: sum(counts) for name, (_, counts) in scans.items()}
     budgets = spec.resolved_budgets(totals)
 
     shortfalls = []
@@ -199,22 +278,26 @@ def compose_stage(
     if shortfalls:
         raise MixtureError("source shortfall: " + "; ".join(shortfalls))
 
-    samples: dict[str, list[Document]] = {}
+    # the shuffle moves references, index * len(sources) + source, not documents
+    k = len(spec.entries)
+    samples: list[array] = []
     realized: dict[str, dict] = {}
-    for entry in spec.entries:
+    for s, entry in enumerate(spec.entries):
+        counts = scans[entry.name][1]
         sub_seed = derive_seed(spec.seed, f"sample:{entry.name}")
-        taken = _take(counts[entry.name], budgets[entry.name], sub_seed)
-        samples[entry.name] = [loaded[entry.name][idx] for idx in taken]
+        taken = _take(counts, budgets[entry.name], sub_seed)
+        samples.append(array("q", [idx * k + s for idx in taken]))
         realized[entry.name] = {
             "budget": budgets[entry.name],
-            "tokens": sum(counts[entry.name][idx] for idx in taken),
+            "tokens": sum(counts[idx] for idx in taken),
             "docs": len(taken),
             "seed": sub_seed,
         }
 
     shuffle_seed = derive_seed(spec.seed, "interleave")
-    mixed = list(interleave([samples[e.name] for e in spec.entries],
-                            seed=shuffle_seed, buffer_size=buffer_size))
+    refs = np.fromiter(interleave(samples, seed=shuffle_seed, buffer_size=buffer_size),
+                       dtype=np.int64, count=sum(map(len, samples)))
+    mixed = MixedCorpus([scans[e.name][0] for e in spec.entries], refs)
     manifest = {
         "stage": spec.stage,
         "seed": spec.seed,

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import sys
 import threading
 import time
 import urllib.request
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -315,6 +316,20 @@ def _chunk_request(backend, template: PromptTemplate, chunk_limit: int,
     return request
 
 
+class _Pair:
+    """One (doc, target) pair in the request window, with its chunk results
+    as they come back."""
+
+    __slots__ = ("doc", "tgt", "chunks", "results", "pending")
+
+    def __init__(self, doc: Document, tgt: str, chunks: list[Chunk]) -> None:
+        self.doc = doc
+        self.tgt = tgt
+        self.chunks = chunks
+        self.results: list = [None] * len(chunks)
+        self.pending = len(chunks)
+
+
 def _in_order(
     pairs: Iterable[tuple[Document, str, list[Chunk]]],
     request: Callable[[Document, str, Chunk], BackendResult],
@@ -323,47 +338,71 @@ def _in_order(
     """Send every chunk of every (doc, target, chunks) pair through one
     thread pool and yield each pair with its chunk results, in input order.
 
-    At most ``max_in_flight`` requests run at once, from any documents, and
-    at most ``max_in_flight`` pairs are held uncommitted, so memory is
-    bounded by the window; ``pairs`` is read only as the window needs
-    refilling. A request that raised re-raises when its pair's turn comes:
-    every earlier pair has been yielded and no later one is, and requests
-    not yet started are cancelled.
+    At most ``max_in_flight`` worker loops run in the pool, taking
+    ``(pair, chunk index)`` requests from one queue and putting the results
+    on another, so at most that many requests run at once, from any
+    documents. At most ``max_in_flight`` pairs are held uncommitted, so
+    memory is bounded by the window; ``pairs`` is read only as the window
+    needs refilling. A request that raised re-raises when its pair's turn
+    comes: every earlier pair has been yielded and no later one is, and
+    requests not yet started are cancelled.
     """
     limit = max(1, max_in_flight)
     source = iter(pairs)
-    window: deque[tuple[Document, str, list[Chunk], list[Future]]] = deque()
-    running: set[Future] = set()
-    feeding = None  # the newest pair while some of its chunks are unsent
+    window: deque[_Pair] = deque()
+    unsent: queue.SimpleQueue[tuple[_Pair, int] | None] = queue.SimpleQueue()
+    done: queue.SimpleQueue[tuple[_Pair, int, object]] = queue.SimpleQueue()
+    sent = 0
+
+    def work() -> None:
+        while (job := unsent.get()) is not None:
+            pair, i = job
+            try:
+                result = request(pair.doc, pair.tgt, pair.chunks[i])
+            except BaseException as exc:  # noqa: BLE001 - re-raised in order below
+                result = exc
+            done.put((pair, i, result))
+
     pool = ThreadPoolExecutor(max_workers=limit)
+    workers: list[Future] = []
     try:
         while True:
-            running = {f for f in running if not f.done()}
-            while len(running) < limit:
-                if feeding is None:
-                    pair = next(source, None) if len(window) < limit else None
-                    if pair is None:
-                        break
-                    feeding = (*pair, [])
-                    window.append(feeding)
-                doc, tgt, chunks, futures = feeding
-                if len(futures) < len(chunks):
-                    future = pool.submit(request, doc, tgt, chunks[len(futures)])
-                    futures.append(future)
-                    running.add(future)
-                if len(futures) == len(chunks):
-                    feeding = None
+            while len(window) < limit:
+                item = next(source, None)
+                if item is None:
+                    break
+                pair = _Pair(*item)
+                window.append(pair)
+                for i in range(len(pair.chunks)):
+                    unsent.put((pair, i))
+                sent += len(pair.chunks)
+                while len(workers) < min(limit, sent):
+                    workers.append(pool.submit(work))
             # an empty window after a refill means the input is used up
             if not window:
                 return
-            doc, tgt, chunks, futures = window[0]
-            if window[0] is not feeding and all(f.done() for f in futures):
+            head = window[0]
+            if head.pending == 0:
                 window.popleft()
-                yield doc, tgt, chunks, [f.result() for f in futures]
+                for result in head.results:
+                    if isinstance(result, BaseException):
+                        raise result
+                yield head.doc, head.tgt, head.chunks, head.results
                 continue  # refill before blocking: the commit freed a slot
-            wait(running, return_when=FIRST_COMPLETED)
+            pair, i, result = done.get()
+            pair.results[i] = result
+            pair.pending -= 1
     finally:
-        pool.shutdown(cancel_futures=True)
+        try:  # cancel the requests not yet started, then stop each worker
+            while True:
+                unsent.get_nowait()
+        except queue.Empty:
+            pass
+        for _ in workers:
+            unsent.put(None)
+        pool.shutdown()
+        for worker in workers:
+            worker.result()
 
 
 def _assemble(doc: Document, tgt: str, chunks: list[Chunk],

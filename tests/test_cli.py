@@ -1,12 +1,15 @@
 """CLI subcommand and pipeline orchestration tests."""
 
 import json
+import os
 import random
+import tracemalloc
 
 import pytest
 
 from transmix.cli import main
 from transmix.corpus import Document, read_corpus, write_corpus
+from transmix.mixer import MixtureEntry, MixtureSpec
 from transmix.pack import PackManifest, unpack_inspect
 
 from conftest import seed_lines
@@ -175,6 +178,7 @@ def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):
     import transmix.cli as cli_mod
     import transmix.mixer as mixer_mod
     from transmix.config import load_config
+    from transmix.corpus import read_at, scan_corpus
     from transmix.tokenizer import WhitespaceCounter
 
     sources = []
@@ -182,11 +186,20 @@ def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):
         path = tmp_path / f"{name}.jsonl"
         write_corpus(path, pipeline_docs(count, random.Random(count)))
         sources.append((name, str(path)))
-    reads, counted = [], []
+    reads, counted, read_back = [], [], []
 
     def counting_read(path, *args, **kwargs):
         reads.append(str(path))
         return read_corpus(path, *args, **kwargs)
+
+    def counting_scan(path, *args, **kwargs):
+        reads.append(str(path))
+        return scan_corpus(path, *args, **kwargs)
+
+    def counting_read_at(path, offsets):
+        offsets = list(offsets)
+        read_back.extend((str(path), offset) for offset in offsets)
+        return read_at(path, offsets)
 
     class CountingCounter(WhitespaceCounter):
         def count(self, text):
@@ -194,7 +207,8 @@ def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):
             return super().count(text)
 
     monkeypatch.setattr(cli_mod, "read_corpus", counting_read)
-    monkeypatch.setattr(mixer_mod, "read_corpus", counting_read)
+    monkeypatch.setattr(mixer_mod, "scan_corpus", counting_scan)
+    monkeypatch.setattr(mixer_mod, "read_at", counting_read_at)
     config = load_config(None)
     assert config.mix_budget_per_source == 0  # the smallest-source default
     monkeypatch.setattr(config, "make_counter", CountingCounter)
@@ -208,6 +222,8 @@ def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):
               for name, path in sources}
     manifest = read_manifest(out)
     assert {v["budget"] for v in manifest["sources"].values()} == {min(totals.values())}
+    # only the sampled documents are read back, each once
+    assert len(set(read_back)) == len(read_back) == manifest["output_docs"]
 
 
 def test_pack_subcommand(tmp_path, small_corpus):
@@ -283,3 +299,150 @@ class TestPipeline:
         _, out_b = self.run_pipeline(tmp_path, "runB", seed="8")
         assert (out_a / "05_pack" / "tokens.bin").read_bytes() != \
             (out_b / "05_pack" / "tokens.bin").read_bytes()
+
+
+# ---- two-pass stages: bounded memory, inputs read twice ----------------------
+
+def lined_docs(lang, count, seed, lines_per_doc=(10, 30), dup_every=10):
+    """``count`` documents of seed lines, about 90 characters a line; every
+    ``dup_every``-th is a one-word edit of the one before it."""
+    rng = random.Random(seed)
+    lines = seed_lines(lang)
+    docs = []
+    for i in range(count):
+        if dup_every and i % dup_every == dup_every - 1:
+            words = docs[-1].text.split()
+            words[rng.randrange(len(words))] = "edited"
+            text = " ".join(words)
+        else:
+            text = " ".join(rng.choice(lines) for _ in range(rng.randint(*lines_per_doc)))
+        docs.append(Document(id=f"{lang}{i:05d}", lang=lang, text=text))
+    return docs
+
+
+def traced_peak(run):
+    """Peak traced memory of ``run()``, in bytes above what it started with."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["estimate", "exact"])
+def test_dedup_memory_per_input_document_is_bounded(tmp_path, exact):
+    # the stage holds signatures (and for exact, shingle arrays), not text
+    from transmix import cli as cli_mod
+    from transmix.config import load_config
+    from transmix.dedup import shingle_set
+
+    config = load_config(None)
+    docs = lined_docs("en", 2000, seed=71, lines_per_doc=(4, 8))  # short: tracing is slow
+    path = tmp_path / "in.jsonl"
+    write_corpus(path, docs)
+    write_corpus(tmp_path / "warm.jsonl", docs[:20])
+    cli_mod.run_dedup(config, str(tmp_path / "warm.jsonl"), tmp_path, exact)
+    out = tmp_path / "out"
+    out.mkdir()
+    peak = traced_peak(lambda: cli_mod.run_dedup(config, str(path), out, exact))
+    manifest = read_manifest(out)
+    assert manifest["in"] == 2000 and manifest["removed"] >= 150
+    allowed = 1536 * len(docs)
+    if exact:
+        allowed += 10 * sum(len(shingle_set(d.text)) for d in docs)
+    assert peak <= allowed, f"{peak / len(docs):.0f} B per doc"
+
+
+def test_mix_memory_per_input_document_is_bounded(tmp_path):
+    # four sources are scanned for offsets and counts; no text is held
+    from transmix import cli as cli_mod
+    from transmix.config import load_config
+
+    config = load_config(None)
+    sources = []
+    for lang in ("en", "fr", "de", "es"):
+        path = tmp_path / f"{lang}.jsonl"
+        write_corpus(path, lined_docs(lang, 500, seed=len(sources), dup_every=0))
+        sources.append((lang, str(path)))
+    out = tmp_path / "out"
+    out.mkdir()
+    cli_mod.run_mix(config, [(n, p) for n, p in sources[:1]], out)  # warm up
+    peak = traced_peak(lambda: cli_mod.run_mix(config, sources, out))
+    assert read_manifest(out)["output_docs"] >= 1500
+    assert peak <= 1536 * 2000, f"{peak / 2000:.0f} B per doc"
+
+
+def test_dedup_and_mix_refuse_a_pipe(tmp_path):
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)  # opening it would block: the stages must not try
+    assert main(["dedup", str(fifo), "--out-dir", str(tmp_path / "d")]) == 1
+    assert "not a regular file" in (tmp_path / "d" / "FAILED").read_text()
+    assert not (tmp_path / "d" / "kept.jsonl").exists()
+    ini = tmp_path / "mix.ini"
+    ini.write_text(f"[mix]\nsources = a:{fifo}\n", encoding="utf-8")
+    assert main(["mix", "--config", str(ini), "--out-dir", str(tmp_path / "m")]) == 1
+    assert "not a regular file" in (tmp_path / "m" / "FAILED").read_text()
+    assert not (tmp_path / "m" / "mixed.jsonl").exists()
+
+
+def test_dedup_refuses_an_input_changed_between_passes(tmp_path, monkeypatch):
+    import transmix.dedup as dedup_mod
+
+    path = tmp_path / "in.jsonl"
+    write_corpus(path, pipeline_docs(12))
+    original = dedup_mod.dedup_corpus
+
+    def then_append(docs, **kwargs):
+        result = original(docs, **kwargs)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(Document(id="late", lang="en", text="appended").to_json() + "\n")
+        return result
+
+    monkeypatch.setattr(dedup_mod, "dedup_corpus", then_append)
+    out = tmp_path / "out"
+    assert main(["dedup", str(path), "--out-dir", str(out)]) == 1
+    assert "changed between reads" in (out / "FAILED").read_text()
+    assert (out / "kept.jsonl").read_text() == ""
+
+
+def test_mix_refuses_a_source_changed_before_it_is_read_back(tmp_path):
+    from transmix.corpus import CorpusRereadError
+    from transmix.mixer import compose_stage
+    from transmix.tokenizer import WhitespaceCounter
+
+    docs = pipeline_docs(12)
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for path in paths:
+        write_corpus(path, docs)
+    spec = MixtureSpec(stage="s", seed=3, entries=[
+        MixtureEntry(name=p.stem, path=str(p)) for p in paths])
+    mixed, _ = compose_stage(spec, WhitespaceCounter())
+    with open(paths[0], "a", encoding="utf-8") as fh:
+        fh.write(docs[0].to_json() + "\n")
+    with pytest.raises(CorpusRereadError, match="changed between reads"):
+        list(mixed)
+
+    # same size and mtime, other text: the documents read back do not match
+    mixed, _ = compose_stage(spec, WhitespaceCounter())
+    st = os.stat(paths[1])
+    swapped = paths[1].read_text(encoding="utf-8").replace("The", "Teh")
+    paths[1].write_text(swapped, encoding="utf-8")
+    os.utime(paths[1], ns=(st.st_atime_ns, st.st_mtime_ns))
+    with pytest.raises(CorpusRereadError, match="not the one first read"):
+        list(mixed)
+
+
+def test_dedup_and_mix_take_a_source_field_of_any_json_type(tmp_path):
+    # the check of the second read hashes id, language and text only
+    docs = pipeline_docs(6)
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(json.dumps({**json.loads(d.to_json()), "source": ["a", {"b": 1}]})
+                            + "\n" for d in docs), encoding="utf-8")
+    assert main(["dedup", str(path), "--out-dir", str(tmp_path / "d")]) == 0
+    assert len(list(read_corpus(tmp_path / "d" / "kept.jsonl"))) == 6
+    ini = tmp_path / "mix.ini"
+    ini.write_text(f"[mix]\nsources = a:{path}\n", encoding="utf-8")
+    assert main(["mix", "--config", str(ini), "--out-dir", str(tmp_path / "m")]) == 0
+    assert read_manifest(tmp_path / "m")["output_docs"] == 6

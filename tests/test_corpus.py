@@ -8,11 +8,15 @@ import pytest
 from transmix.corpus import (
     CorpusFormatError,
     Document,
+    ReadError,
+    _parse_line,
     compute_stats,
     consistent,
     implied_doc_count,
+    read_at,
     read_corpus,
     read_header,
+    scan_corpus,
     write_corpus,
 )
 
@@ -95,6 +99,121 @@ def test_unicode_survives_round_trip(tmp_path):
     write_corpus(path, [doc])
     assert "Grüße" in path.read_text(encoding="utf-8")  # not escaped
     assert list(read_corpus(path)) == [doc]
+
+
+def reference_read_corpus(path, strict=False, on_error=None):
+    """The text-mode reader the byte reader replaced, kept as the reference."""
+    seen_ids = set() if strict else None
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line_no == 1:
+                try:
+                    obj = json.loads(line)
+                    if isinstance(obj, dict) and obj.get("_header"):
+                        continue
+                except json.JSONDecodeError:
+                    pass
+            try:
+                doc = _parse_line(line)
+                if seen_ids is not None:
+                    if doc.id in seen_ids:
+                        raise ValueError(f"duplicate document id {doc.id!r}")
+                    seen_ids.add(doc.id)
+                yield doc
+            except (ValueError, KeyError) as exc:
+                if strict:
+                    raise CorpusFormatError(f"{path}:{line_no}: {exc}") from exc
+                if on_error is not None:
+                    on_error(ReadError(line_no=line_no, message=str(exc), raw=line))
+
+
+# characters that text mode keeps inside a line but str.strip() or
+# str.splitlines() treat as whitespace or breaks
+INLINE_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\u3000"]
+BLANKS = ["", " ", "\t", "  \t ", *INLINE_BREAKS]
+MALFORMED = ["{not json}", "[1, 2]", '{"id": "x", "lang": "en"}', '"text"',
+             '{"id": "", "lang": "en", "text": "t"}', '{"id": "a", "lang": "xx", "text": "t"}',
+             '{"_header": true}x']
+
+
+def fuzz_corpus_bytes(rng: random.Random) -> bytes:
+    lines = []
+    if rng.random() < 0.5:
+        lines.append(json.dumps({"_header": True, "tokenizer_fingerprint": "ws:1"}))
+    for i in range(rng.randint(0, 40)):
+        kind = rng.random()
+        if kind < 0.15:
+            lines.append(rng.choice(BLANKS))
+        elif kind < 0.25:
+            lines.append(rng.choice(MALFORMED))
+        elif kind < 0.3:
+            lines.append(json.dumps({"_header": True}))  # a header not on line 1
+        else:
+            words = [rng.choice(["w", "ü", "東京", "😀", *INLINE_BREAKS, "\r", "\n"])
+                     for _ in range(rng.randint(1, 8))]
+            doc_id = f"d{rng.randrange(30)}"  # some ids repeat
+            line = json.dumps({"id": doc_id, "lang": rng.choice(["en", "fr"]),
+                               "text": "".join(words)}, ensure_ascii=False)
+            lines.append(rng.choice(["", " ", "\u3000"]) + line + rng.choice(["", " \t"]))
+    ends = [rng.choice(["\n", "\r\n", "\r"]) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and rng.random() < 0.3:
+        text = text[:-len(ends[-1])]  # no terminator on the last line
+    return text.encode("utf-8")
+
+
+def outcome(reader, path, strict):
+    errors = []
+    try:
+        docs = list(reader(path, strict=strict, on_error=errors.append))
+    except CorpusFormatError as exc:
+        return "raised", str(exc), errors
+    return docs, None, errors
+
+
+class TestByteReader:
+    def test_equals_text_mode_reader_on_fuzzed_files(self, tmp_path):
+        rng = random.Random(61)
+        path = tmp_path / "fuzz.jsonl"
+        seen = set()
+        for _ in range(400):
+            data = fuzz_corpus_bytes(rng)
+            path.write_bytes(data)
+            for strict in (False, True):
+                expected = outcome(reference_read_corpus, path, strict)
+                assert outcome(read_corpus, path, strict) == expected, data
+                seen.add((strict, expected[0] == "raised", bool(expected[2])))
+            scanned = list(scan_corpus(path))
+            assert [doc for _, doc in scanned] == list(reference_read_corpus(path))
+            assert read_at(path, [off for off, _ in scanned]) == [doc for _, doc in scanned]
+            assert read_at(path, [off for off, _ in reversed(scanned)]) == \
+                [doc for _, doc in reversed(scanned)]
+        # the fuzz reaches errors, strict aborts and clean files
+        assert {(False, False, True), (True, True, False), (False, False, False)} <= seen
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\r", b"\n", b"\r\n", b"\r\r\n", b"\n\r", b"x\r", b"x\r\r", b"x",
+        '{"id": "a", "lang": "en", "text": "t"}\r\r{bad}\r\n\u2028\n'.encode(),
+        '{"id": "a", "lang": "en", "text": "t"}\r{bad}\r'.encode(),
+    ])
+    def test_equals_text_mode_reader_on_line_ends(self, tmp_path, data):
+        path = tmp_path / "ends.jsonl"
+        path.write_bytes(data)
+        assert outcome(read_corpus, path, False) == outcome(reference_read_corpus, path, False)
+
+    def test_offsets_point_at_the_lines(self, tmp_path):
+        docs = [Document(id=f"d{i}", lang="en", text=f"t{i}\u2028x") for i in range(3)]
+        lines = [d.to_json().encode() for d in docs]
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\r\n".join(lines[:2]) + b"\r\r" + lines[2])
+        offsets = [off for off, _ in scan_corpus(path)]
+        assert offsets == [0, len(lines[0]) + 2, len(lines[0]) + len(lines[1]) + 4]
+        assert read_at(path, offsets[::-1]) == docs[::-1]
+        with pytest.raises(CorpusFormatError, match="byte 1"):
+            read_at(path, [1])
 
 
 class TestComputeStats:

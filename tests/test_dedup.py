@@ -661,6 +661,33 @@ class TestMatrixPathEqualsReference:
         }
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["estimate", "exact"])
+def test_dedup_corpus_reads_a_one_shot_stream(exact):
+    # the documents are read once; clusters cover more than one row block
+    rng = random.Random(59)
+    docs, _ = make_corpus_with_plants(rng, [("0.95", 190, 5, 40), ("0.80", 160, 20, 30)], 400)
+    docs += near_duplicate_families(rng, families=4, size=10)
+    for i, text in enumerate(fuzz_texts(60, 30)):
+        docs.append(Document(id=f"z{i:03d}", lang=rng.choice(["en", "fr"]), text=text))
+    rng.shuffle(docs)
+    assert len(docs) > 2 * dedup._ROW_BLOCK
+
+    result = dedup_corpus((doc for doc in docs), threshold=0.8, seed=3, exact=exact)
+    kept, clusters = reference_dedup_corpus(docs, threshold=0.8, seed=3, exact=exact)
+    assert len(clusters) >= 30
+    assert result.kept_ids == kept
+    assert result.clusters == clusters
+
+
+def test_normalize_memo_stops_at_its_cap():
+    # every code point, so the table sees far more than its cap
+    text = "".join(map(chr, range(0x110000)))
+    words = normalize_words(text)
+    assert len(dedup._DROP) == dedup._DROP_CAP
+    assert normalize_words(text) == words  # past the cap, entries are computed
+    assert len(dedup._DROP) == dedup._DROP_CAP
+
+
 def test_dedup_corpus_memory_per_document_is_bounded():
     # signatures are 1 KB rows of one matrix; the text was loaded before
     # tracing starts, so the peak counts only what dedup holds

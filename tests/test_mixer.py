@@ -8,6 +8,7 @@ import pytest
 
 from transmix.corpus import Document, read_corpus, write_corpus
 from transmix.mixer import (
+    DEFAULT_BUFFER_SIZE,
     MixtureEntry,
     MixtureError,
     MixtureSpec,
@@ -16,6 +17,7 @@ from transmix.mixer import (
     derive_seed,
     interleave,
 )
+from transmix.tokenizer import WhitespaceCounter
 
 # frozen from a dev run; guards cross-platform / cross-run byte stability
 GOLDEN_SAMPLE_SHA256 = (
@@ -272,3 +274,52 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(0, "mix") == derive_seed(0, "mix")
     assert derive_seed(0, "mix") != derive_seed(0, "dedup")
     assert derive_seed(0, "mix") != derive_seed(1, "mix")
+
+
+class TestMixedCorpus:
+    def compose(self, tmp_path, buffer_size=DEFAULT_BUFFER_SIZE):
+        rng = random.Random(17)
+        entries = []
+        for lang in ("en", "fr", "de", "es"):
+            docs = [Document(id=f"{lang}{i}", lang=lang,
+                             text=" ".join(["w"] * rng.randint(1, 40)))
+                    for i in range(300)]
+            path = tmp_path / f"{lang}.jsonl"
+            write_corpus(path, docs)
+            entries.append(MixtureEntry(name=lang, path=str(path), token_budget=5000))
+        spec = MixtureSpec(stage="s", seed=5, entries=entries)
+        return spec, compose_stage(spec, WhitespaceCounter(), buffer_size=buffer_size)
+
+    @pytest.mark.parametrize("buffer_size", [DEFAULT_BUFFER_SIZE, 7])
+    def test_order_equals_interleaving_the_sampled_documents(self, tmp_path, buffer_size):
+        spec, (mixed, manifest) = self.compose(tmp_path, buffer_size)
+        samples = [balanced_sample(read_corpus(e.path), e.token_budget, WhitespaceCounter(),
+                                   seed=derive_seed(spec.seed, f"sample:{e.name}"))
+                   for e in spec.entries]
+        expected = list(interleave(samples, seed=derive_seed(spec.seed, "interleave"),
+                                   buffer_size=buffer_size))
+        assert list(mixed) == expected
+        assert len(mixed) == manifest["output_docs"] == len(expected) > 900
+
+    def test_iterates_twice_with_the_same_result(self, tmp_path):
+        _, (mixed, _) = self.compose(tmp_path)
+        assert list(mixed) == list(mixed)
+
+    def test_partly_consumed_view_leaks_no_file_handle(self, tmp_path, monkeypatch):
+        import transmix.corpus as corpus_mod
+
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        _, (mixed, _) = self.compose(tmp_path)
+        monkeypatch.setattr(corpus_mod, "open", tracking_open, raising=False)
+        it = iter(mixed)
+        for _ in range(300):  # into the second block of documents read back
+            next(it)
+        assert opened and all(fh.closed for fh in opened)
+        del it
+        assert all(fh.closed for fh in opened)

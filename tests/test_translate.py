@@ -596,6 +596,38 @@ class TestRequestWindow:
         assert outputs(tmp_path / "window", names) == \
             outputs(tmp_path / "serial", names)
 
+    def test_stress_many_workers_commit_like_serial(self, tmp_path, ws_counter):
+        # 16 worker loops on a small host, with a short switch interval:
+        # a lost or misrouted result would change the outputs or hang
+        import sys
+        import time
+
+        in_path = corpus_of(tmp_path, 40)
+        names = ["fr.jsonl", "de.jsonl", "journal.jsonl", "failures.jsonl"]
+        translate_corpus(in_path, ["fr", "de"], MockEchoBackend(PromptTemplate()),
+                         tmp_path / "serial", counter=ws_counter, chunk_limit=5,
+                         params=FAST, sleep=NO_SLEEP)
+        rng = random.Random(3)
+
+        class Jittery(MockEchoBackend):
+            def complete(self, prompt, max_tokens=0, temperature=0.0):
+                time.sleep(rng.random() * 0.002)
+                return super().complete(prompt, max_tokens, temperature)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            backend = Jittery(PromptTemplate())
+            started = time.monotonic()
+            translate_corpus(in_path, ["fr", "de"], backend, tmp_path / "window",
+                             counter=ws_counter, chunk_limit=5, sleep=NO_SLEEP,
+                             params=GenerationParams(retries=1, max_in_flight=16))
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.monotonic() - started < 30
+        assert backend.calls == 40 * 2 * 3  # three 5-token chunks a document
+        assert outputs(tmp_path / "window", names) == outputs(tmp_path / "serial", names)
+
     def test_each_document_chunked_once(self, tmp_path, ws_counter, monkeypatch):
         import transmix.translate as translate_mod
 
