@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass, asdict
 from collections import Counter
 from pathlib import Path
-from typing import Iterable
+from typing import Collection, Iterable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "LangScore",
@@ -32,6 +34,8 @@ NGRAM_ORDERS = (1, 2, 3)
 MIN_SEED_CHARS = 10_000
 OTHER_MARGIN = 0.15  # per-character log-prob units
 LOW_CONFIDENCE_CHARS = 20
+_CODE_BITS = 21  # bits per code point in a gram code: a 3-gram fits in an int64
+_BLOCK = 1 << 15  # grams per table gather when scoring a text
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -53,8 +57,13 @@ class NgramLanguageModel:
         self.counts: dict[str, dict[int, Counter]] = {}
         self.totals: dict[str, dict[int, int]] = {}
         self.vocab_sizes: dict[int, int] = {}
-        # lang -> order -> (gram -> log-probability, log-probability of an unseen gram)
-        self._log_probs: dict[str, dict[int, tuple[dict[str, float], float]]] = {}
+        # Smoothed log-probabilities, one column per language in ``languages``
+        # order. Each order has a row per gram seen in any language, by
+        # ascending gram code, then a row for unseen grams. None while stale.
+        self._table: np.ndarray | None = None
+        # order -> (its seen gram codes, ascending, then a -1 that matches no
+        # code; the order's first row in the table)
+        self._codes: dict[int, tuple[np.ndarray, int]] = {}
 
     @property
     def languages(self) -> list[str]:
@@ -66,51 +75,96 @@ class NgramLanguageModel:
         for n in NGRAM_ORDERS:
             per_order[n].update(_grams(text, n))
         self.totals[lang] = {n: sum(per_order[n].values()) for n in NGRAM_ORDERS}
-        self._log_probs = {}  # stale until finalize()
+        self._table = None  # stale until finalize()
 
     def finalize(self) -> None:
         """Fix smoothing vocabularies from the union over languages."""
         for n in NGRAM_ORDERS:
-            seen = set()
-            for lang in self.counts:
-                seen.update(self.counts[lang][n])
-            self.vocab_sizes[n] = len(seen) + 1  # one slot for unseen grams
+            # one slot for unseen grams; the union is not held while tabulating
+            self.vocab_sizes[n] = 1 + len(set().union(
+                *(per_order[n] for per_order in self.counts.values())))
         self._tabulate()
 
     def _tabulate(self) -> None:
-        """Fix each gram's smoothed log-probability from the counts and the
-        vocabulary sizes, so scoring looks grams up instead of taking logs."""
-        self._log_probs = {}
-        for lang, per_order in self.counts.items():
-            tables = self._log_probs[lang] = {}
-            for n, counts in per_order.items():
+        """Fix each gram's smoothed log-probability under each language from
+        the counts and the vocabulary sizes, so scoring gathers table rows
+        instead of taking logs."""
+        languages = self.languages
+        blocks = []
+        first = 0
+        for n in NGRAM_ORDERS:
+            per_lang = [self.counts[lang][n] for lang in languages]
+            every = _gram_codes([gram for counts in per_lang for gram in counts], n)
+            order = np.argsort(every)
+            ranked = every[order]
+            distinct = np.diff(ranked, prepend=-1) != 0  # codes are never negative
+            seen = ranked[distinct]
+            rows = np.empty_like(order)  # the rows of ``every``, language by language
+            rows[order] = np.cumsum(distinct) - 1
+            block = np.empty((len(seen) + 1, len(per_lang)))
+            start = 0
+            for col, (lang, counts) in enumerate(zip(languages, per_lang)):
                 denom = self.totals[lang][n] + self.vocab_sizes[n]
-                tables[n] = ({gram: math.log((c + 1) / denom) for gram, c in counts.items()},
-                             math.log(1 / denom))
+                block[:, col] = math.log(1 / denom)
+                # math.log, as the per-gram sum it replaces, once per distinct count
+                logs = {c: math.log((c + 1) / denom) for c in set(counts.values())}
+                block[rows[start:start + len(counts)], col] = [logs[c] for c in counts.values()]
+                start += len(counts)
+            self._codes[n] = (np.append(seen, -1), first)
+            first += len(block)
+            blocks.append(block)
+        self._table = np.concatenate(blocks)
 
     def log_prob(self, lang: str, text: str) -> float:
         """Average log-probability per character of the text under ``lang``."""
-        if not text:
-            return float("-inf")
-        return self._score(lang, _all_grams(text)) / len(text)
+        return self.log_probs(text)[lang]
 
     def log_probs(self, text: str) -> dict[str, float]:
-        """``log_prob`` under every language, slicing the text's grams once."""
+        """``log_prob`` under every language, from one pass over the text."""
+        if self._table is None:
+            raise RuntimeError(
+                "the language model is not finalized: call finalize() after add_language()")
         if not text:
             return {lang: float("-inf") for lang in self.languages}
-        grams = _all_grams(text)
-        return {lang: self._score(lang, grams) / len(text) for lang in self.languages}
+        totals = self._totals(text)
+        return {lang: total / len(text) for lang, total in zip(self.languages, totals)}
 
-    def _score(self, lang: str, grams: list[tuple[int, list[str]]]) -> float:
-        # summed in text order, order by order, as one language's own pass
-        # would, so sharing the grams leaves every score the same float
-        total = 0.0
-        for n, order_grams in grams:
-            table, unseen = self._log_probs[lang][n]
-            get = table.get
-            for gram in order_grams:
-                total += get(gram, unseen)
-        return total
+    def _totals(self, text: str) -> list[float]:
+        """Per-language sums of the text's gram log-probabilities.
+
+        Each sum adds one gram at a time, in the order of ``_gram_rows``, as a
+        per-gram loop would, so every total is the same float as that loop's.
+        The rows are gathered and accumulated at most ``_BLOCK`` grams at a
+        time, carrying the running totals from block to block.
+        """
+        total = np.zeros(self._table.shape[1])
+        pending: list[np.ndarray] = []
+        size = 0
+        for rows in self._gram_rows(text):
+            if size + len(rows) > _BLOCK:
+                total = self._accumulate(total, pending)
+                pending, size = [], 0
+            pending.append(rows)
+            size += len(rows)
+        return self._accumulate(total, pending).tolist()
+
+    def _accumulate(self, total: np.ndarray, pending: list[np.ndarray]) -> np.ndarray:
+        values = self._table.take(np.concatenate(pending), axis=0)
+        values[0] += total
+        # a sequential running sum: a pairwise sum would change the last bits
+        return np.add.accumulate(values, axis=0)[-1]
+
+    def _gram_rows(self, text: str) -> Iterator[np.ndarray]:
+        """Table rows of the text's 1-grams in text order, then its 2-grams,
+        then its 3-grams, at most ``_BLOCK`` grams per array."""
+        for n in NGRAM_ORDERS:
+            codes, first = self._codes[n]
+            for start in range(0, len(text) - n + 1, _BLOCK):
+                points = _code_points(text[start:start + _BLOCK + n - 1])
+                grams = _pack([points[k:len(points) - n + 1 + k] for k in range(n)])
+                rows = np.searchsorted(codes[:-1], grams)
+                rows[codes[rows] != grams] = len(codes) - 1  # the unseen row
+                yield rows + first
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -144,8 +198,27 @@ def _grams(text: str, n: int) -> Iterable[str]:
     return (text[i:i + n] for i in range(len(text) - n + 1))
 
 
-def _all_grams(text: str) -> list[tuple[int, list[str]]]:
-    return [(n, list(_grams(text, n))) for n in NGRAM_ORDERS]
+def _code_points(text: str) -> np.ndarray:
+    """The text's code points, lone surrogates included, one per character."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def _pack(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Gram codes from the code points at each position of the grams: the
+    points packed ``_CODE_BITS`` bits each, first point highest."""
+    codes = columns[0].astype(np.int64)
+    for points in columns[1:]:
+        codes <<= _CODE_BITS
+        codes |= points
+    return codes
+
+
+def _gram_codes(grams: Collection[str], n: int) -> np.ndarray:
+    """The codes of n-grams given as strings, in the same order."""
+    joined = "".join(grams)
+    if len(joined) != n * len(grams):
+        raise ValueError(f"the model's {n}-grams are not all {n} characters long")
+    return _pack(_code_points(joined).reshape(-1, n).T)
 
 
 def bundled_seed_paths() -> dict[str, Path]:

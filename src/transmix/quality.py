@@ -21,7 +21,6 @@ __all__ = [
     "QualityReport",
     "gopher_filter",
     "filter_corpus",
-    "partition_corpus",
     "load_stopwords",
 ]
 
@@ -230,19 +229,3 @@ def filter_corpus(
     for doc in docs:
         stopwords = load_stopwords(doc.lang, stopword_dir)
         yield doc, gopher_filter(doc, rules, stopwords, word_cache)
-
-
-def partition_corpus(
-    docs: Iterable[Document],
-    rules: RuleConfig | None = None,
-    stopword_dir: str | None = None,
-) -> tuple[list[Document], list[tuple[Document, QualityReport]]]:
-    """Materialized split: (kept documents, rejected documents with reports)."""
-    kept: list[Document] = []
-    rejected: list[tuple[Document, QualityReport]] = []
-    for doc, report in filter_corpus(docs, rules, stopword_dir):
-        if report.keep:
-            kept.append(doc)
-        else:
-            rejected.append((doc, report))
-    return kept, rejected

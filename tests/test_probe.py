@@ -1,5 +1,6 @@
 """Language ID, prior probing, and translation-pair detection tests."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -106,6 +107,121 @@ def test_classify_scores_equal_per_language_reference(model, held_out, tmp_path)
         assert model.log_probs(text) == expected
         assert classify_language(text, model).scores == expected
         assert classify_language(text, loaded).scores == expected
+
+
+# Gram pairs whose codes would coincide if code points were packed 20 or 22
+# bits each: (U+0000, U+100000) and (U+0001, U+0000) as 2-grams at 20 bits;
+# U+100000 shifted out of a 3-gram at 22 bits, leaving the code of "\x00ab".
+TWIN_SEEN = "\x00\U00100000 \U00100000ab"
+TWIN_UNSEEN = ["\x01\x00", "\x00ab"]
+EDGE_TEXTS = [
+    "\U0001F600", "a\U0001F600b", "\U0010FFFF\U00010000",
+    *TWIN_UNSEEN, "\x01\x00\U00100000", "z\x00ab", TWIN_SEEN,
+    "\ud800", "a\ud800b", "\ud800\udc00", "\udfff\ud800",
+    "e\u0301", "\u0301\u0301\u0301", "\x00", "a\x00b\x00", "\x00\x00\x00",
+    "x", "\u00e9", "ab", "\u03a9\u00df", "abc", "\t\n ",
+]
+# texts none of whose 1-, 2- or 3-grams occur in the edge models' training text
+ALL_UNSEEN = ["\u2603", "\u2603\u2604\u2605\u2606", "\U0001F680" * 5, "\u014b\U0001F681\u014b"]
+
+
+def edge_training_texts():
+    return {
+        "en": "\n".join(seed_lines("en")[:60]) + " e\u0301\U0001F600 " + TWIN_SEEN,
+        "fr": "\n".join(seed_lines("fr")[:60]) + " \u00e9\u0301\x00\x00 \U0001F600\U0001F601",
+    }
+
+
+@pytest.fixture(scope="module")
+def edge_models(tmp_path_factory):
+    """A model trained on astral-plane, combining and NUL characters, and the
+    same model saved and loaded again."""
+    model = NgramLanguageModel()
+    for lang, text in edge_training_texts().items():
+        model.add_language(lang, text)
+    model.finalize()
+    path = tmp_path_factory.mktemp("edge") / "langid.json"
+    model.save(path)
+    return model, NgramLanguageModel.load(path)
+
+
+def assert_scores_equal_reference(models, texts):
+    for text in texts:
+        for scored in models:
+            expected = {lang: reference_log_prob(scored, lang, text)
+                        for lang in scored.languages}
+            assert scored.log_probs(text) == expected, repr(text)
+            for lang in scored.languages:
+                assert scored.log_prob(lang, text) == expected[lang], repr(text)
+            if any(ch.isalpha() for ch in text):
+                assert classify_language(text, scored).scores == expected, repr(text)
+
+
+def test_edge_case_texts_score_like_per_gram_logs(edge_models):
+    model, _ = edge_models
+    assert all(twin not in model.counts[lang][len(twin)]
+               for twin in TWIN_UNSEEN for lang in model.languages)
+    assert_scores_equal_reference(edge_models, EDGE_TEXTS + ALL_UNSEEN)
+
+
+def test_lone_surrogates_in_training_text_score_like_per_gram_logs():
+    # a model file is UTF-8, which cannot hold a lone surrogate, so this
+    # model is only scored in memory
+    model = NgramLanguageModel()
+    model.add_language("en", "\n".join(seed_lines("en")[:30]) + " \ud800x\udfff\ud800")
+    model.add_language("de", "\n".join(seed_lines("de")[:30]) + " \udc00\ud800")
+    model.finalize()
+    assert_scores_equal_reference([model], EDGE_TEXTS + ["x\ud800", "\udfff\ud800q"])
+
+
+def test_all_unseen_texts_score_each_languages_unseen_log(edge_models):
+    model, _ = edge_models
+    for text in ALL_UNSEEN:
+        for n in (1, 2, 3):
+            grams = {text[i:i + n] for i in range(len(text) - n + 1)}
+            assert all(grams.isdisjoint(model.counts[lang][n]) for lang in model.languages)
+    assert_scores_equal_reference(edge_models, ALL_UNSEEN)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+def test_texts_across_block_boundaries_score_like_per_gram_logs(
+        block, edge_models, model, held_out, monkeypatch):
+    monkeypatch.setattr(probe, "_BLOCK", block)
+    texts = EDGE_TEXTS + [held_out["de"][0], " ".join(held_out["es"][:3])]
+    assert_scores_equal_reference(edge_models, texts)
+    assert_scores_equal_reference([model], texts[-2:])
+
+
+def test_text_longer_than_a_block_scores_like_per_gram_logs(model, held_out):
+    text = " ".join(itertools.islice(itertools.cycle(held_out["fr"]), 400))
+    assert len(text) > probe._BLOCK
+    assert_scores_equal_reference([model], [text[:probe._BLOCK + 1000]])
+
+
+def test_saved_model_file_is_unchanged(tmp_path):
+    # sha256 of the file that a model trained on the bundled seeds saves: the
+    # model file format, which files saved by earlier versions rely on
+    path = tmp_path / "langid.json"
+    train_langid().save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "e768c751d6c9bc511cbf7f78b84e63232253fc620f15cf40432597da2f824d77")
+
+
+def test_scoring_before_finalize_asks_for_finalize():
+    model = NgramLanguageModel()
+    model.add_language("en", "the quick brown fox")
+    with pytest.raises(RuntimeError, match=r"finalize\(\)"):
+        model.log_probs("the fox")
+    model.finalize()
+    assert set(model.log_probs("the fox")) == {"en"}
+    model.add_language("fr", "le renard brun")
+    with pytest.raises(RuntimeError, match=r"finalize\(\)"):
+        model.log_prob("en", "the fox")
+    with pytest.raises(RuntimeError, match=r"finalize\(\)"):
+        classify_language("the fox", model)
+    model.finalize()
+    assert model.languages == ["en", "fr"]
+    assert set(classify_language("the fox", model).scores) == {"en", "fr"}
 
 
 class TestClassifyLanguage:

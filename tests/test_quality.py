@@ -209,18 +209,6 @@ def test_empty_corpus():
     assert list(filter_corpus([])) == []
 
 
-def test_partition_corpus_shapes():
-    from transmix.quality import partition_corpus
-
-    good = Document(id="good", lang="en", text=GOOD_PARAGRAPH)
-    bad = Document(id="bad", lang="en", text="too short to pass")
-    kept, rejected = partition_corpus([good, bad])
-    assert kept == [good]
-    assert len(rejected) == 1
-    doc, report = rejected[0]
-    assert doc.id == "bad" and report.first_failed == "word_count"
-
-
 def reference_gopher_filter(doc, rules, stopwords):
     """The three-pass ``gopher_filter`` (a ``len`` sum, an ``isalpha`` scan and
     a stop-word strip per word) that the one pass over distinct words
