@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from array import array
 from pathlib import Path
-from typing import Iterator
 
 from . import corpus as corpus_mod
 from . import dedup as dedup_mod
@@ -23,10 +21,9 @@ from . import probe as probe_mod
 from . import quality as quality_mod
 from . import translate as translate_mod
 from .config import ConfigError, PipelineConfig, load_config
-from .corpus import (Document, FileStamp, doc_hash, read_corpus, read_header,
-                     write_corpus)
+from .corpus import TwoPassCorpus, read_corpus, read_header, write_corpus
 from .mixer import MixtureEntry, MixtureSpec, derive_seed
-from .segment import chunk_document, set_default_abbreviation_dir
+from .segment import chunk_document
 
 
 class StageFailure(RuntimeError):
@@ -145,7 +142,8 @@ def run_segment(config: PipelineConfig, input_path: str, out: str) -> None:
     counter = config.make_counter()
     with open(out, "w", encoding="utf-8") as fh:
         for doc in read_corpus(input_path, strict=config.strict):
-            for chunk in chunk_document(doc, counter, config.chunk_limit):
+            for chunk in chunk_document(doc, counter, config.chunk_limit,
+                                        config.abbreviation_dir or None):
                 fh.write(json.dumps({
                     "doc_id": doc.id,
                     "index": chunk.index,
@@ -186,16 +184,9 @@ def run_dedup(config: PipelineConfig, input_path: str, stage_dir: Path,
               exact: bool) -> Path:
     # The input is read twice, and no document is held in between: the
     # first pass signs every document, the second writes the kept ones.
-    stamp = FileStamp.take(input_path)
-    hashes = array("q")  # doc_hash of each document of the first pass
-
-    def first_pass() -> Iterator[Document]:
-        for doc in read_corpus(input_path, strict=config.strict):
-            hashes.append(doc_hash(doc))
-            yield doc
-
+    src = TwoPassCorpus(input_path, strict=config.strict)
     result = dedup_mod.dedup_corpus(
-        first_pass(),
+        src.documents(),
         threshold=config.dedup_threshold,
         seed=derive_seed(config.seed, "dedup"),
         exact=exact,
@@ -204,11 +195,10 @@ def run_dedup(config: PipelineConfig, input_path: str, stage_dir: Path,
         shingle_size=config.shingle_size,
     )
     kept_path = stage_dir / "kept.jsonl"
-    second_pass = stamp.reread(read_corpus(input_path, strict=config.strict), hashes)
-    write_corpus(kept_path, (d for d in second_pass if d.id not in result.removed_ids))
+    write_corpus(kept_path, (d for d in src.reread() if d.id not in result.removed_ids))
     result.write_manifest(stage_dir / "clusters.jsonl")
     _write_manifest(stage_dir, {
-        "stage": "dedup", "in": len(hashes), "kept": len(result.kept_ids),
+        "stage": "dedup", "in": len(src), "kept": len(result.kept_ids),
         "removed": len(result.removed_ids), "clusters": len(result.clusters),
         **result.params,
     })
@@ -228,6 +218,7 @@ def run_translate(config: PipelineConfig, input_path: str, stage_dir: Path,
         params=config.generation_params(),
         resume=resume,
         restart=restart,
+        abbreviation_dir=config.abbreviation_dir or None,
     )
     _write_manifest(stage_dir, {"stage": "translate",
                                 **json.loads(manifest.to_json())})
@@ -314,7 +305,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    set_default_abbreviation_dir(config.abbreviation_dir)
 
     stage_dir: Path | None = None
     try:

@@ -6,9 +6,10 @@ object per line, with an optional first header line
 
 ``scan_corpus`` is the one line loop: it yields each document with the byte
 offset of its line, and ``read_corpus`` is that loop without the offsets.
-Stages that read their input twice (dedup and mix) take a ``FileStamp`` of
-it first, read documents back with ``read_at`` or a second scan, and check
-each one against its ``doc_hash`` from the first pass.
+Stages that read their input twice (dedup and mix) read it through a
+``TwoPassCorpus``: its first pass keeps each document's byte offset and hash,
+16 bytes a document, and every later read goes back by offset and checks
+that the file and each document are the ones first read.
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ from __future__ import annotations
 import json
 import os
 import stat
+from array import array
 from operator import itemgetter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator
+
+import numpy as np
 
 from .tokenizer import TokenCounter
 
@@ -29,8 +33,7 @@ __all__ = [
     "ReadError",
     "CorpusFormatError",
     "CorpusRereadError",
-    "FileStamp",
-    "doc_hash",
+    "TwoPassCorpus",
     "scan_corpus",
     "read_corpus",
     "read_at",
@@ -224,52 +227,74 @@ def doc_hash(doc: Document) -> int:
     return hash((doc.id, doc.lang, doc.text))
 
 
-@dataclass(frozen=True)
-class FileStamp:
-    """Size and modification time of a regular file that a stage reads twice.
+def _file_stamp(path: str) -> tuple[int, int]:
+    """Size and modification time of a file that a stage reads twice. A pipe
+    or a device can be read only once, so it is refused."""
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):
+        raise CorpusRereadError(
+            f"{path} is not a regular file; this stage reads its input twice")
+    return st.st_size, st.st_mtime_ns
 
-    A pipe or a device can be read only once, and a file that changes
-    between the reads would give the second read other documents, so both
-    are refused with CorpusRereadError.
+
+# documents read back at a time by TwoPassCorpus.reread
+_READ_BLOCK = 256
+
+
+class TwoPassCorpus:
+    """A corpus file that a stage reads twice without holding its text.
+
+    Its size and mtime are taken when it is made, so a pipe or a device is
+    refused at once. ``documents()`` is the first pass: it records each
+    document's byte offset and ``doc_hash``, 16 bytes a document. Later reads
+    go back by offset and raise CorpusRereadError if the file, or any
+    document read again, is not the one first read.
     """
 
-    path: str
-    size: int
-    mtime_ns: int
+    def __init__(self, path: str | Path, strict: bool = False) -> None:
+        self.path = str(path)
+        self.strict = strict
+        self._stamp = _file_stamp(self.path)
+        self._offsets = array("q")
+        self._hashes = array("q")
 
-    @classmethod
-    def take(cls, path: str | Path) -> FileStamp:
-        st = os.stat(path)
-        if not stat.S_ISREG(st.st_mode):
-            raise CorpusRereadError(
-                f"{path} is not a regular file; this stage reads its input twice")
-        return cls(str(path), st.st_size, st.st_mtime_ns)
+    def __len__(self) -> int:  # documents of the first pass so far
+        return len(self._offsets)
 
-    def check(self) -> None:
-        """Raise CorpusRereadError if the file's size or mtime changed."""
-        if FileStamp.take(self.path) != self:
+    def documents(self) -> Iterator[Document]:
+        """The first pass: the documents of ``read_corpus``, each recorded."""
+        self._offsets, self._hashes = offsets, hashes = array("q"), array("q")
+        for offset, doc in scan_corpus(self.path, self.strict):
+            offsets.append(offset)
+            hashes.append(doc_hash(doc))
+            yield doc
+
+    def read_back(self, indices: Iterable[int]) -> list[Document]:
+        """The documents at the given first-pass indices, in the order given,
+        read again front to back and checked."""
+        if _file_stamp(self.path) != self._stamp:
             raise CorpusRereadError(f"{self.path} changed between reads")
+        indices = np.asarray(indices, dtype=np.int64)
+        offsets = np.frombuffer(self._offsets, dtype=np.int64)[indices]
+        ahead = np.argsort(offsets, kind="stable")
+        try:
+            read = read_at(self.path, offsets[ahead].tolist())
+        except CorpusFormatError as exc:  # a line moved: the file changed
+            raise CorpusRereadError(f"{self.path} changed between reads: {exc}") from exc
+        recorded = np.frombuffer(self._hashes, dtype=np.int64)[indices[ahead]]
+        docs: list = [None] * len(read)
+        for slot, doc, h in zip(ahead.tolist(), read, recorded.tolist()):
+            if doc_hash(doc) != h:
+                raise CorpusRereadError(
+                    f"{self.path} changed between reads: a document read again "
+                    "is not the one first read there")
+            docs[slot] = doc
+        return docs
 
-    def check_doc(self, doc: Document | None, recorded: int) -> Document:
-        """Return ``doc``, read again, if its ``doc_hash`` is ``recorded``,
-        the one of the first read; else raise CorpusRereadError."""
-        if doc is None or doc_hash(doc) != recorded:
-            raise CorpusRereadError(
-                f"{self.path} changed between reads: a document read again "
-                "is not the one first read there")
-        return doc
-
-    def reread(self, docs: Iterable[Document], hashes: Sequence[int]) -> Iterator[Document]:
-        """Yield ``docs``, a second read of the whole file, checking each
-        against ``hashes``, the ``doc_hash`` of every document of the first
-        read in order."""
-        self.check()
-        docs = iter(docs)
-        for recorded in hashes:
-            yield self.check_doc(next(docs, None), recorded)
-        if next(docs, None) is not None:
-            raise CorpusRereadError(
-                f"{self.path} changed between reads: it holds more documents")
+    def reread(self) -> Iterator[Document]:
+        """Every document of the first pass again, in order, a block at a time."""
+        for lo in range(0, len(self), _READ_BLOCK):
+            yield from self.read_back(range(lo, min(lo + _READ_BLOCK, len(self))))
 
 
 def write_corpus(

@@ -6,10 +6,11 @@ overshooting document. Streams from several sources are then interleaved
 with a bounded-memory buffer shuffle. All randomness is seed-driven and
 recorded in the composition manifest.
 
-``compose_stage`` holds numbers, not text: one pass over each source records
-every document's byte offset, token count and hash, the sample and the
-shuffle are made over those records, and the ``MixedCorpus`` it returns
-reads the sampled lines back by offset each time it is iterated.
+``compose_stage`` holds numbers, not text: it reads each source as a
+``corpus.TwoPassCorpus``, whose first pass it uses to count every document's
+tokens; the sample and the shuffle are made over document indices, and the
+``MixedCorpus`` it returns reads the sampled documents back each time it is
+iterated.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .corpus import Document, FileStamp, doc_hash, read_at, scan_corpus
+from .corpus import Document, TwoPassCorpus
 from .tokenizer import TokenCounter
 
 T = TypeVar("T")
@@ -186,44 +187,16 @@ def interleave(
 _READ_BLOCK = 256
 
 
-class _Source:
-    """One scanned mix source: where each document's line starts and the
-    ``doc_hash`` the scan saw, 16 bytes a document."""
-
-    def __init__(self, stamp: FileStamp, offsets: array, hashes: array) -> None:
-        self.stamp = stamp
-        self.offsets = np.frombuffer(offsets, dtype=np.int64)
-        self.hashes = np.frombuffer(hashes, dtype=np.int64)
-
-    def read_back(self, indices: np.ndarray) -> list[Document]:
-        """The documents at the given scan indices, read again and checked."""
-        self.stamp.check()
-        docs = read_at(self.stamp.path, self.offsets[indices].tolist())
-        return [self.stamp.check_doc(doc, recorded)
-                for doc, recorded in zip(docs, self.hashes[indices].tolist())]
-
-
-def _scan(path: str, counter: TokenCounter) -> tuple[_Source, array]:
-    """One pass over a source: its _Source and each document's token count."""
-    stamp = FileStamp.take(path)
-    offsets, hashes, counts = array("q"), array("q"), array("q")
-    for offset, doc in scan_corpus(path):
-        offsets.append(offset)
-        hashes.append(doc_hash(doc))
-        counts.append(counter.count(doc.text))
-    return _Source(stamp, offsets, hashes), counts
-
-
 class MixedCorpus:
     """The mixed documents of ``compose_stage``: a sized sequence that reads
     them back from the sources on each iteration.
 
     It holds one integer per document. Each iteration reads the documents
-    back by byte offset, a few hundred at a time, and raises
-    CorpusRereadError if a source changed since ``compose_stage`` read it.
+    back a few hundred at a time, and raises CorpusRereadError if a source
+    changed since ``compose_stage`` read it.
     """
 
-    def __init__(self, sources: list[_Source], refs: np.ndarray) -> None:
+    def __init__(self, sources: list[TwoPassCorpus], refs: np.ndarray) -> None:
         self._sources = sources
         self._refs = refs  # index * len(sources) + source, in output order
 
@@ -237,14 +210,9 @@ class MixedCorpus:
             docs: list[Document | None] = [None] * len(block)
             for s, source in enumerate(self._sources):
                 slots = np.flatnonzero(block % k == s)
-                if not len(slots):
-                    continue
-                indices = block[slots] // k
-                # read each source front to back
-                ahead = np.argsort(source.offsets[indices])
-                for slot, doc in zip(slots[ahead].tolist(),
-                                     source.read_back(indices[ahead])):
-                    docs[slot] = doc
+                if len(slots):
+                    for slot, doc in zip(slots.tolist(), source.read_back(block[slots] // k)):
+                        docs[slot] = doc
             yield from docs
 
 
@@ -255,18 +223,19 @@ def compose_stage(
 ) -> tuple[MixedCorpus, dict]:
     """Sample every source to its budget, interleave, and report realized counts.
 
-    Each source is scanned once, counting each document once, before
-    anything is emitted, so a shortfall in any source fails the stage with
-    no partial output. The scan keeps each document's byte offset, token
-    count and hash, not its text; the budget is the smallest source's total
-    when the spec gives none. The mixed documents come back as a
-    ``MixedCorpus`` that reads them from the sources by offset, so the
-    sources must be regular files that do not change until it has been
-    read (CorpusRereadError otherwise).
+    Each source's first pass counts each document once, before anything is
+    emitted, so a shortfall in any source fails the stage with no partial
+    output. Per document it keeps a token count, not the text; the budget
+    is the smallest source's total when the spec gives none. The mixed
+    documents come back as a ``MixedCorpus`` that reads them from the
+    sources again, so the sources must be regular files that do not change
+    until it has been read (CorpusRereadError otherwise).
     """
     spec.validate()
-    scans = {e.name: _scan(e.path, counter) for e in spec.entries}
-    totals = {name: sum(counts) for name, (_, counts) in scans.items()}
+    sources = [TwoPassCorpus(e.path) for e in spec.entries]
+    token_counts = {e.name: array("q", (counter.count(d.text) for d in src.documents()))
+                    for e, src in zip(spec.entries, sources)}
+    totals = {name: sum(counts) for name, counts in token_counts.items()}
     budgets = spec.resolved_budgets(totals)
 
     shortfalls = []
@@ -283,7 +252,7 @@ def compose_stage(
     samples: list[array] = []
     realized: dict[str, dict] = {}
     for s, entry in enumerate(spec.entries):
-        counts = scans[entry.name][1]
+        counts = token_counts[entry.name]
         sub_seed = derive_seed(spec.seed, f"sample:{entry.name}")
         taken = _take(counts, budgets[entry.name], sub_seed)
         samples.append(array("q", [idx * k + s for idx in taken]))
@@ -297,7 +266,7 @@ def compose_stage(
     shuffle_seed = derive_seed(spec.seed, "interleave")
     refs = np.fromiter(interleave(samples, seed=shuffle_seed, buffer_size=buffer_size),
                        dtype=np.int64, count=sum(map(len, samples)))
-    mixed = MixedCorpus([scans[e.name][0] for e in spec.entries], refs)
+    mixed = MixedCorpus(sources, refs)
     manifest = {
         "stage": spec.stage,
         "seed": spec.seed,

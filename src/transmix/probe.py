@@ -33,6 +33,7 @@ __all__ = [
 NGRAM_ORDERS = (1, 2, 3)
 MIN_SEED_CHARS = 10_000
 OTHER_MARGIN = 0.15  # per-character log-prob units
+BLOCK_MARGIN = 0.6  # the margin each alternating block needs to count as a pair
 LOW_CONFIDENCE_CHARS = 20
 _CODE_BITS = 21  # bits per code point in a gram code: a 3-gram fits in an int64
 _BLOCK = 1 << 15  # grams per table gather when scoring a text
@@ -175,12 +176,13 @@ class NgramLanguageModel:
                 for lang, per_order in self.counts.items()
             },
         }
+        # a gram may be a lone surrogate, which strict UTF-8 cannot write
         Path(path).write_text(json.dumps(payload, ensure_ascii=False),
-                              encoding="utf-8")
+                              encoding="utf-8", errors="surrogatepass")
 
     @classmethod
     def load(cls, path: str | Path) -> "NgramLanguageModel":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8", errors="surrogatepass"))
         model = cls()
         for lang, per_order in payload["counts"].items():
             model.counts[lang] = {
@@ -226,12 +228,11 @@ def bundled_seed_paths() -> dict[str, Path]:
     return {p.stem: p for p in sorted(base.glob("*.txt"))}
 
 
-def train_langid(seed_texts: dict[str, str] | None = None,
-                 min_chars: int = MIN_SEED_CHARS) -> NgramLanguageModel:
+def train_langid(seed_texts: dict[str, str] | None = None) -> NgramLanguageModel:
     """Train the classifier from per-language seed text.
 
     Defaults to the bundled seed corpora. Each language must supply at least
-    ``min_chars`` characters of text.
+    ``MIN_SEED_CHARS`` characters of text.
     """
     if seed_texts is None:
         seed_texts = {lang: path.read_text(encoding="utf-8")
@@ -240,17 +241,16 @@ def train_langid(seed_texts: dict[str, str] | None = None,
         raise ValueError("no seed corpora given")
     model = NgramLanguageModel()
     for lang, text in sorted(seed_texts.items()):
-        if len(text) < min_chars:
+        if len(text) < MIN_SEED_CHARS:
             raise ValueError(
                 f"seed corpus for {lang!r} has {len(text)} chars, "
-                f"need at least {min_chars}")
+                f"need at least {MIN_SEED_CHARS}")
         model.add_language(lang, text)
     model.finalize()
     return model
 
 
-def classify_language(text: str, model: NgramLanguageModel,
-                      other_margin: float = OTHER_MARGIN) -> LangScore:
+def classify_language(text: str, model: NgramLanguageModel) -> LangScore:
     """Deterministic language scores; 'other' when evidence is too thin."""
     has_letters = any(ch.isalpha() for ch in text)
     if not text or not has_letters:
@@ -261,7 +261,7 @@ def classify_language(text: str, model: NgramLanguageModel,
     ranked = sorted(scores.items(), key=lambda kv: kv[1], reverse=True)
     best_lang, best = ranked[0]
     margin = best - ranked[1][1] if len(ranked) > 1 else float("inf")
-    label = best_lang if margin >= other_margin else "other"
+    label = best_lang if margin >= OTHER_MARGIN else "other"
     return LangScore(scores=scores, label=label, margin=margin,
                      low_confidence=len(text) < LOW_CONFIDENCE_CHARS)
 
@@ -292,13 +292,11 @@ def probe_prior(
     max_tokens: int = 300,
     temperature: float = 1.0,
     seed: int | None = None,
-    prompt: str = "",
-    detect_pairs: bool = True,
 ) -> tuple[PriorReport, list[dict]]:
     """Sample n unconditional generations and chart their language prior.
 
-    The prompt defaults to empty (the backend applies its own
-    begin-of-sequence convention). The seed is recorded in the report and
+    The prompt is empty (the backend applies its own begin-of-sequence
+    convention). The seed is recorded in the report and
     handed to backends that expose a ``reseed`` hook; remote samplers that
     cannot be seeded simply ignore it. Backend failures reduce the effective
     sample; the report records requested vs obtained. Returns the report and
@@ -310,9 +308,9 @@ def probe_prior(
     pair_hits = 0
     evidence: list[dict] = []
     obtained = 0
-    language_names = load_language_names() if detect_pairs else frozenset()
+    language_names = load_language_names()
     for i in range(n):
-        result = backend.complete(prompt, max_tokens=max_tokens,
+        result = backend.complete("", max_tokens=max_tokens,
                                   temperature=temperature)
         if not result.ok:
             continue
@@ -320,12 +318,11 @@ def probe_prior(
         score = classify_language(result.text, model)
         label = score.label if score.label in model.languages else "others"
         labels[label] += 1
-        if detect_pairs:
-            is_pair, why = detect_translation_pair(
-                result.text, model, language_names=language_names)
-            if is_pair:
-                pair_hits += 1
-                evidence.append({"index": i, **why})
+        is_pair, why = detect_translation_pair(
+            result.text, model, language_names=language_names)
+        if is_pair:
+            pair_hits += 1
+            evidence.append({"index": i, **why})
 
     percentages = {}
     for lang in model.languages + ["others"]:
@@ -353,7 +350,6 @@ def load_language_names() -> frozenset[str]:
 def detect_translation_pair(
     text: str,
     model: NgramLanguageModel,
-    block_margin: float = 0.6,
     language_names: frozenset[str] | None = None,
 ) -> tuple[bool, dict | None]:
     """Heuristics for the degenerate bilingual-pair generation format.
@@ -395,7 +391,7 @@ def detect_translation_pair(
         labeled = [classify_language(b, model) for b in blocks]
         langs = {s.label for s in labeled}
         if (len(langs) == 2 and "other" not in langs
-                and all(s.margin >= block_margin for s in labeled)
+                and all(s.margin >= BLOCK_MARGIN for s in labeled)
                 and all(labeled[i].label != labeled[i + 1].label
                         for i in range(len(labeled) - 1))):
             return True, {"rule": "alternating_blocks", "labels": sorted(langs)}

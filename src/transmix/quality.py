@@ -1,6 +1,6 @@
 """Heuristic document quality filtering for web data (Gopher-style rules).
 
-Rules run in a fixed order and every enabled rule is measured even after the
+Rules run in a fixed order and every active rule is measured even after the
 first failure, so reports are complete enough to audit threshold choices.
 Words are maximal non-whitespace runs; alphabetic means Unicode letter.
 """
@@ -26,6 +26,10 @@ __all__ = [
 
 BULLET_CHARS = ("•", "‣", "▪", "-", "*")
 
+# the rules every document is measured by, in report order
+BASE_RULES = ("word_count", "mean_word_length", "symbol_word_ratio", "bullet_line_fraction",
+              "ellipsis_line_fraction", "alpha_word_fraction", "stop_words")
+
 _DATA_DIR = Path(__file__).parent / "data" / "stopwords"
 
 # most distinct words a word cache holds, so a stream of unique words cannot
@@ -37,7 +41,8 @@ WordCache = dict[str, tuple[int, bool, str]]
 
 @dataclass(frozen=True)
 class RuleConfig:
-    """Thresholds for the quality rules; each rule can be toggled off."""
+    """Thresholds for the quality rules; the repetition rules can be
+    switched on."""
 
     min_words: int = 50
     max_words: int = 100_000
@@ -52,21 +57,11 @@ class RuleConfig:
     check_repetition: bool = False
     max_duplicate_line_fraction: float = 0.3
     max_duplicate_paragraph_fraction: float = 0.3
-    enabled: tuple[str, ...] = (
-        "word_count",
-        "mean_word_length",
-        "symbol_word_ratio",
-        "bullet_line_fraction",
-        "ellipsis_line_fraction",
-        "alpha_word_fraction",
-        "stop_words",
-    )
 
     def active_rules(self) -> tuple[str, ...]:
-        rules = self.enabled
         if self.check_repetition:
-            rules = rules + ("duplicate_line_fraction", "duplicate_paragraph_fraction")
-        return rules
+            return BASE_RULES + ("duplicate_line_fraction", "duplicate_paragraph_fraction")
+        return BASE_RULES
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,7 @@ def _strip_edges(word: str) -> str:
 def gopher_filter(doc: Document, rules: RuleConfig | None = None,
                   stopwords: frozenset[str] | None = None,
                   word_cache: WordCache | None = None) -> QualityReport:
-    """Evaluate every enabled rule against one document.
+    """Evaluate every active rule against one document.
 
     ``word_cache`` keeps per-word features across calls, up to 100,000
     words; ``filter_corpus`` passes one dict for its whole corpus.

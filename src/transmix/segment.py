@@ -24,7 +24,6 @@ __all__ = [
     "is_terminal_text",
     "chunk_document",
     "load_abbreviations",
-    "set_default_abbreviation_dir",
 ]
 
 TERMINALS = ".!?…"
@@ -32,17 +31,6 @@ CLOSERS = "\"')]}»›”’"
 _CANDIDATES = re.compile(f"\n|[{re.escape(TERMINALS)}]+")
 
 _DATA_DIR = Path(__file__).parent / "data" / "abbreviations"
-_default_dir: str | None = None
-
-
-def set_default_abbreviation_dir(path: str | None) -> None:
-    """Point the segmenter at user-supplied abbreviation lists (or back to
-    the bundled ones with None). One abbreviation per line, one UTF-8 file
-    per language; typically set once at startup from the config file.
-    """
-    global _default_dir
-    _default_dir = path or None
-    load_abbreviations.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -67,8 +55,12 @@ class Chunk:
 
 @lru_cache(maxsize=None)
 def load_abbreviations(lang: str, data_dir: str | None = None) -> frozenset[str]:
-    """Lowercased abbreviation set for a language; 'other' uses the en list."""
-    base = Path(data_dir or _default_dir or _DATA_DIR)
+    """Lowercased abbreviation set for a language; 'other' uses the en list.
+
+    ``data_dir`` holds one UTF-8 file per language, one abbreviation per
+    line; None means the bundled lists.
+    """
+    base = Path(data_dir or _DATA_DIR)
     path = base / f"{'en' if lang == 'other' else lang}.txt"
     if not path.exists():
         return frozenset()
@@ -160,14 +152,17 @@ def _is_boundary(text: str, run_start: int, run_end: int, after_closers: int,
     return True
 
 
-def chunk_document(doc: Document, counter: TokenCounter, limit: int = 300) -> list[Chunk]:
+def chunk_document(doc: Document, counter: TokenCounter, limit: int = 300,
+                   abbreviation_dir: str | None = None) -> list[Chunk]:
     """Greedy chunking: append sentences while the running total stays within
     the budget; a single oversized sentence becomes its own chunk (sentences
     are never split). Chunk token counts are sums of per-sentence counts.
+    ``abbreviation_dir`` is as in ``load_abbreviations``.
     """
     if limit < 1:
         raise ValueError("chunk limit must be >= 1")
-    sents = split_sentences(doc.text, doc.lang)
+    sents = split_sentences(doc.text, doc.lang,
+                            load_abbreviations(doc.lang, abbreviation_dir))
     chunks: list[Chunk] = []
     cur: list[Sentence] = []
     cur_tokens = 0

@@ -24,7 +24,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .corpus import Document, read_corpus
-from .segment import Chunk, chunk_document, is_terminal_text, split_sentences
+from .segment import (Chunk, chunk_document, is_terminal_text, load_abbreviations,
+                      split_sentences)
 from .tokenizer import TokenCounter, WhitespaceCounter
 
 __all__ = [
@@ -279,11 +280,13 @@ class TranslationRecord:
         return json.dumps(asdict(self), ensure_ascii=False)
 
 
-def trim_incomplete(raw: str, lang: str) -> tuple[str, int]:
+def trim_incomplete(raw: str, lang: str,
+                    abbreviation_dir: str | None = None) -> tuple[str, int]:
     """Drop trailing sentences that never reached terminal punctuation.
 
     Returns the trimmed prefix (cut at a sentence boundary) and the number of
     sentences removed. Input with no complete sentence trims to "".
+    ``abbreviation_dir`` holds the segmenter's lists (None: the bundled ones).
     Only output that does not end in a complete sentence is split: otherwise
     the last sentence is a suffix of ``raw.rstrip()`` that holds its final
     terminal run and closers, so it is terminal and nothing is dropped.
@@ -291,7 +294,7 @@ def trim_incomplete(raw: str, lang: str) -> tuple[str, int]:
     stripped = raw.rstrip()
     if is_terminal_text(stripped):
         return stripped, 0
-    sentences = split_sentences(raw, lang)
+    sentences = split_sentences(raw, lang, load_abbreviations(lang, abbreviation_dir))
     keep = len(sentences)
     while keep > 0 and not sentences[keep - 1].terminal:
         keep -= 1
@@ -406,7 +409,7 @@ def _in_order(
 
 
 def _assemble(doc: Document, tgt: str, chunks: list[Chunk],
-              results: list[BackendResult],
+              results: list[BackendResult], abbreviation_dir: str | None,
               ) -> tuple[Document | None, list[TranslationRecord]]:
     """Trim each chunk's output and join the pieces in chunk order."""
     records: list[TranslationRecord] = []
@@ -419,7 +422,7 @@ def _assemble(doc: Document, tgt: str, chunks: list[Chunk],
                 error=result.error))
             failed = True
             continue
-        trimmed, dropped = trim_incomplete(result.text, tgt)
+        trimmed, dropped = trim_incomplete(result.text, tgt, abbreviation_dir)
         if not trimmed:
             records.append(TranslationRecord(
                 doc_id=doc.id, chunk_index=chunk.index, status="empty",
@@ -450,6 +453,7 @@ def translate_document(
     chunk_limit: int = 300,
     params: GenerationParams | None = None,
     sleep: Callable[[float], None] = time.sleep,
+    abbreviation_dir: str | None = None,
 ) -> tuple[Document | None, list[TranslationRecord]]:
     """Translate one document chunk by chunk and reassemble in chunk order.
 
@@ -458,16 +462,17 @@ def translate_document(
     and outputs are merged by index, so the result is deterministic.
     Returns (document, records); the document is None when any chunk failed
     after retries, and the records then carry the error. Chunks whose
-    trimmed output is empty are skipped but recorded.
+    trimmed output is empty are skipped but recorded. ``abbreviation_dir``
+    is as in ``trim_incomplete``.
     """
     template = template or PromptTemplate()
     params = params or GenerationParams()
     counter = counter or WhitespaceCounter()
-    chunks = chunk_document(doc, counter, chunk_limit)
+    chunks = chunk_document(doc, counter, chunk_limit, abbreviation_dir)
     request = _chunk_request(backend, template, chunk_limit, params, sleep)
     [(_, _, _, results)] = _in_order([(doc, tgt, chunks)], request,
                                      params.max_in_flight)
-    return _assemble(doc, tgt, chunks, results)
+    return _assemble(doc, tgt, chunks, results, abbreviation_dir)
 
 
 class JournalCorruptError(RuntimeError):
@@ -552,6 +557,7 @@ def translate_corpus(
     resume: bool = False,
     restart: bool = False,
     sleep: Callable[[float], None] = time.sleep,
+    abbreviation_dir: str | None = None,
 ) -> TranslateManifest:
     """Translate a corpus into one output corpus per target, resumably.
 
@@ -571,6 +577,7 @@ def translate_corpus(
     (wipe with restart to retry). An existing journal requires an explicit
     choice: resume to continue, restart to wipe. An exception raised by the
     backend stops the run after the last pair before it is committed.
+    ``abbreviation_dir`` is as in ``trim_incomplete``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -612,7 +619,7 @@ def translate_corpus(
             todo = [tgt for tgt in targets if (doc.id, tgt) not in done]
             manifest.skipped_resume += len(targets) - len(todo)
             if todo:
-                chunks = chunk_document(doc, counter, chunk_limit)
+                chunks = chunk_document(doc, counter, chunk_limit, abbreviation_dir)
                 for tgt in todo:
                     yield doc, tgt, chunks
 
@@ -626,7 +633,8 @@ def translate_corpus(
                         params.max_in_flight)
     try:
         for doc, tgt, chunks, chunk_results in results:
-            translated, records = _assemble(doc, tgt, chunks, chunk_results)
+            translated, records = _assemble(doc, tgt, chunks, chunk_results,
+                                            abbreviation_dir)
             manifest.chunk_calls += len(records)
             manifest.dropped_sentences += sum(r.dropped_sentences for r in records)
             status = "ok" if translated is not None else "failed"

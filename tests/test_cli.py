@@ -97,6 +97,25 @@ def test_segment_subcommand(tmp_path, small_corpus):
     assert {r["doc_id"] for r in records} == {f"doc{i:05d}" for i in range(30)}
 
 
+def test_custom_abbreviation_dir_does_not_outlast_the_command(tmp_path):
+    from transmix.segment import split_sentences
+
+    abbreviations = tmp_path / "abbreviations"
+    abbreviations.mkdir()
+    (abbreviations / "en.txt").write_text("xyz.\n", encoding="utf-8")
+    ini = tmp_path / "segment.ini"
+    ini.write_text(f"[segment]\nabbreviation_dir = {abbreviations}\n", encoding="utf-8")
+    path = tmp_path / "in.jsonl"
+    write_corpus(path, [Document(id="d", lang="en", text="We met Xyz. Smith today. He left.")])
+    out = tmp_path / "chunks.jsonl"
+    assert main(["segment", str(path), "--out", str(out), "--config", str(ini)]) == 0
+    [record] = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert record["sentences"] == 2  # "Xyz." is an abbreviation in the custom list
+    # the bundled list, which holds "dr.", is back for the next caller
+    assert [s.text for s in split_sentences("Call Dr. Smith now.", "en")] == \
+        ["Call Dr. Smith now."]
+
+
 def test_filter_subcommand_partitions(tmp_path):
     docs = pipeline_docs(10) + [
         Document(id="tiny", lang="en", text="way too short")]
@@ -176,7 +195,7 @@ def test_mix_subcommand_uses_configured_sources(tmp_path):
 
 def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):
     import transmix.cli as cli_mod
-    import transmix.mixer as mixer_mod
+    import transmix.corpus as corpus_mod
     from transmix.config import load_config
     from transmix.corpus import read_at, scan_corpus
     from transmix.tokenizer import WhitespaceCounter
@@ -207,8 +226,8 @@ def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):
             return super().count(text)
 
     monkeypatch.setattr(cli_mod, "read_corpus", counting_read)
-    monkeypatch.setattr(mixer_mod, "scan_corpus", counting_scan)
-    monkeypatch.setattr(mixer_mod, "read_at", counting_read_at)
+    monkeypatch.setattr(corpus_mod, "scan_corpus", counting_scan)
+    monkeypatch.setattr(corpus_mod, "read_at", counting_read_at)
     config = load_config(None)
     assert config.mix_budget_per_source == 0  # the smallest-source default
     monkeypatch.setattr(config, "make_counter", CountingCounter)
@@ -405,6 +424,22 @@ def test_dedup_refuses_an_input_changed_between_passes(tmp_path, monkeypatch):
     assert main(["dedup", str(path), "--out-dir", str(out)]) == 1
     assert "changed between reads" in (out / "FAILED").read_text()
     assert (out / "kept.jsonl").read_text() == ""
+
+    # same size and mtime, other text: the documents read again do not match
+    write_corpus(path, pipeline_docs(12))
+
+    def then_swap(docs, **kwargs):
+        result = original(docs, **kwargs)
+        st = os.stat(path)
+        text = path.read_text(encoding="utf-8")
+        assert "The" in text
+        path.write_text(text.replace("The", "Teh"), encoding="utf-8")
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        return result
+
+    monkeypatch.setattr(dedup_mod, "dedup_corpus", then_swap)
+    assert main(["dedup", str(path), "--out-dir", str(out)]) == 1
+    assert "not the one first read" in (out / "FAILED").read_text()
 
 
 def test_mix_refuses_a_source_changed_before_it_is_read_back(tmp_path):

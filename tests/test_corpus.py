@@ -1,12 +1,14 @@
 """Corpus I/O, statistics, and the Table-style consistency identity."""
 
 import json
+import os
 import random
 
 import pytest
 
 from transmix.corpus import (
     CorpusFormatError,
+    CorpusRereadError,
     Document,
     ReadError,
     _parse_line,
@@ -17,6 +19,7 @@ from transmix.corpus import (
     read_corpus,
     read_header,
     scan_corpus,
+    TwoPassCorpus,
     write_corpus,
 )
 
@@ -214,6 +217,39 @@ class TestByteReader:
         assert read_at(path, offsets[::-1]) == docs[::-1]
         with pytest.raises(CorpusFormatError, match="byte 1"):
             read_at(path, [1])
+
+
+class TestTwoPassCorpus:
+    def docs(self, count):
+        rng = random.Random(29)
+        return [Document(id=f"d{i}", lang="en",
+                         text=" ".join(rng.choice(["a", "bb", "c\u2028c"]) for _ in range(9)))
+                for i in range(count)]
+
+    def test_read_back_of_shuffled_indices_equals_the_first_pass(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_corpus(path, self.docs(600), tokenizer_fingerprint="ws:1")
+        src = TwoPassCorpus(path)
+        first = list(src.documents())
+        assert len(src) == len(first) == 600
+        indices = list(range(600)) + [5, 5, 599]
+        random.Random(3).shuffle(indices)
+        assert src.read_back(indices) == [first[i] for i in indices]
+        assert src.read_back([]) == []
+        assert list(src.reread()) == first  # 600 documents: three blocks
+
+    def test_a_moved_line_is_a_changed_file(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_corpus(path, self.docs(4))
+        src = TwoPassCorpus(path)
+        list(src.documents())
+        st = path.stat()
+        # the same size, every line one byte later: the offsets of the first
+        # pass land on line ends, which hold no document
+        path.write_bytes(b" " + path.read_bytes()[:-1])
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        with pytest.raises(CorpusRereadError, match="changed between reads"):
+            src.read_back([2])
 
 
 class TestComputeStats:

@@ -164,14 +164,29 @@ def test_edge_case_texts_score_like_per_gram_logs(edge_models):
     assert_scores_equal_reference(edge_models, EDGE_TEXTS + ALL_UNSEEN)
 
 
-def test_lone_surrogates_in_training_text_score_like_per_gram_logs():
-    # a model file is UTF-8, which cannot hold a lone surrogate, so this
-    # model is only scored in memory
+def surrogate_model():
     model = NgramLanguageModel()
     model.add_language("en", "\n".join(seed_lines("en")[:30]) + " \ud800x\udfff\ud800")
     model.add_language("de", "\n".join(seed_lines("de")[:30]) + " \udc00\ud800")
     model.finalize()
-    assert_scores_equal_reference([model], EDGE_TEXTS + ["x\ud800", "\udfff\ud800q"])
+    return model
+
+
+SURROGATE_TEXTS = EDGE_TEXTS + ["x\ud800", "\udfff\ud800q"]
+
+
+def test_lone_surrogates_in_training_text_score_like_per_gram_logs():
+    assert_scores_equal_reference([surrogate_model()], SURROGATE_TEXTS)
+
+
+def test_model_with_lone_surrogates_round_trips_through_its_file(tmp_path):
+    model = surrogate_model()
+    path = tmp_path / "langid.json"
+    model.save(path)
+    loaded = NgramLanguageModel.load(path)
+    assert loaded.counts == model.counts
+    assert [loaded.log_probs(t) for t in SURROGATE_TEXTS] == \
+        [model.log_probs(t) for t in SURROGATE_TEXTS]
 
 
 def test_all_unseen_texts_score_each_languages_unseen_log(edge_models):
