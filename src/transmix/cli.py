@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -220,8 +221,7 @@ def run_translate(config: PipelineConfig, input_path: str, stage_dir: Path,
         restart=restart,
         abbreviation_dir=config.abbreviation_dir or None,
     )
-    _write_manifest(stage_dir, {"stage": "translate",
-                                **json.loads(manifest.to_json())})
+    _write_manifest(stage_dir, {"stage": "translate", **asdict(manifest)})
     return {tgt: stage_dir / f"{tgt}.jsonl" for tgt in config.targets}
 
 

@@ -101,11 +101,12 @@ class PipelineConfig:
     model: str = _opt("translate", "")
     response_path: str = _opt("translate", "choices.0.text")
     http_timeout: float = _opt("translate", 60.0, "timeout")
-    max_tokens: int = _opt("translate", 0)
-    temperature: float = _opt("translate", 0.0)
-    retries: int = _opt("translate", 3)
-    backoff: float = _opt("translate", 1.0)
-    max_in_flight: int = _opt("translate", 32)
+    # these [translate] fields are GenerationParams, with its defaults
+    max_tokens: int = _opt("translate", GenerationParams.max_tokens)
+    temperature: float = _opt("translate", GenerationParams.temperature)
+    retries: int = _opt("translate", GenerationParams.retries)
+    backoff: float = _opt("translate", GenerationParams.backoff)
+    max_in_flight: int = _opt("translate", GenerationParams.max_in_flight)
     wrapper_open: str = _opt("translate", "[INST]")
     wrapper_close: str = _opt("translate", "[/INST]")
     instruction: str = _opt("translate", "")
@@ -200,13 +201,8 @@ class PipelineConfig:
             response_path=self.response_path, timeout=self.http_timeout)
 
     def generation_params(self) -> GenerationParams:
-        return GenerationParams(
-            max_tokens=self.max_tokens,
-            temperature=self.temperature,
-            retries=self.retries,
-            backoff=self.backoff,
-            max_in_flight=self.max_in_flight,
-        )
+        return GenerationParams(**{f.name: getattr(self, f.name)
+                                   for f in fields(GenerationParams)})
 
     def snapshot(self) -> dict:
         return asdict(self)

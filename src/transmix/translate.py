@@ -18,10 +18,10 @@ import time
 import urllib.request
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import Document, read_corpus
 from .segment import (Chunk, chunk_document, is_terminal_text, load_abbreviations,
@@ -276,9 +276,6 @@ class TranslationRecord:
     dropped_sentences: int = 0
     error: str | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False)
-
 
 def trim_incomplete(raw: str, lang: str,
                     abbreviation_dir: str | None = None) -> tuple[str, int]:
@@ -476,59 +473,112 @@ def translate_document(
 
 
 class JournalCorruptError(RuntimeError):
-    """The checkpoint journal is unreadable; resume needs an explicit restart."""
+    """The checkpoint journal is unreadable, or the files it vouches for lack
+    lines it records; resume needs an explicit restart."""
 
 
-def _load_journal(path: Path) -> list[dict]:
-    """Parse the journal, tolerating only a torn final line (crash artifact)."""
-    entries: list[dict] = []
-    raw_lines = path.read_text(encoding="utf-8").splitlines()
-    for i, line in enumerate(raw_lines):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict) or "doc_id" not in obj or "target" not in obj:
-                raise ValueError("journal entry missing fields")
-        except ValueError as exc:
-            if i == len(raw_lines) - 1:
-                break  # torn tail from an interrupted write
-            raise JournalCorruptError(
-                f"{path}:{i + 1}: corrupt journal line; rerun with restart") from exc
-        entries.append(obj)
-    return entries
+def _prefix(path: Path, key: Callable[[object], object]) -> tuple[list, int, int]:
+    """Read the longest prefix of whole lines of a JSONL file whose objects
+    ``key`` maps to a value (not None; KeyError and TypeError refuse too).
 
-
-@contextmanager
-def _replacing(path: Path) -> Iterator[TextIO]:
-    """Yield a file for the new contents of ``path``: it is written beside
-    ``path`` and renamed over it only once the block has finished, so a
-    crash leaves either the old file or the new one."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _keep_prefix(path: Path, key: Callable[[dict], object], keep: set) -> None:
-    """Cut a JSONL file back to its longest prefix of lines whose ``key`` is
-    in ``keep``, dropping everything from the first other or torn line on."""
-    if not path.exists():
-        return
-    # split on "\n" only: raw U+2028 and the like may sit inside a JSON string
-    with open(path, encoding="utf-8", newline="\n") as src, _replacing(path) as dst:
-        for line in src:
-            try:
-                if key(json.loads(line)) not in keep:
+    Returns the values, the prefix's length in bytes and the number of lines
+    after it; a missing file is empty. Lines are split on "\\n" only, so a
+    raw U+2028 stays inside its JSON string, and a torn last line is after.
+    """
+    values: list = []
+    size = after = 0
+    if path.exists():
+        with open(path, "rb") as fh:
+            for line in fh:
+                try:
+                    value = key(json.loads(line)) if line.endswith(b"\n") else None
+                except (ValueError, KeyError, TypeError):
+                    value = None
+                if value is None:
+                    after = 1 + sum(1 for _ in fh)
                     break
-            except (ValueError, KeyError, TypeError):
-                break
-            dst.write(line if line.endswith("\n") else line + "\n")
+                values.append(value)
+                size += len(line)
+    return values, size, after
+
+
+def _journal_entry(obj) -> tuple[str, str, bool] | None:
+    doc_id, tgt, status = obj["doc_id"], obj["target"], obj["status"]
+    valid = isinstance(doc_id, str) and isinstance(tgt, str) and status in ("ok", "failed")
+    return (doc_id, tgt, status == "ok") if valid else None
+
+
+class _RunStore(ExitStack):
+    """The files of one translate run, open for appending until the store is
+    closed: an output corpus per target, ``failures.jsonl`` and the journal.
+
+    Opening it wipes them (restart), refuses (a journal exists, no resume)
+    or cuts each in place to what the journal vouches for: only its last
+    line may be bad (a torn write), each output must start with the ok
+    documents it journals for that target, in journal order, and
+    ``failures.jsonl`` with lines covering every pair it journals as
+    failed; what follows was flushed by an unjournaled pair. Any other
+    state raises JournalCorruptError before a file is changed. ``done``
+    holds the journaled (doc id, target) pairs.
+    """
+
+    def __init__(self, out_dir: Path, targets: Sequence[str], resume: bool,
+                 restart: bool) -> None:
+        super().__init__()
+        out_dir.mkdir(parents=True, exist_ok=True)
+        journal_path, failures_path = out_dir / "journal.jsonl", out_dir / "failures.jsonl"
+        out_paths = {tgt: out_dir / f"{tgt}.jsonl" for tgt in targets}
+        if restart:
+            for p in [journal_path, failures_path, *out_paths.values()]:
+                p.unlink(missing_ok=True)
+        elif journal_path.exists() and not resume:
+            raise RuntimeError(f"{journal_path} exists; pass resume=True to continue "
+                               "or restart=True to start over")
+        entries, size, after = _prefix(journal_path, _journal_entry)
+        if after > 1:
+            raise JournalCorruptError(f"{journal_path}:{len(entries) + 1}: corrupt "
+                                      "journal line; rerun with restart")
+        self.done = {(doc_id, tgt) for doc_id, tgt, _ in entries}
+        cuts = [(journal_path, size)]
+        for tgt, path in out_paths.items():
+            vouched = [f"{doc_id}:{tgt}" for doc_id, t, ok in entries if ok and t == tgt]
+            wanted = set(vouched)
+            ids, size, _ = _prefix(path, lambda obj: obj["id"] if obj["id"] in wanted else None)
+            if ids != vouched:
+                raise JournalCorruptError(f"{path} holds {len(ids)} of the {len(vouched)} "
+                                          "documents journaled as ok; rerun with restart")
+            cuts.append((path, size))
+        recorded, size, _ = _prefix(failures_path, lambda obj: (
+            pair if (pair := (obj["doc_id"], obj["target"])) in self.done else None))
+        if {(doc_id, tgt) for doc_id, tgt, ok in entries if not ok} - set(recorded):
+            raise JournalCorruptError(f"{failures_path} lacks pairs journaled as failed; "
+                                      "rerun with restart")
+        for path, size in [*cuts, (failures_path, size)]:
+            if path.exists() and path.stat().st_size > size:
+                with open(path, "r+b") as fh:
+                    fh.truncate(size)
+                    os.fsync(fh.fileno())
+        self.outputs = {tgt: self.enter_context(open(p, "a", encoding="utf-8"))
+                        for tgt, p in out_paths.items()}
+        self.failures = self.enter_context(open(failures_path, "a", encoding="utf-8"))
+        self.journal = self.enter_context(open(journal_path, "a", encoding="utf-8"))
+
+    def commit(self, doc_id: str, tgt: str, translated: Document | None,
+               records: list[TranslationRecord]) -> None:
+        """Write and flush a pair's output line (none if it failed) and its
+        failure lines, and only then its journal line."""
+        if translated is not None:
+            self.outputs[tgt].write(translated.to_json() + "\n")
+            self.outputs[tgt].flush()
+        for record in records:
+            if record.status != "ok":
+                self.failures.write(json.dumps({"target": tgt, **asdict(record)},
+                                               ensure_ascii=False) + "\n")
+        self.failures.flush()
+        status = "ok" if translated is not None else "failed"
+        self.journal.write(json.dumps(
+            {"doc_id": doc_id, "target": tgt, "status": status}) + "\n")
+        self.journal.flush()
 
 
 @dataclass
@@ -540,9 +590,6 @@ class TranslateManifest:
     skipped_resume: int = 0
     chunk_calls: int = 0
     dropped_sentences: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def translate_corpus(
@@ -565,13 +612,14 @@ def translate_corpus(
     target it still needs. ``params.max_in_flight`` bounds the requests in
     flight across the whole corpus, not per document: one request window
     spans documents and targets, and the input is read only as the window
-    needs refilling, so memory is bounded by the window. Results are
-    committed in input order: an output line, its failure lines and its
-    journal line are written once all chunks of a (doc, target) pair are
-    back and every earlier pair is committed.
+    needs refilling, so memory is bounded by the window. A (doc, target)
+    pair is committed once all its chunks are back and every earlier pair
+    is committed: its output line and failure lines are flushed, then its
+    line in ``journal.jsonl``.
 
-    Completed (doc, target) pairs are recorded in ``journal.jsonl`` and
-    skipped on resume; interrupted runs continue to byte-identical output.
+    Journaled pairs are skipped on resume, which first cuts every file back
+    to what the journal vouches for (``_RunStore``), so interrupted runs
+    continue to byte-identical output.
     Failed documents are excluded from the output corpora and recorded in
     ``failures.jsonl``; a pair journaled as failed is not retried on resume
     (wipe with restart to retry). An existing journal requires an explicit
@@ -579,41 +627,12 @@ def translate_corpus(
     backend stops the run after the last pair before it is committed.
     ``abbreviation_dir`` is as in ``trim_incomplete``.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    journal_path = out_dir / "journal.jsonl"
-    failures_path = out_dir / "failures.jsonl"
-    out_paths = {tgt: out_dir / f"{tgt}.jsonl" for tgt in targets}
-
-    if restart:
-        for p in [journal_path, failures_path, *out_paths.values()]:
-            if p.exists():
-                p.unlink()
-    elif journal_path.exists() and not resume:
-        raise RuntimeError(
-            f"{journal_path} exists; pass resume=True to continue or "
-            "restart=True to start over")
-
-    done: set[tuple[str, str]] = set()
-    resuming = resume and not restart and journal_path.exists()
-    if resuming:
-        entries = _load_journal(journal_path)
-        done = {(e["doc_id"], e["target"]) for e in entries}
-        with _replacing(journal_path) as fh:  # drops the torn tail
-            for e in entries:
-                fh.write(json.dumps(e) + "\n")
-        for tgt, p in out_paths.items():
-            ok_ids = {e["doc_id"] + ":" + tgt for e in entries
-                      if e["target"] == tgt and e["status"] == "ok"}
-            _keep_prefix(p, lambda obj: obj["id"], ok_ids)
-        _keep_prefix(failures_path, lambda obj: (obj["doc_id"], obj["target"]), done)
-
     template = template or PromptTemplate()
     params = params or GenerationParams()
     counter = counter or WhitespaceCounter()
     manifest = TranslateManifest(targets=list(targets))
 
-    def pairs() -> Iterator[tuple[Document, str, list[Chunk]]]:
+    def pairs(done: set[tuple[str, str]]) -> Iterator[tuple[Document, str, list[Chunk]]]:
         for doc in read_corpus(in_path):
             manifest.docs_in += 1
             todo = [tgt for tgt in targets if (doc.id, tgt) not in done]
@@ -623,40 +642,20 @@ def translate_corpus(
                 for tgt in todo:
                     yield doc, tgt, chunks
 
-    mode = "a" if resuming else "w"
-    out_files = {tgt: open(p, mode, encoding="utf-8") for tgt, p in out_paths.items()}
-    journal = open(journal_path, mode, encoding="utf-8")
-    failures = open(failures_path, mode, encoding="utf-8")
+    request = _chunk_request(backend, template, chunk_limit, params, sleep)
     started = time.monotonic()
-    results = _in_order(pairs(), _chunk_request(backend, template, chunk_limit,
-                                                params, sleep),
-                        params.max_in_flight)
-    try:
+    with _RunStore(Path(out_dir), targets, resume, restart) as store, \
+            closing(_in_order(pairs(store.done), request, params.max_in_flight)) as results:
         for doc, tgt, chunks, chunk_results in results:
             translated, records = _assemble(doc, tgt, chunks, chunk_results,
                                             abbreviation_dir)
+            store.commit(doc.id, tgt, translated, records)
             manifest.chunk_calls += len(records)
             manifest.dropped_sentences += sum(r.dropped_sentences for r in records)
-            status = "ok" if translated is not None else "failed"
             if translated is not None:
-                out_files[tgt].write(translated.to_json() + "\n")
-                out_files[tgt].flush()
                 manifest.ok += 1
             else:
                 manifest.failed += 1
-            for record in records:
-                if record.status != "ok":
-                    failures.write(json.dumps(
-                        {"target": tgt, **json.loads(record.to_json())},
-                        ensure_ascii=False) + "\n")
-            failures.flush()
-            journal.write(json.dumps(
-                {"doc_id": doc.id, "target": tgt, "status": status}) + "\n")
-            journal.flush()
-    finally:
-        results.close()
-        for fh in [*out_files.values(), journal, failures]:
-            fh.close()
     elapsed = time.monotonic() - started
     rate = manifest.ok / elapsed if elapsed > 0 else float("inf")
     print(f"translate: {manifest.ok} ok, {manifest.failed} failed, "

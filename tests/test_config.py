@@ -2,6 +2,7 @@
 
 import configparser
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from transmix.cli import main
 from transmix.config import ConfigError, PipelineConfig, load_config
 from transmix.config import _OPTIONS
 from transmix.tokenizer import bundled_bpe_paths
-from transmix.translate import MockCipherBackend, MockEchoBackend
+from transmix.translate import GenerationParams, MockCipherBackend, MockEchoBackend
 
 
 def test_defaults_without_a_file():
@@ -145,6 +146,18 @@ def test_example_ini_states_the_table_defaults():
     parser.read(example, encoding="utf-8")
     pairs = {(s, o) for s in parser.sections() for o in parser.options(s)}
     assert pairs == {(section, option) for section, option, *_ in _OPTIONS}
+
+
+def test_translate_generation_options_are_generation_params(tmp_path):
+    # each GenerationParams field is a [translate] option with its default
+    options = {(section, option) for section, option, *_ in _OPTIONS}
+    assert {("translate", f.name) for f in fields(GenerationParams)} <= options
+    assert PipelineConfig().generation_params() == GenerationParams()
+    path = tmp_path / "pipeline.ini"
+    path.write_text("[translate]\nmax_tokens = 64\ntemperature = 0.5\nretries = 2\n"
+                    "backoff = 0.25\nmax_in_flight = 4\n", encoding="utf-8")
+    assert load_config(path).generation_params() == GenerationParams(
+        max_tokens=64, temperature=0.5, retries=2, backoff=0.25, max_in_flight=4)
 
 
 @pytest.mark.parametrize("text, line", [

@@ -458,6 +458,98 @@ class TestTranslateCorpus:
                                     params=FAST, sleep=NO_SLEEP)
         assert manifest.ok == 3
 
+    @pytest.mark.parametrize("entry", [
+        {"doc_id": "doc0000", "target": "fr"},
+        {"doc_id": 0, "target": "fr", "status": "ok"},
+        {"doc_id": "doc0000", "target": ["fr"], "status": "ok"},
+        {"doc_id": "doc0000", "target": "fr", "status": "weird"},
+    ], ids=["no_status", "int_doc_id", "list_target", "unknown_status"])
+    def test_bad_journal_entry_refuses_resume_and_changes_nothing(
+            self, tmp_path, ws_counter, entry):
+        in_path = corpus_of(tmp_path, 3)
+        out_dir = tmp_path / "out"
+        backend = MockEchoBackend(PromptTemplate())
+        translate_corpus(in_path, ["fr"], backend, out_dir,
+                         counter=ws_counter, params=FAST, sleep=NO_SLEEP)
+        journal = out_dir / "journal.jsonl"
+        lines = journal.read_text().splitlines()
+        lines[0] = json.dumps(entry)
+        journal.write_text("\n".join(lines) + "\n")
+        before = files_of(out_dir)
+        with pytest.raises(JournalCorruptError, match=r"journal\.jsonl:1: "):
+            translate_corpus(in_path, ["fr"], backend, out_dir, resume=True,
+                             counter=ws_counter, params=FAST, sleep=NO_SLEEP)
+        assert files_of(out_dir) == before
+
+    @pytest.mark.parametrize("damage", ["deleted", "last_line_lost", "first_line_lost"])
+    def test_resume_refuses_outputs_missing_journaled_lines(
+            self, tmp_path, ws_counter, damage):
+        in_path = corpus_of(tmp_path, 3)
+        out_dir = tmp_path / "out"
+        backend = MockEchoBackend(PromptTemplate())
+        translate_corpus(in_path, ["fr", "de"], backend, out_dir,
+                         counter=ws_counter, params=FAST, sleep=NO_SLEEP)
+        out = out_dir / "fr.jsonl"
+        lines = out.read_bytes().splitlines(keepends=True)
+        if damage == "deleted":
+            out.unlink()
+        else:
+            out.write_bytes(b"".join(lines[:-1] if damage == "last_line_lost" else lines[1:]))
+        before = files_of(out_dir)
+        with pytest.raises(JournalCorruptError, match=r"fr\.jsonl holds [02] of the 3 "):
+            translate_corpus(in_path, ["fr", "de"], backend, out_dir, resume=True,
+                             counter=ws_counter, params=FAST, sleep=NO_SLEEP)
+        assert files_of(out_dir) == before
+
+    def test_resume_refuses_failures_missing_journaled_pairs(self, tmp_path, ws_counter):
+        in_path = corpus_of(tmp_path, 4)
+        out_dir = tmp_path / "out"
+
+        class FailOn1(MockEchoBackend):
+            def complete(self, prompt, max_tokens=0, temperature=0.0):
+                if "Doc 1 " in prompt:
+                    return BackendResult(error="synthetic")
+                return super().complete(prompt, max_tokens, temperature)
+
+        translate_corpus(in_path, ["fr"], FailOn1(PromptTemplate()), out_dir,
+                         counter=ws_counter, params=FAST, sleep=NO_SLEEP)
+        (out_dir / "failures.jsonl").write_bytes(b"")
+        before = files_of(out_dir)
+        with pytest.raises(JournalCorruptError, match="failures"):
+            translate_corpus(in_path, ["fr"], FailOn1(PromptTemplate()), out_dir,
+                             resume=True, counter=ws_counter, params=FAST,
+                             sleep=NO_SLEEP)
+        assert files_of(out_dir) == before
+
+    def test_resume_cuts_lines_flushed_but_not_journaled(self, tmp_path, ws_counter):
+        # a crash after a pair's output and failure lines are flushed, before
+        # its journal line, leaves lines the journal does not vouch for
+        in_path = corpus_of(tmp_path, 8)
+        names = ["fr.jsonl", "journal.jsonl", "failures.jsonl"]
+        ref_dir, out_dir = tmp_path / "reference", tmp_path / "killed"
+        translate_corpus(in_path, ["fr"], MockEchoBackend(PromptTemplate()),
+                         ref_dir, counter=ws_counter, params=FAST, sleep=NO_SLEEP)
+        with pytest.raises(Killed):
+            translate_corpus(in_path, ["fr"], KillingBackend(PromptTemplate(), 5),
+                             out_dir, counter=ws_counter, params=FAST,
+                             sleep=NO_SLEEP)
+        journaled = len((out_dir / "journal.jsonl").read_bytes().splitlines())
+        assert journaled == 5
+        with open(out_dir / "fr.jsonl", "ab") as fh:
+            fh.write((ref_dir / "fr.jsonl").read_bytes().splitlines(keepends=True)[5])
+        with open(out_dir / "failures.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"target": "fr", "doc_id": "doc0005", "chunk_index": 0,
+                                 "status": "empty", "raw": "", "trimmed": "",
+                                 "dropped_sentences": 1, "error": None}) + "\n")
+        inodes = {name: (out_dir / name).stat().st_ino for name in names}
+        translate_corpus(in_path, ["fr"], MockEchoBackend(PromptTemplate()),
+                         out_dir, resume=True, counter=ws_counter, params=FAST,
+                         sleep=NO_SLEEP)
+        assert outputs(out_dir, names) == outputs(ref_dir, names)
+        # cut in place: no file was replaced by a copy
+        assert {name: (out_dir / name).stat().st_ino for name in names} == inodes
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(names)
+
     @pytest.mark.parametrize("kill_after", [1, 7, 16, 28])
     def test_kill_and_resume_byte_identical(self, tmp_path, ws_counter, kill_after):
         in_path = corpus_of(tmp_path, 12)
@@ -524,6 +616,10 @@ class KillingBackend(MockEchoBackend):
 
 def outputs(out_dir, names):
     return {name: (out_dir / name).read_bytes() for name in names}
+
+
+def files_of(out_dir):
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
 
 class TestRequestWindow:
