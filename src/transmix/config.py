@@ -158,6 +158,12 @@ class PipelineConfig:
                 problems.append(f"translate.targets: unknown language {tgt!r}")
         if self.retries < 1:
             problems.append("translate.retries: must be >= 1")
+        if self.backoff < 0:
+            problems.append(f"translate.backoff: must be >= 0, got {self.backoff}")
+        if self.max_tokens < 0:
+            problems.append(
+                f"translate.max_tokens: must be >= 0 (0 = twice the chunk limit), "
+                f"got {self.max_tokens}")
         if not (0.0 < self.dedup_threshold < 1.0):
             problems.append(
                 f"dedup.threshold: must be in (0, 1), got {self.dedup_threshold}")

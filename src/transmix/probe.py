@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, asdict
 from collections import Counter
 from pathlib import Path
@@ -37,6 +38,9 @@ BLOCK_MARGIN = 0.6  # the margin each alternating block needs to count as a pair
 LOW_CONFIDENCE_CHARS = 20
 _CODE_BITS = 21  # bits per code point in a gram code: a 3-gram fits in an int64
 _BLOCK = 1 << 15  # grams per table gather when scoring a text
+# Entries the row tables may hold. Past it (a model of a script with a few
+# thousand characters) scoring binary-searches the seen gram codes instead.
+_TABLE_CAP = 1 << 22
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -65,6 +69,9 @@ class NgramLanguageModel:
         # order -> (its seen gram codes, ascending, then a -1 that matches no
         # code; the order's first row in the table)
         self._codes: dict[int, tuple[np.ndarray, int]] = {}
+        # Each gram's row by table lookups, or None when the lookup tables
+        # would pass ``_TABLE_CAP`` and scoring searches ``_codes`` instead
+        self._row_tables: _RowTables | None = None
 
     @property
     def languages(self) -> list[str]:
@@ -115,6 +122,7 @@ class NgramLanguageModel:
             first += len(block)
             blocks.append(block)
         self._table = np.concatenate(blocks)
+        self._row_tables = _RowTables.build(self._codes)
 
     def log_prob(self, lang: str, text: str) -> float:
         """Average log-probability per character of the text under ``lang``."""
@@ -158,6 +166,9 @@ class NgramLanguageModel:
     def _gram_rows(self, text: str) -> Iterator[np.ndarray]:
         """Table rows of the text's 1-grams in text order, then its 2-grams,
         then its 3-grams, at most ``_BLOCK`` grams per array."""
+        if self._row_tables is not None:
+            yield from self._row_tables.gram_rows(text)
+            return
         for n in NGRAM_ORDERS:
             codes, first = self._codes[n]
             for start in range(0, len(text) - n + 1, _BLOCK):
@@ -197,7 +208,105 @@ class NgramLanguageModel:
 def _grams(text: str, n: int) -> Iterable[str]:
     if n == 1:
         return text
-    return (text[i:i + n] for i in range(len(text) - n + 1))
+    pairs = map(operator.add, text, text[1:])
+    return pairs if n == 2 else map(operator.add, pairs, text[2:])
+
+
+class _RowTables:
+    """Each gram's row in ``NgramLanguageModel._table``, found by indexing
+    with the ranks of its characters in the model's alphabet: every code
+    point of a seen gram of any order.
+
+    A character outside the alphabet takes the rank after the last one. A
+    3-gram's row is indexed by the rank of its first two characters among the
+    distinct prefixes of the seen 3-grams, then by its last character. A gram
+    that was not seen indexes its order's unseen row. The 2-D tables are kept
+    flat: entry ``[i, j]`` is at ``i * side + j``, where ``side`` is the
+    number of ranks.
+    """
+
+    # A plain class: a dataclass compiles generated methods at every import,
+    # which raised peak RSS by about 0.6 MB in a process that imports the
+    # package anew nine times.
+    def __init__(self, alphabet: np.ndarray, one: np.ndarray, two: np.ndarray,
+                 prefix: np.ndarray, three: np.ndarray) -> None:
+        self.alphabet = alphabet  # the code points, ascending, then a -1
+        self.one = one  # [a] -> 1-gram row
+        self.two = two  # [a, b] -> 2-gram row
+        self.prefix = prefix  # [a, b] -> prefix rank, or the number of prefixes if none
+        self.three = three  # [prefix rank, c] -> 3-gram row
+
+    @classmethod
+    def build(cls, codes: dict[int, tuple[np.ndarray, int]]) -> "_RowTables | None":
+        """The tables for ``NgramLanguageModel._codes``, or None when they
+        would hold more than ``_TABLE_CAP`` entries."""
+        seen = {n: codes[n][0][:-1] for n in NGRAM_ORDERS}
+        mask = (1 << _CODE_BITS) - 1
+        # a loaded model may hold grams whose characters or prefixes were
+        # seen in no lower order, so every order adds to both
+        alphabet = _distinct(np.sort(np.concatenate(
+            [seen[n] >> (_CODE_BITS * k) & mask for n in NGRAM_ORDERS for k in range(n)])))
+        prefixes = _distinct(seen[3] >> _CODE_BITS)
+        side = len(alphabet) + 1
+        if side + (2 * side + len(prefixes) + 1) * side > _TABLE_CAP:
+            return None
+
+        def rank(points: np.ndarray) -> np.ndarray:
+            return np.searchsorted(alphabet, points)
+
+        def pair(pairs: np.ndarray) -> np.ndarray:
+            """The flat indices of 2-character codes in a side x side table."""
+            return rank(pairs >> _CODE_BITS) * side + rank(pairs & mask)
+
+        def table(n: int, size: int, index: np.ndarray) -> np.ndarray:
+            """The rows of the seen n-grams at ``index``, the unseen row elsewhere."""
+            gram_codes, first = codes[n]
+            rows = np.full(size, first + len(gram_codes) - 1, dtype=np.int32)
+            rows[index] = first + np.arange(len(gram_codes) - 1)
+            return rows
+
+        prefix = np.full(side * side, len(prefixes), dtype=np.int32)
+        prefix[pair(prefixes)] = np.arange(len(prefixes))
+        return cls(
+            alphabet=np.append(alphabet, -1),
+            one=table(1, side, rank(seen[1])),
+            two=table(2, side * side, pair(seen[2])),
+            prefix=prefix,
+            three=table(3, (len(prefixes) + 1) * side,
+                        np.searchsorted(prefixes, seen[3] >> _CODE_BITS) * side
+                        + rank(seen[3] & mask)),
+        )
+
+    def gram_rows(self, text: str) -> Iterator[np.ndarray]:
+        """``NgramLanguageModel._gram_rows``, by table lookups."""
+        side = len(self.alphabet)
+        block = None  # (start, ranks): one block's ranks serve every order
+        for n in NGRAM_ORDERS:
+            for start in range(0, len(text) - n + 1, _BLOCK):
+                if block is None or block[0] != start:
+                    block = start, self._ranks(text[start:start + _BLOCK + 2])
+                ranks = block[1][:_BLOCK + n - 1]
+                if n == 1:
+                    yield self.one.take(ranks)
+                elif n == 2:
+                    yield self.two.take(ranks[:-1] * side + ranks[1:])
+                else:
+                    prefixes = self.prefix.take(ranks[:-2] * side + ranks[1:-1])
+                    yield self.three.take(prefixes * side + ranks[2:])
+
+    def _ranks(self, text: str) -> np.ndarray:
+        """Each character's rank in the alphabet."""
+        points = _code_points(text)
+        ranks = np.searchsorted(self.alphabet[:-1], points)
+        ranks[self.alphabet[ranks] != points] = len(self.alphabet) - 1
+        return ranks
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array of codes, which are never
+    negative. ``np.unique`` would import ``numpy.ma`` on first use (numpy
+    2), which costs about 15 ms and 2 MB of resident memory."""
+    return ascending[np.diff(ascending, prepend=-1) != 0]
 
 
 def _code_points(text: str) -> np.ndarray:

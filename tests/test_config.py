@@ -191,3 +191,21 @@ def test_unknown_env_override_rejected_with_its_name(monkeypatch):
         load_config(None)
     assert err.value.problems == ["TWP_DEDUP_TRESHOLD: unknown environment override",
                                   "TWP_RUN_WORKERS: unknown environment override"]
+
+
+@pytest.mark.parametrize("option, value", [("backoff", "-1"), ("max_tokens", "-5")])
+@pytest.mark.parametrize("source", ["env", "ini"])
+def test_negative_backoff_or_max_tokens_is_config_error(
+        tmp_path, monkeypatch, capsys, option, value, source):
+    path = tmp_path / "pipeline.ini"
+    path.write_text("[translate]\n" + (f"{option} = {value}\n" if source == "ini" else ""),
+                    encoding="utf-8")
+    if source == "env":
+        monkeypatch.setenv(f"TWP_TRANSLATE_{option.upper()}", value)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    [problem] = err.value.problems
+    assert problem.startswith(f"translate.{option}: must be >= 0")
+    assert main(["filter", str(tmp_path / "in.jsonl"), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(path)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -37,10 +38,33 @@ def split_seeds():
     return train, held
 
 
+# How a model finds each gram's row in its log-probability table: by its row
+# tables, or by binary search of the seen gram codes, as a model whose row
+# tables would pass the size cap does
+GRAM_PATHS = ["tables", "searchsorted"]
+
+
+@pytest.fixture
+def gram_path(request, monkeypatch):
+    """Models built in the test take the path named by the parameter."""
+    if request.param == "searchsorted":
+        monkeypatch.setattr(probe, "_TABLE_CAP", 0)
+    return request.param
+
+
+def on_gram_path(request, build):
+    """``build()`` with its models on the path named by the fixture's
+    indirect parameter, the row tables when there is none."""
+    with pytest.MonkeyPatch.context() as patch:
+        if getattr(request, "param", "tables") == "searchsorted":
+            patch.setattr(probe, "_TABLE_CAP", 0)
+        return build()
+
+
 @pytest.fixture(scope="module")
-def model():
+def model(request):
     train, _ = split_seeds()
-    return train_langid(train)
+    return on_gram_path(request, lambda: train_langid(train))
 
 
 @pytest.fixture(scope="module")
@@ -133,16 +157,18 @@ def edge_training_texts():
 
 
 @pytest.fixture(scope="module")
-def edge_models(tmp_path_factory):
+def edge_models(request, tmp_path_factory):
     """A model trained on astral-plane, combining and NUL characters, and the
     same model saved and loaded again."""
-    model = NgramLanguageModel()
-    for lang, text in edge_training_texts().items():
-        model.add_language(lang, text)
-    model.finalize()
-    path = tmp_path_factory.mktemp("edge") / "langid.json"
-    model.save(path)
-    return model, NgramLanguageModel.load(path)
+    def build():
+        model = NgramLanguageModel()
+        for lang, text in edge_training_texts().items():
+            model.add_language(lang, text)
+        model.finalize()
+        path = tmp_path_factory.mktemp("edge") / "langid.json"
+        model.save(path)
+        return model, NgramLanguageModel.load(path)
+    return on_gram_path(request, build)
 
 
 def assert_scores_equal_reference(models, texts):
@@ -157,6 +183,7 @@ def assert_scores_equal_reference(models, texts):
                 assert classify_language(text, scored).scores == expected, repr(text)
 
 
+@pytest.mark.parametrize("edge_models", GRAM_PATHS, indirect=True)
 def test_edge_case_texts_score_like_per_gram_logs(edge_models):
     model, _ = edge_models
     assert all(twin not in model.counts[lang][len(twin)]
@@ -175,7 +202,8 @@ def surrogate_model():
 SURROGATE_TEXTS = EDGE_TEXTS + ["x\ud800", "\udfff\ud800q"]
 
 
-def test_lone_surrogates_in_training_text_score_like_per_gram_logs():
+@pytest.mark.parametrize("gram_path", GRAM_PATHS, indirect=True)
+def test_lone_surrogates_in_training_text_score_like_per_gram_logs(gram_path):
     assert_scores_equal_reference([surrogate_model()], SURROGATE_TEXTS)
 
 
@@ -198,7 +226,10 @@ def test_all_unseen_texts_score_each_languages_unseen_log(edge_models):
     assert_scores_equal_reference(edge_models, ALL_UNSEEN)
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+@pytest.mark.parametrize("block, edge_models, model", [
+    pytest.param(block, path, path, id=str(block) if path == "tables" else f"{block}-{path}")
+    for path in GRAM_PATHS for block in (1, 2, 3, 5, 64)
+], indirect=["edge_models", "model"])
 def test_texts_across_block_boundaries_score_like_per_gram_logs(
         block, edge_models, model, held_out, monkeypatch):
     monkeypatch.setattr(probe, "_BLOCK", block)
@@ -211,6 +242,38 @@ def test_text_longer_than_a_block_scores_like_per_gram_logs(model, held_out):
     text = " ".join(itertools.islice(itertools.cycle(held_out["fr"]), 400))
     assert len(text) > probe._BLOCK
     assert_scores_equal_reference([model], [text[:probe._BLOCK + 1000]])
+
+
+@pytest.mark.parametrize("gram_path", GRAM_PATHS, indirect=True)
+def test_loaded_model_with_grams_missing_from_lower_orders(gram_path, tmp_path):
+    # "abx" holds "x", which is in no 1-gram count; "qrs" and "zzc" start with
+    # "qr" and "zz", which are in no 2-gram count, nor are "q", "r", "s", "z"
+    counts = {
+        "en": {"1": {"a": 3, "b": 2}, "2": {"ab": 2, "ba": 1}, "3": {"abx": 1, "qrs": 2}},
+        "fr": {"1": {"b": 1, "c": 4}, "2": {"cc": 3}, "3": {"ccc": 2, "zzc": 1}},
+    }
+    path = tmp_path / "langid.json"
+    path.write_text(json.dumps({"orders": [1, 2, 3], "vocab_sizes": {"1": 4, "2": 4, "3": 5},
+                                "counts": counts}), encoding="utf-8")
+    loaded = NgramLanguageModel.load(path)
+    assert (loaded._row_tables is None) == (gram_path == "searchsorted")
+    assert_scores_equal_reference([loaded], [
+        "abx", "qrs", "zzc", "x", "qr", "xqrsab", "abxqrszzccc", "qrsqrs", "zz zzc",
+        "ab\U0001F600qrs", "cab\ud800qrsx"])
+
+
+def test_model_of_a_large_alphabet_scores_by_binary_search():
+    # 1,500 characters make row tables of more than _TABLE_CAP entries
+    rng = random.Random(3)
+    alphabet = [chr(0x4E00 + k) for k in range(1500)]
+    model = NgramLanguageModel()
+    for lang in ("zh", "ja"):
+        model.add_language(lang, "".join(rng.choice(alphabet) for _ in range(6000)))
+    model.finalize()
+    assert model._row_tables is None
+    texts = ["".join(rng.choice(alphabet) for _ in range(n)) for n in (1, 2, 3, 40, 300)]
+    assert_scores_equal_reference([model], texts + ["\u4e00\u4e01x", "abc"])
+    assert train_langid()._row_tables is not None
 
 
 def test_saved_model_file_is_unchanged(tmp_path):
