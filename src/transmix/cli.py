@@ -9,6 +9,7 @@ are reproducible and auditable.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict
@@ -22,7 +23,8 @@ from . import probe as probe_mod
 from . import quality as quality_mod
 from . import translate as translate_mod
 from .config import ConfigError, PipelineConfig, load_config
-from .corpus import TwoPassCorpus, read_corpus, read_header, write_corpus
+from .corpus import (TwoPassCorpus, read_back_lines, read_corpus, read_header,
+                     scan_corpus, write_corpus)
 from .mixer import MixtureEntry, MixtureSpec, derive_seed
 from .segment import chunk_document
 
@@ -158,20 +160,21 @@ def run_filter(config: PipelineConfig, input_path: str, stage_dir: Path) -> Path
     kept_path = stage_dir / "kept.jsonl"
     rejected_path = stage_dir / "rejected.jsonl"
     counts = {"in": 0, "kept": 0, "rejected": 0}
-    docs = read_corpus(input_path, strict=config.strict)
-    pairs = quality_mod.filter_corpus(
-        docs, config.quality, config.stopword_dir or None)
+    # a kept document is written as the line it was read from
+    scanned, to_filter = itertools.tee(scan_corpus(input_path, strict=config.strict))
+    reports = quality_mod.filter_corpus(
+        (doc for _, _, doc in to_filter), config.quality, config.stopword_dir or None)
     with open(kept_path, "w", encoding="utf-8") as kept_fh, \
             open(rejected_path, "w", encoding="utf-8") as rej_fh:
-        for doc, report in pairs:
+        for (_, line, _), (_, report) in zip(scanned, reports):
             counts["in"] += 1
             if report.keep:
                 counts["kept"] += 1
-                kept_fh.write(doc.to_json() + "\n")
+                kept_fh.write(line + "\n")
             else:
                 counts["rejected"] += 1
                 rej_fh.write(json.dumps({
-                    "doc": json.loads(doc.to_json()),
+                    "doc": json.loads(line),
                     "report": report.to_dict(),
                 }, ensure_ascii=False) + "\n")
     _write_manifest(stage_dir, {
@@ -184,7 +187,7 @@ def run_filter(config: PipelineConfig, input_path: str, stage_dir: Path) -> Path
 def run_dedup(config: PipelineConfig, input_path: str, stage_dir: Path,
               exact: bool) -> Path:
     # The input is read twice, and no document is held in between: the
-    # first pass signs every document, the second writes the kept ones.
+    # first pass signs every document, the second copies the kept lines.
     src = TwoPassCorpus(input_path, strict=config.strict)
     result = dedup_mod.dedup_corpus(
         src.documents(),
@@ -196,7 +199,7 @@ def run_dedup(config: PipelineConfig, input_path: str, stage_dir: Path,
         shingle_size=config.shingle_size,
     )
     kept_path = stage_dir / "kept.jsonl"
-    write_corpus(kept_path, (d for d in src.reread() if d.id not in result.removed_ids))
+    write_corpus(kept_path, read_back_lines([src], result.kept_positions))
     result.write_manifest(stage_dir / "clusters.jsonl")
     _write_manifest(stage_dir, {
         "stage": "dedup", "in": len(src), "kept": len(result.kept_ids),

@@ -4,12 +4,13 @@ The interchange format is JSONL: one ``{"id", "lang", "text", "source"?}``
 object per line, with an optional first header line
 ``{"_header": true, "tokenizer_fingerprint": "..."}``.
 
-``scan_corpus`` is the one line loop: it yields each document with the byte
-offset of its line, and ``read_corpus`` is that loop without the offsets.
+``scan_corpus`` is the one line loop: it yields each document with its
+stripped line and that line's byte offset, and ``read_corpus`` is that loop
+yielding only the documents. A stage that keeps a document writes its line.
 Stages that read their input twice (dedup and mix) read it through a
-``TwoPassCorpus``: its first pass keeps each document's byte offset and hash,
+``TwoPassCorpus``: its first pass keeps each line's byte offset and hash,
 16 bytes a document, and every later read goes back by offset and checks
-that the file and each document are the ones first read.
+that the file and each line are the ones first read.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from array import array
 from operator import itemgetter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "scan_corpus",
     "read_corpus",
     "read_at",
+    "read_back_lines",
     "read_header",
     "write_corpus",
     "CorpusStats",
@@ -98,6 +100,8 @@ def _parse_line(line: str) -> Document:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
+    if "\\u" in line:  # a lone surrogate escape raises UnicodeEncodeError, a ValueError
+        json.dumps(obj, ensure_ascii=False).encode()
     missing = [k for k in ("id", "lang", "text") if k not in obj]
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
@@ -157,8 +161,9 @@ def scan_corpus(
     path: str | Path,
     strict: bool = False,
     on_error: Callable[[ReadError], None] | None = None,
-) -> Iterator[tuple[int, Document]]:
-    """Stream ``(byte offset of its line, Document)`` pairs from a JSONL file.
+) -> Iterator[tuple[int, str, Document]]:
+    """Stream ``(byte offset of its line, stripped line, Document)`` triples
+    from a JSONL file.
 
     Malformed lines are reported through ``on_error`` and skipped; in strict
     mode the first one aborts the stream with CorpusFormatError, and id
@@ -191,7 +196,7 @@ def scan_corpus(
                 if on_error is not None:
                     on_error(ReadError(line_no=line_no, message=str(exc), raw=line))
                 continue
-            yield offset, doc
+            yield offset, line, doc
 
 
 def read_corpus(
@@ -201,30 +206,19 @@ def read_corpus(
 ) -> Iterator[Document]:
     """Stream Documents from a JSONL file without loading it whole: the
     documents of ``scan_corpus``, with the same error handling."""
-    return map(itemgetter(1), scan_corpus(path, strict, on_error))
+    return map(itemgetter(2), scan_corpus(path, strict, on_error))
 
 
-def read_at(path: str | Path, offsets: Iterable[int]) -> list[Document]:
-    """The documents whose lines start at ``offsets`` (from ``scan_corpus``),
-    in the order given. A line that holds no document raises
-    CorpusFormatError."""
-    docs = []
+def read_at(path: str | Path, offsets: Iterable[int]) -> list[str]:
+    """The stripped lines that start at ``offsets`` (from ``scan_corpus``),
+    in the order given; an offset at the end of the file gives ``""``."""
+    lines = []
     with open(path, "rb") as fh:
         for offset in offsets:
             fh.seek(offset)
             _, line = next(_text_lines(fh), (offset, ""))
-            line = line.strip()
-            try:
-                docs.append(_parse_line(line))
-            except (ValueError, KeyError) as exc:
-                raise CorpusFormatError(f"{path}: byte {offset}: {exc}") from exc
-    return docs
-
-
-def doc_hash(doc: Document) -> int:
-    """Hash of a document's id, language and text, recorded on a first read
-    to check a second read in the same process."""
-    return hash((doc.id, doc.lang, doc.text))
+            lines.append(line.strip())
+    return lines
 
 
 def _file_stamp(path: str) -> tuple[int, int]:
@@ -237,7 +231,7 @@ def _file_stamp(path: str) -> tuple[int, int]:
     return st.st_size, st.st_mtime_ns
 
 
-# documents read back at a time by TwoPassCorpus.reread
+# lines read back at a time by read_back_lines
 _READ_BLOCK = 256
 
 
@@ -246,9 +240,9 @@ class TwoPassCorpus:
 
     Its size and mtime are taken when it is made, so a pipe or a device is
     refused at once. ``documents()`` is the first pass: it records each
-    document's byte offset and ``doc_hash``, 16 bytes a document. Later reads
-    go back by offset and raise CorpusRereadError if the file, or any
-    document read again, is not the one first read.
+    document's byte offset and the ``hash`` of its stripped line, 16 bytes a
+    document. Later reads go back by offset and raise CorpusRereadError if
+    the file, or any line read again, is not the one first read.
     """
 
     def __init__(self, path: str | Path, strict: bool = False) -> None:
@@ -264,52 +258,60 @@ class TwoPassCorpus:
     def documents(self) -> Iterator[Document]:
         """The first pass: the documents of ``read_corpus``, each recorded."""
         self._offsets, self._hashes = offsets, hashes = array("q"), array("q")
-        for offset, doc in scan_corpus(self.path, self.strict):
+        for offset, line, doc in scan_corpus(self.path, self.strict):
             offsets.append(offset)
-            hashes.append(doc_hash(doc))
+            hashes.append(hash(line))
             yield doc
 
-    def read_back(self, indices: Iterable[int]) -> list[Document]:
-        """The documents at the given first-pass indices, in the order given,
-        read again front to back and checked."""
+    def read_back(self, indices: Iterable[int]) -> list[str]:
+        """The stripped lines at the given first-pass indices, in the order
+        given, read again front to back and checked."""
         if _file_stamp(self.path) != self._stamp:
             raise CorpusRereadError(f"{self.path} changed between reads")
         indices = np.asarray(indices, dtype=np.int64)
         offsets = np.frombuffer(self._offsets, dtype=np.int64)[indices]
         ahead = np.argsort(offsets, kind="stable")
-        try:
-            read = read_at(self.path, offsets[ahead].tolist())
-        except CorpusFormatError as exc:  # a line moved: the file changed
-            raise CorpusRereadError(f"{self.path} changed between reads: {exc}") from exc
+        read = read_at(self.path, offsets[ahead].tolist())
         recorded = np.frombuffer(self._hashes, dtype=np.int64)[indices[ahead]]
-        docs: list = [None] * len(read)
-        for slot, doc, h in zip(ahead.tolist(), read, recorded.tolist()):
-            if doc_hash(doc) != h:
+        lines: list = [None] * len(read)
+        for slot, line, h in zip(ahead.tolist(), read, recorded.tolist()):
+            if hash(line) != h:
                 raise CorpusRereadError(
-                    f"{self.path} changed between reads: a document read again "
+                    f"{self.path} changed between reads: a line read again "
                     "is not the one first read there")
-            docs[slot] = doc
-        return docs
+            lines[slot] = line
+        return lines
 
-    def reread(self) -> Iterator[Document]:
-        """Every document of the first pass again, in order, a block at a time."""
-        for lo in range(0, len(self), _READ_BLOCK):
-            yield from self.read_back(range(lo, min(lo + _READ_BLOCK, len(self))))
+
+def read_back_lines(sources: Sequence[TwoPassCorpus], refs: Iterable[int]) -> Iterator[str]:
+    """The lines that ``refs`` name, in order, read back from ``sources`` a
+    block at a time. A reference is a first-pass index times
+    ``len(sources)``, plus the number of its source."""
+    refs = np.asarray(refs, dtype=np.int64)
+    k = len(sources)
+    for lo in range(0, len(refs), _READ_BLOCK):
+        block = refs[lo:lo + _READ_BLOCK]
+        lines: list = [None] * len(block)
+        for s, source in enumerate(sources):
+            slots = np.flatnonzero(block % k == s)
+            for slot, line in zip(slots.tolist(), source.read_back(block[slots] // k)):
+                lines[slot] = line
+        yield from lines
 
 
 def write_corpus(
     path: str | Path,
-    docs: Iterable[Document],
+    docs: Iterable[Document | str],
     tokenizer_fingerprint: str | None = None,
 ) -> int:
-    """Write documents as JSONL; returns the number written."""
+    """Write Documents, or lines as read, as JSONL; returns the number written."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         if tokenizer_fingerprint is not None:
             fh.write(json.dumps(
                 {"_header": True, "tokenizer_fingerprint": tokenizer_fingerprint}) + "\n")
         for doc in docs:
-            fh.write(doc.to_json() + "\n")
+            fh.write((doc if isinstance(doc, str) else doc.to_json()) + "\n")
             n += 1
     return n
 

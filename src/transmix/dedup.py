@@ -309,6 +309,7 @@ class _UnionFind:
 class DedupResult:
     kept_ids: list[str]
     removed_ids: set[str]
+    kept_positions: list[int]  # where each kept id was in the input
     clusters: list[dict] = field(default_factory=list)
     params: dict = field(default_factory=dict)
 
@@ -364,6 +365,7 @@ def dedup_corpus(
         removed |= lang_removed
         clusters.extend(lang_clusters)
 
+    kept_positions = [i for i, doc_id in enumerate(order) if doc_id not in removed]
     kept_ids = [doc_id for doc_id in order if doc_id not in removed]
     params = {
         "seed": seed,
@@ -375,7 +377,7 @@ def dedup_corpus(
         "verification": "exact" if exact else "estimate",
     }
     return DedupResult(kept_ids=kept_ids, removed_ids=removed,
-                       clusters=clusters, params=params)
+                       kept_positions=kept_positions, clusters=clusters, params=params)
 
 
 # signature rows per block; a group's last block holds at most this many

@@ -9,7 +9,7 @@ recorded in the composition manifest.
 ``compose_stage`` holds numbers, not text: it reads each source as a
 ``corpus.TwoPassCorpus``, whose first pass it uses to count every document's
 tokens; the sample and the shuffle are made over document indices, and the
-``MixedCorpus`` it returns reads the sampled documents back each time it is
+``MixedCorpus`` it returns reads the sampled lines back each time it is
 iterated.
 """
 
@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .corpus import Document, TwoPassCorpus
+from .corpus import Document, TwoPassCorpus, read_back_lines
 from .tokenizer import TokenCounter
 
 T = TypeVar("T")
@@ -183,17 +183,13 @@ def interleave(
     yield from buffer
 
 
-# documents read back at a time by MixedCorpus
-_READ_BLOCK = 256
-
-
 class MixedCorpus:
     """The mixed documents of ``compose_stage``: a sized sequence that reads
-    them back from the sources on each iteration.
+    their lines back from the sources on each iteration.
 
-    It holds one integer per document. Each iteration reads the documents
-    back a few hundred at a time, and raises CorpusRereadError if a source
-    changed since ``compose_stage`` read it.
+    It holds one integer per document. Each iteration reads the lines back a
+    few hundred at a time, and raises CorpusRereadError if a source changed
+    since ``compose_stage`` read it.
     """
 
     def __init__(self, sources: list[TwoPassCorpus], refs: np.ndarray) -> None:
@@ -203,17 +199,8 @@ class MixedCorpus:
     def __len__(self) -> int:
         return len(self._refs)
 
-    def __iter__(self) -> Iterator[Document]:
-        k = len(self._sources)
-        for lo in range(0, len(self._refs), _READ_BLOCK):
-            block = self._refs[lo:lo + _READ_BLOCK]
-            docs: list[Document | None] = [None] * len(block)
-            for s, source in enumerate(self._sources):
-                slots = np.flatnonzero(block % k == s)
-                if len(slots):
-                    for slot, doc in zip(slots.tolist(), source.read_back(block[slots] // k)):
-                        docs[slot] = doc
-            yield from docs
+    def __iter__(self) -> Iterator[str]:
+        return read_back_lines(self._sources, self._refs)
 
 
 def compose_stage(

@@ -169,6 +169,43 @@ def test_strict_flag_aborts_on_malformed_line(tmp_path, capsys):
     assert report["total"]["docs"] == 3
 
 
+@pytest.mark.parametrize("stage", ["filter", "dedup", "translate", "mix", "segment", "pack"])
+def test_a_lone_surrogate_escape_is_a_malformed_line(tmp_path, stage, capsys):
+    # "\ud800" alone decodes to a str that UTF-8 cannot encode; the escaped
+    # pair "\ud83d\ude00" is one character and stays
+    docs = pipeline_docs(6)
+    lines = [d.to_json() for d in docs[:4]]
+    lines.append(json.dumps({"id": "pair", "lang": "en", "text": docs[4].text + " \U0001F600"}))
+    lines.append(json.dumps({"id": "lone", "lang": "en", "text": docs[5].text + " \ud800"}))
+    assert "\\ud83d\\ude00" in lines[4] and "\\ud800" in lines[5]
+    path = tmp_path / "in.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ini = tmp_path / "mix.ini"
+    ini.write_text(f"[mix]\nsources = a:{path}\n", encoding="utf-8")
+
+    def args(out):
+        out.mkdir()
+        if stage == "segment":
+            return ["segment", str(path), "--out", str(out / "chunks.jsonl")]
+        if stage == "mix":
+            return ["mix", "--config", str(ini), "--out-dir", str(out)]
+        return [stage, str(path), "--out-dir", str(out)]
+
+    out = tmp_path / "lenient"
+    assert main(args(out)) == 0
+    if stage == "pack":
+        assert read_manifest(out)["eos_count"] == 5
+    else:
+        written = "".join(p.read_text(encoding="utf-8") for p in out.glob("*.jsonl"))
+        assert '"pair' in written and '"lone' not in written
+    if stage in ("translate", "mix"):  # these read their input without --strict
+        return
+    capsys.readouterr()
+    assert main([*args(tmp_path / "strict"), "--strict"]) == 1
+    assert "in.jsonl:6: 'utf-8' codec can't encode character '\\ud800'" in \
+        capsys.readouterr().err
+
+
 def test_translate_subcommand_mock_echo(tmp_path, small_corpus):
     out = tmp_path / "translated"
     assert main(["translate", str(small_corpus), "--out-dir", str(out)]) == 0
@@ -197,7 +234,7 @@ def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):
     import transmix.cli as cli_mod
     import transmix.corpus as corpus_mod
     from transmix.config import load_config
-    from transmix.corpus import read_at, scan_corpus
+    from transmix.corpus import _parse_line as parse_line, read_at, scan_corpus
     from transmix.tokenizer import WhitespaceCounter
 
     sources = []
@@ -205,7 +242,7 @@ def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):
         path = tmp_path / f"{name}.jsonl"
         write_corpus(path, pipeline_docs(count, random.Random(count)))
         sources.append((name, str(path)))
-    reads, counted, read_back = [], [], []
+    reads, counted, read_back, parsed = [], [], [], []
 
     def counting_read(path, *args, **kwargs):
         reads.append(str(path))
@@ -220,6 +257,10 @@ def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):
         read_back.extend((str(path), offset) for offset in offsets)
         return read_at(path, offsets)
 
+    def counting_parse(line):
+        parsed.append(line)
+        return parse_line(line)
+
     class CountingCounter(WhitespaceCounter):
         def count(self, text):
             counted.append(text)
@@ -228,6 +269,7 @@ def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "read_corpus", counting_read)
     monkeypatch.setattr(corpus_mod, "scan_corpus", counting_scan)
     monkeypatch.setattr(corpus_mod, "read_at", counting_read_at)
+    monkeypatch.setattr(corpus_mod, "_parse_line", counting_parse)
     config = load_config(None)
     assert config.mix_budget_per_source == 0  # the smallest-source default
     monkeypatch.setattr(config, "make_counter", CountingCounter)
@@ -237,12 +279,34 @@ def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):
 
     assert sorted(reads) == sorted(path for _, path in sources)
     assert len(counted) == 20 + 14 + 17
+    assert len(parsed) == 20 + 14 + 17  # no line read back is parsed again
     totals = {name: sum(WhitespaceCounter().count(d.text) for d in read_corpus(path))
               for name, path in sources}
     manifest = read_manifest(out)
     assert {v["budget"] for v in manifest["sources"].values()} == {min(totals.values())}
     # only the sampled documents are read back, each once
     assert len(set(read_back)) == len(read_back) == manifest["output_docs"]
+
+
+def test_dedup_parses_each_input_line_once(tmp_path, monkeypatch):
+    import transmix.corpus as corpus_mod
+
+    docs = pipeline_docs(12)
+    docs += [Document(id=f"copy{i}", lang="en", text=d.text) for i, d in enumerate(docs[:3])]
+    path = tmp_path / "in.jsonl"
+    write_corpus(path, docs)
+    parsed = []
+    parse_line = corpus_mod._parse_line
+
+    def counting_parse(line):
+        parsed.append(line)
+        return parse_line(line)
+
+    monkeypatch.setattr(corpus_mod, "_parse_line", counting_parse)
+    out = tmp_path / "out"
+    assert main(["dedup", str(path), "--out-dir", str(out)]) == 0
+    assert read_manifest(out)["kept"] == 12
+    assert sorted(parsed) == sorted(d.to_json() for d in docs)
 
 
 def test_pack_subcommand(tmp_path, small_corpus):
@@ -470,7 +534,6 @@ def test_mix_refuses_a_source_changed_before_it_is_read_back(tmp_path):
 
 
 def test_dedup_and_mix_take_a_source_field_of_any_json_type(tmp_path):
-    # the check of the second read hashes id, language and text only
     docs = pipeline_docs(6)
     path = tmp_path / "in.jsonl"
     path.write_text("".join(json.dumps({**json.loads(d.to_json()), "source": ["a", {"b": 1}]})
@@ -481,3 +544,38 @@ def test_dedup_and_mix_take_a_source_field_of_any_json_type(tmp_path):
     ini.write_text(f"[mix]\nsources = a:{path}\n", encoding="utf-8")
     assert main(["mix", "--config", str(ini), "--out-dir", str(tmp_path / "m")]) == 0
     assert read_manifest(tmp_path / "m")["output_docs"] == 6
+
+
+def test_filter_dedup_and_mix_copy_kept_lines_as_read(tmp_path):
+    # extra keys, another key order, escapes, CRLF ends and leading spaces
+    # all survive: a kept document is written as its stripped input line
+    docs = pipeline_docs(6)
+    objs = [
+        {"url": "https://example.org/0", "id": docs[0].id, "lang": "en",
+         "text": docs[0].text, "score": 3.25, "dump": "CC-MAIN-2024-10"},
+        {"text": docs[1].text, "lang": "en", "id": docs[1].id},
+        {"id": docs[2].id, "lang": "en", "text": docs[2].text + " caf\u00e9"},
+        {"score": 2, "id": docs[3].id, "text": docs[3].text, "lang": "en"},
+        {"id": docs[4].id, "lang": "en", "text": docs[4].text, "source": "fineweb-edu"},
+        {"id": docs[5].id, "lang": "en", "text": docs[5].text, "token_count": 7},
+    ]
+    lines = [json.dumps(obj) for obj in objs]  # ASCII: "\u00e9", not "é"
+    assert "caf\\u00e9" in lines[2]
+    path = tmp_path / "in.jsonl"
+    path.write_bytes("".join(pad + line + end for line, pad, end in zip(
+        lines, ["  ", "", "\t", "", " ", ""], ["\r\n", "\n", "\r\n", "\n", "\r\n", "\n"])
+    ).encode("utf-8"))
+
+    def written(file):
+        return file.read_text(encoding="utf-8").splitlines()
+
+    assert main(["filter", str(path), "--out-dir", str(tmp_path / "f")]) == 0
+    assert written(tmp_path / "f" / "kept.jsonl") == lines
+    assert main(["dedup", str(path), "--out-dir", str(tmp_path / "d")]) == 0
+    assert written(tmp_path / "d" / "kept.jsonl") == lines
+    ini = tmp_path / "mix.ini"
+    ini.write_text(f"[mix]\nsources = a:{path}\n", encoding="utf-8")
+    assert main(["mix", "--config", str(ini), "--out-dir", str(tmp_path / "m")]) == 0
+    header, *mixed = written(tmp_path / "m" / "mixed.jsonl")
+    assert json.loads(header)["_header"] is True
+    assert sorted(mixed) == sorted(lines)

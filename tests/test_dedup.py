@@ -676,6 +676,7 @@ def test_dedup_corpus_reads_a_one_shot_stream(exact):
     kept, clusters = reference_dedup_corpus(docs, threshold=0.8, seed=3, exact=exact)
     assert len(clusters) >= 30
     assert result.kept_ids == kept
+    assert [docs[i].id for i in result.kept_positions] == kept
     assert result.clusters == clusters
 
 
