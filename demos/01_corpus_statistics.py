@@ -27,7 +27,7 @@ workdir = Path(tempfile.mkdtemp(prefix="transmix-demo-"))
 corpus_path = workdir / "mini.jsonl"
 
 counter = WhitespaceCounter()
-write_corpus(corpus_path, docs, tokenizer_fingerprint=counter.fingerprint)
+write_corpus(corpus_path, docs)
 print(f"wrote {len(docs)} documents to {corpus_path}")
 print("first line:", corpus_path.read_text(encoding="utf-8").splitlines()[0])
 

@@ -23,8 +23,7 @@ from . import probe as probe_mod
 from . import quality as quality_mod
 from . import translate as translate_mod
 from .config import ConfigError, PipelineConfig, load_config
-from .corpus import (TwoPassCorpus, read_back_lines, read_corpus, read_header,
-                     scan_corpus, write_corpus)
+from .corpus import TwoPassCorpus, read_back_lines, read_corpus, scan_corpus, write_corpus
 from .mixer import MixtureEntry, MixtureSpec, derive_seed
 from .segment import chunk_document
 
@@ -128,12 +127,8 @@ def _write_manifest(stage_dir: Path, manifest: dict) -> None:
 # ---- stages ---------------------------------------------------------------
 
 def run_stats(config: PipelineConfig, input_path: str, out: str | None) -> None:
-    counter = config.make_counter()
-    header = read_header(input_path)
-    use_cached = bool(header) and header.get("tokenizer_fingerprint") == counter.fingerprint
     stats = corpus_mod.compute_stats(
-        read_corpus(input_path, strict=config.strict), counter,
-        use_cached_counts=use_cached)
+        read_corpus(input_path, strict=config.strict), config.make_counter())
     report = json.dumps(stats.to_report(), indent=2, ensure_ascii=False)
     if out:
         Path(out).write_text(report + "\n", encoding="utf-8")
@@ -223,6 +218,7 @@ def run_translate(config: PipelineConfig, input_path: str, stage_dir: Path,
         resume=resume,
         restart=restart,
         abbreviation_dir=config.abbreviation_dir or None,
+        strict=config.strict,
     )
     _write_manifest(stage_dir, {"stage": "translate", **asdict(manifest)})
     return {tgt: stage_dir / f"{tgt}.jsonl" for tgt in config.targets}
@@ -230,7 +226,6 @@ def run_translate(config: PipelineConfig, input_path: str, stage_dir: Path,
 
 def run_mix(config: PipelineConfig, sources: list[tuple[str, str]],
             stage_dir: Path) -> Path:
-    counter = config.make_counter()
     # no budget: compose_stage gives each source the smallest source's total
     budget = config.mix_budget_per_source if config.mix_budget_per_source > 0 else None
     spec = MixtureSpec(
@@ -240,9 +235,10 @@ def run_mix(config: PipelineConfig, sources: list[tuple[str, str]],
         seed=derive_seed(config.seed, "mix"),
     )
     mixed, manifest = mixer_mod.compose_stage(
-        spec, counter, buffer_size=config.mix_buffer_size)
+        spec, config.make_counter(), buffer_size=config.mix_buffer_size,
+        strict=config.strict)
     out_path = stage_dir / "mixed.jsonl"
-    write_corpus(out_path, mixed, tokenizer_fingerprint=counter.fingerprint)
+    write_corpus(out_path, mixed)
     _write_manifest(stage_dir, manifest)
     return out_path
 

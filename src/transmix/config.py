@@ -18,6 +18,9 @@ from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+from .dedup import BANDS, ROWS, SHINGLE_SIZE
+from .mixer import DEFAULT_BUFFER_SIZE
+from .pack import DEFAULT_SEQUENCE_LENGTH
 from .quality import RuleConfig
 from .tokenizer import BpeCounter, TokenCounter, WhitespaceCounter
 from .translate import (
@@ -107,8 +110,8 @@ class PipelineConfig:
     retries: int = _opt("translate", GenerationParams.retries)
     backoff: float = _opt("translate", GenerationParams.backoff)
     max_in_flight: int = _opt("translate", GenerationParams.max_in_flight)
-    wrapper_open: str = _opt("translate", "[INST]")
-    wrapper_close: str = _opt("translate", "[/INST]")
+    wrapper_open: str = _opt("translate", PromptTemplate.wrapper_open)
+    wrapper_close: str = _opt("translate", PromptTemplate.wrapper_close)
     instruction: str = _opt("translate", "")
     # [quality] sets these RuleConfig fields, with RuleConfig's defaults
     quality: RuleConfig = field(default_factory=RuleConfig, metadata={
@@ -119,13 +122,13 @@ class PipelineConfig:
             "min_alpha_word_fraction", "min_stop_words", "check_repetition")})
     stopword_dir: str = _opt("quality", "")
     dedup_threshold: float = _opt("dedup", 0.8, "threshold")
-    dedup_bands: int = _opt("dedup", 16, "bands")
-    dedup_rows: int = _opt("dedup", 8, "rows")
-    shingle_size: int = _opt("dedup", 5)
+    dedup_bands: int = _opt("dedup", BANDS, "bands")
+    dedup_rows: int = _opt("dedup", ROWS, "rows")
+    shingle_size: int = _opt("dedup", SHINGLE_SIZE)
     mix_budget_per_source: int = _opt("mix", 0, "budget_per_source")  # 0 = smallest source total
-    mix_buffer_size: int = _opt("mix", 100_000, "buffer_size")
+    mix_buffer_size: int = _opt("mix", DEFAULT_BUFFER_SIZE, "buffer_size")
     mix_sources: list[tuple[str, str]] = _opt("mix", [], "sources", _parse_sources)
-    sequence_length: int = _opt("pack", 2048)
+    sequence_length: int = _opt("pack", DEFAULT_SEQUENCE_LENGTH)
     probe_n: int = _opt("probe", 512, "n")
     probe_max_tokens: int = _opt("probe", 300, "max_tokens")
     probe_temperature: float = _opt("probe", 1.0, "temperature")

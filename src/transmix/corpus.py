@@ -1,8 +1,10 @@
 """Document model, streaming JSONL ingestion/egress, and corpus statistics.
 
 The interchange format is JSONL: one ``{"id", "lang", "text", "source"?}``
-object per line, with an optional first header line
-``{"_header": true, "tokenizer_fingerprint": "..."}``.
+object per line. Other keys are not read, and a stage that copies a line
+keeps them; a ``token_count`` key is one of them, because every token count
+comes from the active ``TokenCounter``. A first line that is a
+``{"_header": true, ...}`` object is skipped.
 
 ``scan_corpus`` is the one line loop: it yields each document with its
 stripped line and that line's byte offset, and ``read_corpus`` is that loop
@@ -39,7 +41,6 @@ __all__ = [
     "read_corpus",
     "read_at",
     "read_back_lines",
-    "read_header",
     "write_corpus",
     "CorpusStats",
     "LanguageStats",
@@ -68,22 +69,17 @@ class Document:
     lang: str
     text: str
     source: str | None = None
-    token_count: int | None = None
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("document id must be non-empty")
         if self.lang not in LANGUAGES:
             raise ValueError(f"unknown lang {self.lang!r}, expected one of {LANGUAGES}")
-        if self.token_count is not None and self.token_count < 0:
-            raise ValueError("token_count cache must be non-negative")
 
     def to_json(self) -> str:
         obj: dict = {"id": self.id, "lang": self.lang, "text": self.text}
         if self.source is not None:
             obj["source"] = self.source
-        if self.token_count is not None:
-            obj["token_count"] = self.token_count
         return json.dumps(obj, ensure_ascii=False)
 
 
@@ -105,28 +101,14 @@ def _parse_line(line: str) -> Document:
     missing = [k for k in ("id", "lang", "text") if k not in obj]
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
+    if not isinstance(obj["text"], str):
+        raise ValueError("text is not a string")
     return Document(
         id=str(obj["id"]),
         lang=obj["lang"],
         text=obj["text"],
         source=obj.get("source"),
-        token_count=obj.get("token_count"),
     )
-
-
-def read_header(path: str | Path) -> dict | None:
-    """Return the header object of a corpus file, if it has one."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    if not first.strip():
-        return None
-    try:
-        obj = json.loads(first)
-    except json.JSONDecodeError:
-        return None
-    if isinstance(obj, dict) and obj.get("_header"):
-        return obj
-    return None
 
 
 def _split_ends(raw: bytes) -> list[bytes]:
@@ -167,9 +149,9 @@ def scan_corpus(
 
     Malformed lines are reported through ``on_error`` and skipped; in strict
     mode the first one aborts the stream with CorpusFormatError, and id
-    uniqueness is enforced as well. A leading header line is skipped
-    transparently (see read_header). Whitespace-only lines are skipped but
-    counted in line numbers.
+    uniqueness is enforced as well. A ``{"_header": true, ...}`` object on
+    line 1 is skipped. Whitespace-only lines are skipped but counted in line
+    numbers.
     """
     seen_ids: set[str] | None = set() if strict else None
     with open(path, "rb") as fh:
@@ -299,17 +281,10 @@ def read_back_lines(sources: Sequence[TwoPassCorpus], refs: Iterable[int]) -> It
         yield from lines
 
 
-def write_corpus(
-    path: str | Path,
-    docs: Iterable[Document | str],
-    tokenizer_fingerprint: str | None = None,
-) -> int:
+def write_corpus(path: str | Path, docs: Iterable[Document | str]) -> int:
     """Write Documents, or lines as read, as JSONL; returns the number written."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        if tokenizer_fingerprint is not None:
-            fh.write(json.dumps(
-                {"_header": True, "tokenizer_fingerprint": tokenizer_fingerprint}) + "\n")
         for doc in docs:
             fh.write((doc if isinstance(doc, str) else doc.to_json()) + "\n")
             n += 1
@@ -356,22 +331,12 @@ class CorpusStats:
         return report
 
 
-def compute_stats(
-    docs: Iterable[Document],
-    counter: TokenCounter,
-    use_cached_counts: bool = False,
-) -> CorpusStats:
-    """Single-pass per-language statistics.
-
-    Cached token counts are advisory: they are only trusted when the caller
-    has checked the corpus header fingerprint against the active counter.
-    """
+def compute_stats(docs: Iterable[Document], counter: TokenCounter) -> CorpusStats:
+    """Single-pass per-language statistics, every document counted by ``counter``."""
     stats = CorpusStats(tokenizer_fingerprint=counter.fingerprint)
     for doc in docs:
-        n = doc.token_count if (use_cached_counts and doc.token_count is not None) \
-            else counter.count(doc.text)
         lang_stats = stats.per_language.setdefault(doc.lang, LanguageStats())
-        lang_stats.token_total += n
+        lang_stats.token_total += counter.count(doc.text)
         lang_stats.doc_count += 1
     return stats
 

@@ -11,6 +11,10 @@ recorded in the composition manifest.
 tokens; the sample and the shuffle are made over document indices, and the
 ``MixedCorpus`` it returns reads the sampled lines back each time it is
 iterated.
+
+Every token count here is made by the caller's ``TokenCounter``, whose
+fingerprint the manifest records; a ``token_count`` key in an input line is
+neither read nor changed.
 """
 
 from __future__ import annotations
@@ -127,8 +131,7 @@ def balanced_sample(
 
     The final overshooting document is included, so the realized total lies
     in [budget, budget + max document length). Raises MixtureError naming the
-    shortfall when the corpus is too small. Counts are always recomputed with
-    the active counter; the token_count cache is advisory only.
+    shortfall when the corpus is too small.
     """
     docs = list(docs)
     counts = [counter.count(d.text) for d in docs]
@@ -207,6 +210,7 @@ def compose_stage(
     spec: MixtureSpec,
     counter: TokenCounter,
     buffer_size: int = DEFAULT_BUFFER_SIZE,
+    strict: bool = False,
 ) -> tuple[MixedCorpus, dict]:
     """Sample every source to its budget, interleave, and report realized counts.
 
@@ -216,10 +220,11 @@ def compose_stage(
     is the smallest source's total when the spec gives none. The mixed
     documents come back as a ``MixedCorpus`` that reads them from the
     sources again, so the sources must be regular files that do not change
-    until it has been read (CorpusRereadError otherwise).
+    until it has been read (CorpusRereadError otherwise). ``strict`` is as in
+    ``corpus.read_corpus``.
     """
     spec.validate()
-    sources = [TwoPassCorpus(e.path) for e in spec.entries]
+    sources = [TwoPassCorpus(e.path, strict) for e in spec.entries]
     token_counts = {e.name: array("q", (counter.count(d.text) for d in src.documents()))
                     for e, src in zip(spec.entries, sources)}
     totals = {name: sum(counts) for name, counts in token_counts.items()}

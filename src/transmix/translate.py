@@ -605,6 +605,7 @@ def translate_corpus(
     restart: bool = False,
     sleep: Callable[[float], None] = time.sleep,
     abbreviation_dir: str | None = None,
+    strict: bool = False,
 ) -> TranslateManifest:
     """Translate a corpus into one output corpus per target, resumably.
 
@@ -625,7 +626,8 @@ def translate_corpus(
     (wipe with restart to retry). An existing journal requires an explicit
     choice: resume to continue, restart to wipe. An exception raised by the
     backend stops the run after the last pair before it is committed.
-    ``abbreviation_dir`` is as in ``trim_incomplete``.
+    ``abbreviation_dir`` is as in ``trim_incomplete``, and ``strict`` as in
+    ``read_corpus``.
     """
     template = template or PromptTemplate()
     params = params or GenerationParams()
@@ -633,7 +635,7 @@ def translate_corpus(
     manifest = TranslateManifest(targets=list(targets))
 
     def pairs(done: set[tuple[str, str]]) -> Iterator[tuple[Document, str, list[Chunk]]]:
-        for doc in read_corpus(in_path):
+        for doc in read_corpus(in_path, strict=strict):
             manifest.docs_in += 1
             todo = [tgt for tgt in targets if (doc.id, tgt) not in done]
             manifest.skipped_resume += len(targets) - len(todo)

@@ -28,9 +28,9 @@ def bpe_counter():
 def make_corpus(tmp_path):
     """Write documents to a JSONL file and return its path."""
 
-    def _make(docs, name="corpus.jsonl", fingerprint=None):
+    def _make(docs, name="corpus.jsonl"):
         path = tmp_path / name
-        write_corpus(path, docs, tokenizer_fingerprint=fingerprint)
+        write_corpus(path, docs)
         return path
 
     return _make

@@ -57,18 +57,6 @@ class TestStats:
         assert main(["stats", str(small_corpus), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["total"]["docs"] == 30
 
-    def test_cached_counts_trusted_only_with_matching_fingerprint(
-            self, tmp_path, capsys):
-        docs = [Document(id="a", lang="en", text="one two", token_count=99)]
-        matching = tmp_path / "match.jsonl"
-        write_corpus(matching, docs, tokenizer_fingerprint="ws:1")
-        stale = tmp_path / "stale.jsonl"
-        write_corpus(stale, docs, tokenizer_fingerprint="bpe:0123")
-        assert main(["stats", str(matching)]) == 0
-        assert json.loads(capsys.readouterr().out)["en"]["tokens"] == 99
-        assert main(["stats", str(stale)]) == 0
-        assert json.loads(capsys.readouterr().out)["en"]["tokens"] == 2
-
 
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
@@ -169,15 +157,20 @@ def test_strict_flag_aborts_on_malformed_line(tmp_path, capsys):
     assert report["total"]["docs"] == 3
 
 
-@pytest.mark.parametrize("stage", ["filter", "dedup", "translate", "mix", "segment", "pack"])
-def test_a_lone_surrogate_escape_is_a_malformed_line(tmp_path, stage, capsys):
-    # "\ud800" alone decodes to a str that UTF-8 cannot encode; the escaped
-    # pair "\ud83d\ude00" is one character and stays
-    docs = pipeline_docs(6)
+@pytest.mark.parametrize("stage, bad_text, error", [
+    pytest.param(stage, bad_text, error, id=stage + suffix)
+    for suffix, bad_text, error in [
+        # "\ud800" alone decodes to a str that UTF-8 cannot encode
+        ("", "\ud800", "'utf-8' codec can't encode character '\\ud800'"),
+        ("-text-not-a-string", 5, "text is not a string")]
+    for stage in ["filter", "dedup", "translate", "mix", "segment", "pack"]])
+def test_a_lone_surrogate_escape_is_a_malformed_line(tmp_path, stage, bad_text, error, capsys):
+    # the escaped pair "\ud83d\ude00" is one character and stays
+    docs = pipeline_docs(5)
     lines = [d.to_json() for d in docs[:4]]
     lines.append(json.dumps({"id": "pair", "lang": "en", "text": docs[4].text + " \U0001F600"}))
-    lines.append(json.dumps({"id": "lone", "lang": "en", "text": docs[5].text + " \ud800"}))
-    assert "\\ud83d\\ude00" in lines[4] and "\\ud800" in lines[5]
+    lines.append(json.dumps({"id": "lone", "lang": "en", "text": bad_text}))
+    assert "\\ud83d\\ude00" in lines[4]
     path = tmp_path / "in.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     ini = tmp_path / "mix.ini"
@@ -198,12 +191,9 @@ def test_a_lone_surrogate_escape_is_a_malformed_line(tmp_path, stage, capsys):
     else:
         written = "".join(p.read_text(encoding="utf-8") for p in out.glob("*.jsonl"))
         assert '"pair' in written and '"lone' not in written
-    if stage in ("translate", "mix"):  # these read their input without --strict
-        return
     capsys.readouterr()
     assert main([*args(tmp_path / "strict"), "--strict"]) == 1
-    assert "in.jsonl:6: 'utf-8' codec can't encode character '\\ud800'" in \
-        capsys.readouterr().err
+    assert f"in.jsonl:6: {error}" in capsys.readouterr().err
 
 
 def test_translate_subcommand_mock_echo(tmp_path, small_corpus):
@@ -376,6 +366,25 @@ class TestPipeline:
             (out_b / "05_pack" / "tokens.bin").read_bytes()
         assert read_manifest(out_a / "05_pack") == read_manifest(out_b / "05_pack")
         assert read_manifest(out_a / "04_mix") == read_manifest(out_b / "04_mix")
+
+    def test_token_counts_come_from_the_active_counter(self, tmp_path, capsys):
+        # a token_count key in a line is an extra key: copied, never trusted
+        in_path = tmp_path / "in.jsonl"
+        write_corpus(in_path, [
+            json.dumps({**json.loads(d.to_json()), "token_count": 999 if i % 2 else "12"})
+            for i, d in enumerate(pipeline_docs(40))])
+        code, out = self.run_pipeline(tmp_path, "run")
+        assert code == 0
+        mixed = out / "04_mix" / "mixed.jsonl"
+        lines = mixed.read_text(encoding="utf-8").splitlines()
+        assert any('"token_count": 999' in line for line in lines)
+        assert any('"token_count": "12"' in line for line in lines)
+        assert main(["stats", str(mixed)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        mix = read_manifest(out / "04_mix")
+        assert stats["total"]["docs"] == mix["output_docs"]
+        assert stats["total"]["tokens"] == sum(v["tokens"] for v in mix["sources"].values())
+        assert stats["total"]["tokens"] == read_manifest(out / "05_pack")["total_doc_tokens"]
 
     def test_seed_changes_pack_output(self, tmp_path):
         _, out_a = self.run_pipeline(tmp_path, "runA", seed="7")
@@ -576,6 +585,4 @@ def test_filter_dedup_and_mix_copy_kept_lines_as_read(tmp_path):
     ini = tmp_path / "mix.ini"
     ini.write_text(f"[mix]\nsources = a:{path}\n", encoding="utf-8")
     assert main(["mix", "--config", str(ini), "--out-dir", str(tmp_path / "m")]) == 0
-    header, *mixed = written(tmp_path / "m" / "mixed.jsonl")
-    assert json.loads(header)["_header"] is True
-    assert sorted(mixed) == sorted(lines)
+    assert sorted(written(tmp_path / "m" / "mixed.jsonl")) == sorted(lines)

@@ -18,7 +18,6 @@ from transmix.corpus import (
     read_at,
     read_back_lines,
     read_corpus,
-    read_header,
     scan_corpus,
     TwoPassCorpus,
     write_corpus,
@@ -74,10 +73,9 @@ class TestReadCorpus:
         assert len(list(read_corpus(path))) == 2
 
     def test_header_line_skipped_and_readable(self, make_corpus):
-        docs = [Document(id="d0", lang="en", text="t")]
-        path = make_corpus(docs, fingerprint="ws:1")
-        assert read_header(path) == {"_header": True, "tokenizer_fingerprint": "ws:1"}
-        assert [d.id for d in read_corpus(path)] == ["d0"]
+        header = json.dumps({"_header": True, "tokenizer_fingerprint": "ws:1"})
+        path = make_corpus([header, Document(id="d0", lang="en", text="t")])
+        assert [d.id for d in read_corpus(path, strict=True)] == ["d0"]
 
 
 def test_round_trip_field_for_field(tmp_path):
@@ -88,7 +86,6 @@ def test_round_trip_field_for_field(tmp_path):
             lang=rng.choice(["en", "fr", "de", "es", "other"]),
             text=" ".join(f"w{rng.randrange(100)}" for _ in range(rng.randint(1, 30))),
             source="unit-test" if rng.random() < 0.5 else None,
-            token_count=rng.randint(0, 50) if rng.random() < 0.5 else None,
         )
         for i in range(50)
     ]
@@ -231,7 +228,7 @@ class TestTwoPassCorpus:
 
     def test_read_back_of_shuffled_indices_equals_the_first_pass(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        write_corpus(path, self.docs(600), tokenizer_fingerprint="ws:1")
+        write_corpus(path, [json.dumps({"_header": True}), *self.docs(600)])
         src = TwoPassCorpus(path)
         first = list(src.documents())
         assert len(src) == len(first) == 600
@@ -303,13 +300,6 @@ class TestComputeStats:
         stats = compute_stats(docs, ws_counter)
         row = stats.per_language["es"]
         assert consistent(row.token_total, row.doc_count, row.avg_doc_length)
-
-    def test_cached_counts_used_only_on_request(self, ws_counter):
-        docs = [Document(id="a", lang="en", text="one two", token_count=99)]
-        fresh = compute_stats(docs, ws_counter)
-        cached = compute_stats(docs, ws_counter, use_cached_counts=True)
-        assert fresh.per_language["en"].token_total == 2
-        assert cached.per_language["en"].token_total == 99
 
     def test_report_shape(self, ws_counter):
         stats = compute_stats(
