@@ -28,10 +28,6 @@ from .mixer import MixtureEntry, MixtureSpec, derive_seed
 from .segment import chunk_document
 
 
-class StageFailure(RuntimeError):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transmix",
@@ -301,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         _apply_cli_overrides(config, args)
+        config.validate()  # again, for the values the flags set
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -322,9 +319,10 @@ def main(argv: list[str] | None = None) -> int:
             run_translate(config, args.input, stage_dir,
                           resume=args.resume, restart=args.restart)
         elif args.command == "mix":
-            stage_dir = _stage_dir(Path(args.out_dir), ".", config)
             if not config.mix_sources:
-                raise StageFailure("mix: configure [mix] sources = name:path,...")
+                raise ConfigError(["mix.sources: required by transmix mix "
+                                   "(sources = name:path, ...)"])
+            stage_dir = _stage_dir(Path(args.out_dir), ".", config)
             run_mix(config, config.mix_sources, stage_dir)
         elif args.command == "pack":
             stage_dir = _stage_dir(Path(args.out_dir), ".", config)

@@ -167,6 +167,11 @@ class PipelineConfig:
             problems.append(
                 f"translate.max_tokens: must be >= 0 (0 = twice the chunk limit), "
                 f"got {self.max_tokens}")
+        if self.max_in_flight < 1:
+            problems.append(
+                f"translate.max_in_flight: must be >= 1, got {self.max_in_flight}")
+        if self.http_timeout <= 0:
+            problems.append(f"translate.timeout: must be > 0, got {self.http_timeout}")
         if not (0.0 < self.dedup_threshold < 1.0):
             problems.append(
                 f"dedup.threshold: must be in (0, 1), got {self.dedup_threshold}")
@@ -174,6 +179,14 @@ class PipelineConfig:
             problems.append(
                 f"dedup.bands x dedup.rows must be 128, got "
                 f"{self.dedup_bands}x{self.dedup_rows}")
+        if self.shingle_size < 1:
+            problems.append(f"dedup.shingle_size: must be >= 1, got {self.shingle_size}")
+        if self.mix_budget_per_source < 0:
+            problems.append(
+                f"mix.budget_per_source: must be >= 0 (0 = the smallest source's total), "
+                f"got {self.mix_budget_per_source}")
+        if self.mix_buffer_size < 1:
+            problems.append(f"mix.buffer_size: must be >= 1, got {self.mix_buffer_size}")
         if self.sequence_length < 2:
             problems.append("pack.sequence_length: must be >= 2")
         if self.probe_n < 1:

@@ -101,10 +101,12 @@ def _parse_line(line: str) -> Document:
     missing = [k for k in ("id", "lang", "text") if k not in obj]
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
+    if not isinstance(obj["id"], str):
+        raise ValueError("id is not a string")
     if not isinstance(obj["text"], str):
         raise ValueError("text is not a string")
     return Document(
-        id=str(obj["id"]),
+        id=obj["id"],
         lang=obj["lang"],
         text=obj["text"],
         source=obj.get("source"),

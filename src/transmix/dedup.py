@@ -7,21 +7,21 @@ pairs, which are confirmed against the similarity threshold before
 union-find clustering. All randomness derives from one seed, recorded in the
 cluster manifest so runs are comparable.
 
-``dedup_corpus`` reads its documents once and keeps no text. It signs each
-language's documents into ``uint64`` rows held in fixed-size blocks, about
-1 KB per document, and keeps their ids; ``exact`` verification also keeps
-each document's shingles as one sorted ``uint64`` array. The LSH index
-buckets each band by sorting the band's columns, and clustering state is
-kept only for ids that share a bucket. The hash values are those of hashing
-each joined 5-gram with 8-byte blake2b, so signatures, kept ids and
-manifests do not depend on this layout.
+``dedup_corpus`` reads its documents once and keeps no text. Each
+language has one LSH index, the one store of its ids and signature rows:
+each document is signed straight into a ``uint64`` row of the index's
+256-row blocks, about 1 KB per document. ``exact`` verification also keeps
+each document's shingles as one sorted ``uint64`` array. The index buckets
+each band by sorting the band's columns, and clustering state is kept only
+for ids that share a bucket. The hash values are those of hashing each
+joined 5-gram with 8-byte blake2b, so signatures, kept ids and manifests do
+not depend on this layout.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from collections import defaultdict
 from functools import lru_cache
@@ -203,13 +203,19 @@ def _array_jaccard(a: np.ndarray, b: np.ndarray) -> float:
     return shared / union if union else 1.0  # two empty sets are equal
 
 
+# signature rows per block of an index; its last block holds at most this
+# many unused rows (256 x 1 KB)
+_ROW_BLOCK = 256
+
+
 class LshIndex:
     """Banded index over signatures: 16 bands x 8 rows by default.
 
     Two documents become a candidate pair iff all rows of some band agree.
-    Signatures are held as blocks of uint64 rows; each band is bucketed by
-    sorting its columns, gathered from every block, so only buckets of two
-    or more ids become Python lists.
+    The index holds the signatures as uint64 rows, in blocks of
+    ``_ROW_BLOCK`` rows that it allocates one at a time. Each band is
+    bucketed by sorting its columns, gathered from every block, so only
+    buckets of two or more ids become Python lists.
     """
 
     def __init__(self, bands: int = BANDS, rows: int = ROWS) -> None:
@@ -218,27 +224,22 @@ class LshIndex:
         self.bands = bands
         self.rows = rows
         self._ids: list[str] = []
-        self._blocks: list[np.ndarray] = []  # (k, NUM_HASHES) uint64 each
-        self._starts: list[int] = []  # the row index of each block's first row
+        self._blocks: list[np.ndarray] = []  # (_ROW_BLOCK, NUM_HASHES) uint64 each
 
     def add(self, doc_id: str, sig: MinHashSignature) -> None:
-        self.add_rows([doc_id], np.array([sig.values], dtype=np.uint64))
+        self._append(doc_id)[:] = sig.values
 
-    def add_rows(self, doc_ids: Sequence[str], rows: np.ndarray) -> None:
-        """Add one signature per id, given as the rows of a uint64 matrix.
-
-        The index keeps ``rows`` without copying it.
-        """
-        if rows.shape != (len(doc_ids), NUM_HASHES):
-            raise ValueError(f"expected {len(doc_ids)} rows of {NUM_HASHES} values")
-        self._starts.append(len(self._ids))
-        self._ids.extend(doc_ids)
-        self._blocks.append(rows)
+    def _append(self, doc_id: str) -> np.ndarray:
+        """Add ``doc_id`` and return its row, for the caller to fill."""
+        i = len(self._ids)
+        if i % _ROW_BLOCK == 0:
+            self._blocks.append(np.empty((_ROW_BLOCK, NUM_HASHES), dtype=np.uint64))
+        self._ids.append(doc_id)
+        return self._blocks[-1][i % _ROW_BLOCK]
 
     def row(self, i: int) -> np.ndarray:
         """The signature row added ``i``-th, counting from 0."""
-        k = bisect_right(self._starts, i) - 1
-        return self._blocks[k][i - self._starts[k]]
+        return self._blocks[i // _ROW_BLOCK][i % _ROW_BLOCK]
 
     def buckets(self, row_of: dict[str, int] | None = None) -> Iterator[list[str]]:
         """Each band's buckets of two or more ids, band by band.
@@ -249,11 +250,14 @@ class LshIndex:
         ``row_of`` is updated to map each id in a bucket to its row index
         (see ``row``).
         """
-        if not self._ids:
+        n = len(self._ids)
+        if not n:
             return
+        # the rows added: every block, the last one cut to its filled rows
+        blocks = [*self._blocks[:-1], self._blocks[-1][:(n - 1) % _ROW_BLOCK + 1]]
         for band in range(self.bands):
             # the band's columns, each gathered from every block
-            columns = [np.concatenate([block[:, c] for block in self._blocks])
+            columns = [np.concatenate([block[:, c] for block in blocks])
                        for c in range(band * self.rows, (band + 1) * self.rows)]
             order = np.lexsort(columns[::-1])
             # a run of equal keys starts at 0 and wherever a key differs from
@@ -344,7 +348,9 @@ def dedup_corpus(
     ``docs`` is iterated once, and no document is held after it is signed.
     """
     order: dict[str, None] = {}  # every id, in input order
-    groups: dict[str, _SignedGroup] = {}
+    indexes: dict[str, LshIndex] = {}  # by language
+    # by language, for ``exact``: each document's sorted shingles, by row
+    arrays: dict[str, list[np.ndarray]] = {}
     scratch = np.empty((_SIGN_BLOCK, NUM_HASHES), dtype=np.uint64)
     for doc in docs:
         if doc.id in order:
@@ -352,16 +358,21 @@ def dedup_corpus(
         order[doc.id] = None
         shingles = shingle_set(doc.text, shingle_size)
         if shingles:
-            group = groups.get(doc.lang)
-            if group is None:
-                group = groups[doc.lang] = _SignedGroup(seed, exact, bands, rows)
-            group.add(doc.id, shingles, scratch)
+            index = indexes.get(doc.lang)
+            if index is None:
+                index = indexes[doc.lang] = LshIndex(bands=bands, rows=rows)
+            x: set[int] | np.ndarray = shingles
+            if exact:
+                x = np.sort(_shingle_array(shingles))
+                arrays.setdefault(doc.lang, []).append(x)
+            _sign_into(x, seed, index._append(doc.id), scratch)
     del scratch
 
     removed: set[str] = set()
     clusters: list[dict] = []
-    for lang in sorted(groups):
-        lang_removed, lang_clusters = _dedup_group(groups.pop(lang), threshold)
+    for lang in sorted(indexes):
+        lang_removed, lang_clusters = _dedup_group(
+            indexes.pop(lang), arrays.pop(lang, None), seed, threshold)
         removed |= lang_removed
         clusters.extend(lang_clusters)
 
@@ -380,54 +391,18 @@ def dedup_corpus(
                        kept_positions=kept_positions, clusters=clusters, params=params)
 
 
-# signature rows per block; a group's last block holds at most this many
-# unused rows (256 x 1 KB)
-_ROW_BLOCK = 256
-
-
-class _SignedGroup:
-    """One language's signed documents: an LSH index over their ids and
-    signature rows, filled one fixed-size block of rows at a time, and for
-    exact verification each document's sorted shingle array, by row."""
-
-    def __init__(self, seed: int, exact: bool, bands: int, rows: int) -> None:
-        self.seed = seed
-        self.index = LshIndex(bands=bands, rows=rows)
-        self.shingles: list[np.ndarray] | None = [] if exact else None
-        self._ids: list[str] = []  # the ids of the rows in ``_block``
-        self._block: np.ndarray | None = None
-
-    def add(self, doc_id: str, shingles: set[int], scratch: np.ndarray) -> None:
-        if self._block is None:
-            self._block = np.empty((_ROW_BLOCK, NUM_HASHES), dtype=np.uint64)
-        x: set[int] | np.ndarray = shingles
-        if self.shingles is not None:
-            x = np.sort(_shingle_array(shingles))
-            self.shingles.append(x)
-        _sign_into(x, self.seed, self._block[len(self._ids)], scratch)
-        self._ids.append(doc_id)
-        if len(self._ids) == _ROW_BLOCK:
-            self.finish()
-
-    def finish(self) -> LshIndex:
-        """Hand the rows signed so far to the index, and return the index."""
-        if self._block is not None:
-            self.index.add_rows(self._ids, self._block[:len(self._ids)])
-            self._ids, self._block = [], None
-        return self.index
-
-
-def _dedup_group(group: _SignedGroup, threshold: float) -> tuple[set[str], list[dict]]:
-    index = group.finish()
+def _dedup_group(index: LshIndex, shingles: list[np.ndarray] | None, seed: int,
+                 threshold: float) -> tuple[set[str], list[dict]]:
+    """Cluster one language's signed documents. ``shingles`` holds each
+    row's sorted shingle array for exact verification, or is ``None``."""
     row_of: dict[str, int] = {}  # filled only with the ids that share a bucket
-    shingles = group.shingles
 
     def score(a: str, b: str) -> float:
         i, j = row_of[a], row_of[b]
         if shingles is not None:
             return _array_jaccard(shingles[i], shingles[j])
-        return estimate_jaccard(_row_signature(index.row(i), group.seed),
-                                _row_signature(index.row(j), group.seed))
+        return estimate_jaccard(_row_signature(index.row(i), seed),
+                                _row_signature(index.row(j), seed))
 
     uf, edges = _join_candidates(index.buckets(row_of), score, threshold)
     members: dict[str, list[str]] = defaultdict(list)

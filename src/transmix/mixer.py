@@ -93,6 +93,11 @@ class MixtureSpec:
     def validate(self) -> None:
         if not self.entries:
             raise MixtureError(f"stage {self.stage!r} has no sources")
+        names: set[str] = set()
+        for e in self.entries:
+            if e.name in names:
+                raise MixtureError(f"stage {self.stage!r} has two sources named {e.name!r}")
+            names.add(e.name)
         budgets = [e.token_budget is not None for e in self.entries]
         weights = [e.weight is not None for e in self.entries]
         if any(budgets) and any(weights):

@@ -157,19 +157,20 @@ def test_strict_flag_aborts_on_malformed_line(tmp_path, capsys):
     assert report["total"]["docs"] == 3
 
 
-@pytest.mark.parametrize("stage, bad_text, error", [
-    pytest.param(stage, bad_text, error, id=stage + suffix)
-    for suffix, bad_text, error in [
+@pytest.mark.parametrize("stage, bad_fields, error", [
+    pytest.param(stage, bad_fields, error, id=stage + suffix)
+    for suffix, bad_fields, error in [
         # "\ud800" alone decodes to a str that UTF-8 cannot encode
-        ("", "\ud800", "'utf-8' codec can't encode character '\\ud800'"),
-        ("-text-not-a-string", 5, "text is not a string")]
+        ("", {"text": "\ud800"}, "'utf-8' codec can't encode character '\\ud800'"),
+        ("-text-not-a-string", {"text": 5}, "text is not a string"),
+        ("-id-not-a-string", {"id": None}, "id is not a string")]
     for stage in ["filter", "dedup", "translate", "mix", "segment", "pack"]])
-def test_a_lone_surrogate_escape_is_a_malformed_line(tmp_path, stage, bad_text, error, capsys):
+def test_a_lone_surrogate_escape_is_a_malformed_line(tmp_path, stage, bad_fields, error, capsys):
     # the escaped pair "\ud83d\ude00" is one character and stays
     docs = pipeline_docs(5)
     lines = [d.to_json() for d in docs[:4]]
     lines.append(json.dumps({"id": "pair", "lang": "en", "text": docs[4].text + " \U0001F600"}))
-    lines.append(json.dumps({"id": "lone", "lang": "en", "text": bad_text}))
+    lines.append(json.dumps({"id": "lone", "lang": "en", "text": "lone words", **bad_fields}))
     assert "\\ud83d\\ude00" in lines[4]
     path = tmp_path / "in.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -218,6 +219,26 @@ def test_mix_subcommand_uses_configured_sources(tmp_path):
     assert set(manifest["sources"]) == {"a", "b"}
     assert all(v["tokens"] >= 500 for v in manifest["sources"].values())
     assert (out / "mixed.jsonl").exists()
+
+
+def test_mix_refuses_two_sources_of_one_name(tmp_path, capsys):
+    a1 = tmp_path / "a1.jsonl"
+    a2 = tmp_path / "a2.jsonl"
+    write_corpus(a1, pipeline_docs(30, random.Random(1)))
+    write_corpus(a2, pipeline_docs(30, random.Random(2)))
+    ini = tmp_path / "mix.ini"
+    ini.write_text(f"[mix]\nsources = a:{a1}, a:{a2}\n", encoding="utf-8")
+    out = tmp_path / "mixed"
+    assert main(["mix", "--config", str(ini), "--out-dir", str(out)]) == 1
+    assert "has two sources named 'a'" in capsys.readouterr().err
+    assert not (out / "mixed.jsonl").exists()
+
+
+def test_mix_without_sources_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "mixed"
+    assert main(["mix", "--out-dir", str(out)]) == 2
+    assert "mix.sources: required" in capsys.readouterr().err
+    assert not out.exists()  # no stage directory, so no FAILED marker
 
 
 def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):

@@ -193,6 +193,37 @@ def test_unknown_env_override_rejected_with_its_name(monkeypatch):
                                   "TWP_RUN_WORKERS: unknown environment override"]
 
 
+OUT_OF_RANGE = [("translate", "max_in_flight", "0"), ("translate", "timeout", "0"),
+                ("dedup", "shingle_size", "0"), ("mix", "buffer_size", "0"),
+                ("mix", "budget_per_source", "-1")]
+
+
+@pytest.mark.parametrize("section, option, value, source", [
+    *((section, option, value, source)
+      for section, option, value in OUT_OF_RANGE for source in ("ini", "env")),
+    ("translate", "max_in_flight", "0", "workers")])
+def test_out_of_range_option_is_config_error(
+        tmp_path, monkeypatch, capsys, section, option, value, source):
+    path = tmp_path / "pipeline.ini"
+    path.write_text(f"[{section}]\n" + (f"{option} = {value}\n" if source == "ini" else ""),
+                    encoding="utf-8")
+    if source == "env":
+        monkeypatch.setenv(f"TWP_{section}_{option}".upper(), value)
+    args = ["filter", str(tmp_path / "in.jsonl"), "--out-dir", str(tmp_path / "out"),
+            "--config", str(path)]
+    if source == "workers":
+        load_config(path)  # valid until --workers sets the option
+        args += ["--workers", value]
+    else:
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        [problem] = err.value.problems
+        assert problem.startswith(f"{section}.{option}: must be ")
+    assert main(args) == 2
+    assert f"{section}.{option}: must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("option, value", [("backoff", "-1"), ("max_tokens", "-5")])
 @pytest.mark.parametrize("source", ["env", "ini"])
 def test_negative_backoff_or_max_tokens_is_config_error(

@@ -620,19 +620,13 @@ class TestMatrixPathEqualsReference:
         rng.shuffle(entries)
 
         index = LshIndex(bands=bands, rows=rows)
-        half = len(entries) // 2
-        for doc_id, values in entries[:half]:
+        assert 1 < len(entries) / dedup._ROW_BLOCK < 2  # a full block and a part of one
+        for doc_id, values in entries:
             index.add(doc_id, MinHashSignature(values=values, seed=0))
-        index.add_rows([doc_id for doc_id, _ in entries[half:]],
-                       np.array([values for _, values in entries[half:]], dtype=np.uint64))
         expected = reference_buckets(entries, bands, rows)
         assert any(len(ids) > 2 for ids in expected)
         assert list(index.buckets()) == expected
         assert list(index.buckets()) == expected  # buckets() can be called again
-
-    def test_lsh_rejects_rows_of_the_wrong_shape(self):
-        with pytest.raises(ValueError):
-            LshIndex().add_rows(["a", "b"], np.zeros((1, NUM_HASHES), dtype=np.uint64))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("exact", [False, True], ids=["estimate", "exact"])
@@ -661,16 +655,25 @@ class TestMatrixPathEqualsReference:
         }
 
 
-@pytest.mark.parametrize("exact", [False, True], ids=["estimate", "exact"])
-def test_dedup_corpus_reads_a_one_shot_stream(exact):
-    # the documents are read once; clusters cover more than one row block
+@pytest.mark.parametrize("exact, row_block", [
+    pytest.param(exact, row_block, id=mode + ("" if row_block == dedup._ROW_BLOCK
+                                              else f"-block{row_block}"))
+    for exact, mode in [(False, "estimate"), (True, "exact")]
+    for row_block in [dedup._ROW_BLOCK, 1, 7]])
+def test_dedup_corpus_reads_a_one_shot_stream(exact, row_block, monkeypatch):
+    # the documents are read once; clusters cover more than one row block,
+    # and with 7-row blocks each language's last block is only partly filled
+    monkeypatch.setattr(dedup, "_ROW_BLOCK", row_block)
     rng = random.Random(59)
     docs, _ = make_corpus_with_plants(rng, [("0.95", 190, 5, 40), ("0.80", 160, 20, 30)], 400)
     docs += near_duplicate_families(rng, families=4, size=10)
     for i, text in enumerate(fuzz_texts(60, 30)):
         docs.append(Document(id=f"z{i:03d}", lang=rng.choice(["en", "fr"]), text=text))
     rng.shuffle(docs)
-    assert len(docs) > 2 * dedup._ROW_BLOCK
+    assert len(docs) > 2 * row_block
+    if row_block == 7:
+        signed = [d.lang for d in docs if normalize_words(d.text)]
+        assert all(signed.count(lang) % 7 for lang in ("en", "fr"))
 
     result = dedup_corpus((doc for doc in docs), threshold=0.8, seed=3, exact=exact)
     kept, clusters = reference_dedup_corpus(docs, threshold=0.8, seed=3, exact=exact)
