@@ -159,6 +159,8 @@ class PipelineConfig:
         for tgt in self.targets:
             if tgt not in ("en", "fr", "de", "es"):
                 problems.append(f"translate.targets: unknown language {tgt!r}")
+        for tgt in sorted({tgt for tgt in self.targets if self.targets.count(tgt) > 1}):
+            problems.append(f"translate.targets: {tgt!r} is given more than once")
         if self.retries < 1:
             problems.append("translate.retries: must be >= 1")
         if self.backoff < 0:

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, asdict
 from collections import Counter
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ OTHER_MARGIN = 0.15  # per-character log-prob units
 BLOCK_MARGIN = 0.6  # the margin each alternating block needs to count as a pair
 LOW_CONFIDENCE_CHARS = 20
 _CODE_BITS = 21  # bits per code point in a gram code: a 3-gram fits in an int64
-_BLOCK = 1 << 15  # grams per table gather when scoring a text
+_BLOCK = 1 << 14  # characters per scoring block: at most 3 * _BLOCK rows per gather
 # Entries the row tables may hold. Past it (a model of a script with a few
 # thousand characters) scoring binary-searches the seen gram codes instead.
 _TABLE_CAP = 1 << 22
@@ -141,42 +141,49 @@ class NgramLanguageModel:
     def _totals(self, text: str) -> list[float]:
         """Per-language sums of the text's gram log-probabilities.
 
-        Each sum adds one gram at a time, in the order of ``_gram_rows``, as a
-        per-gram loop would, so every total is the same float as that loop's.
-        The rows are gathered and accumulated at most ``_BLOCK`` grams at a
-        time, carrying the running totals from block to block.
+        Each sum adds one gram at a time, the 1-grams in text order, then the
+        2-grams, then the 3-grams, as a per-gram loop would, so every total is
+        the same float as that loop's. The grams' rows, up to ``_BLOCK`` of one
+        order at a time, fill one buffer of ``3 * _BLOCK`` rows, which is
+        gathered and accumulated whenever full, carrying the running totals.
         """
+        block = _BLOCK
+        tables = self._row_tables
+        rows = np.empty(3 * min(len(text), block), dtype=np.int32)
+        filled = 0
         total = np.zeros(self._table.shape[1])
-        pending: list[np.ndarray] = []
-        size = 0
-        for rows in self._gram_rows(text):
-            if size + len(rows) > _BLOCK:
-                total = self._accumulate(total, pending)
-                pending, size = [], 0
-            pending.append(rows)
-            size += len(rows)
-        return self._accumulate(total, pending).tolist()
+        ranked = -1, None  # a block's start and its characters' ranks, for every order
+        for n in NGRAM_ORDERS:
+            for start in range(0, len(text) - n + 1, block):
+                count = min(block, len(text) - n + 1 - start)
+                if filled + count > len(rows):
+                    total = self._accumulate(total, rows[:filled])
+                    filled = 0
+                out = rows[filled:filled + count]
+                filled += count
+                if tables is None:
+                    self._search_rows(n, text[start:start + count + n - 1], out)
+                    continue
+                if ranked[0] != start:
+                    ranked = start, tables._ranks(text[start:start + block + 2])
+                tables.fill(n, ranked[1], out)
+        return self._accumulate(total, rows[:filled]).tolist()
 
-    def _accumulate(self, total: np.ndarray, pending: list[np.ndarray]) -> np.ndarray:
-        values = self._table.take(np.concatenate(pending), axis=0)
+    def _accumulate(self, total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        values = self._table.take(rows, axis=0)
         values[0] += total
         # a sequential running sum: a pairwise sum would change the last bits
-        return np.add.accumulate(values, axis=0)[-1]
+        return np.add.accumulate(values, axis=0, out=values)[-1]
 
-    def _gram_rows(self, text: str) -> Iterator[np.ndarray]:
-        """Table rows of the text's 1-grams in text order, then its 2-grams,
-        then its 3-grams, at most ``_BLOCK`` grams per array."""
-        if self._row_tables is not None:
-            yield from self._row_tables.gram_rows(text)
-            return
-        for n in NGRAM_ORDERS:
-            codes, first = self._codes[n]
-            for start in range(0, len(text) - n + 1, _BLOCK):
-                points = _code_points(text[start:start + _BLOCK + n - 1])
-                grams = _pack([points[k:len(points) - n + 1 + k] for k in range(n)])
-                rows = np.searchsorted(codes[:-1], grams)
-                rows[codes[rows] != grams] = len(codes) - 1  # the unseen row
-                yield rows + first
+    def _search_rows(self, n: int, text: str, out: np.ndarray) -> None:
+        """Write the table rows of the text's n-grams into ``out``, found by
+        binary search of the order's seen gram codes."""
+        codes, first = self._codes[n]
+        points = _code_points(text)
+        grams = _pack([points[k:len(out) + k] for k in range(n)])
+        found = np.searchsorted(codes[:-1], grams)
+        found[codes[found] != grams] = len(codes) - 1  # the unseen row
+        np.add(found, first, out=out)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -217,8 +224,10 @@ class _RowTables:
     with the ranks of its characters in the model's alphabet: every code
     point of a seen gram of any order.
 
-    A character outside the alphabet takes the rank after the last one. A
-    3-gram's row is indexed by the rank of its first two characters among the
+    A character's rank is read from a table indexed by code point, which
+    runs to one past the alphabet's largest point; a character outside the
+    alphabet, or past its end, takes the rank after the last one. A 3-gram's
+    row is indexed by the rank of its first two characters among the
     distinct prefixes of the seen 3-grams, then by its last character. A gram
     that was not seen indexes its order's unseen row. The 2-D tables are kept
     flat: entry ``[i, j]`` is at ``i * side + j``, where ``side`` is the
@@ -228,9 +237,10 @@ class _RowTables:
     # A plain class: a dataclass compiles generated methods at every import,
     # which raised peak RSS by about 0.6 MB in a process that imports the
     # package anew nine times.
-    def __init__(self, alphabet: np.ndarray, one: np.ndarray, two: np.ndarray,
+    def __init__(self, rank: np.ndarray, one: np.ndarray, two: np.ndarray,
                  prefix: np.ndarray, three: np.ndarray) -> None:
-        self.alphabet = alphabet  # the code points, ascending, then a -1
+        self.rank = rank  # [code point] -> rank; the last entry is the unseen rank
+        self.side = int(rank[-1]) + 1
         self.one = one  # [a] -> 1-gram row
         self.two = two  # [a, b] -> 2-gram row
         self.prefix = prefix  # [a, b] -> prefix rank, or the number of prefixes if none
@@ -248,15 +258,15 @@ class _RowTables:
             [seen[n] >> (_CODE_BITS * k) & mask for n in NGRAM_ORDERS for k in range(n)])))
         prefixes = _distinct(seen[3] >> _CODE_BITS)
         side = len(alphabet) + 1
-        if side + (2 * side + len(prefixes) + 1) * side > _TABLE_CAP:
+        rank_size = int(alphabet.max(initial=-1)) + 2
+        if rank_size + side + (2 * side + len(prefixes) + 1) * side > _TABLE_CAP:
             return None
-
-        def rank(points: np.ndarray) -> np.ndarray:
-            return np.searchsorted(alphabet, points)
+        rank = np.full(rank_size, side - 1, dtype=np.int32)
+        rank[alphabet] = np.arange(len(alphabet))
 
         def pair(pairs: np.ndarray) -> np.ndarray:
             """The flat indices of 2-character codes in a side x side table."""
-            return rank(pairs >> _CODE_BITS) * side + rank(pairs & mask)
+            return rank[pairs >> _CODE_BITS] * side + rank[pairs & mask]
 
         def table(n: int, size: int, index: np.ndarray) -> np.ndarray:
             """The rows of the seen n-grams at ``index``, the unseen row elsewhere."""
@@ -268,38 +278,35 @@ class _RowTables:
         prefix = np.full(side * side, len(prefixes), dtype=np.int32)
         prefix[pair(prefixes)] = np.arange(len(prefixes))
         return cls(
-            alphabet=np.append(alphabet, -1),
-            one=table(1, side, rank(seen[1])),
+            rank=rank,
+            one=table(1, side, rank[seen[1]]),
             two=table(2, side * side, pair(seen[2])),
             prefix=prefix,
             three=table(3, (len(prefixes) + 1) * side,
                         np.searchsorted(prefixes, seen[3] >> _CODE_BITS) * side
-                        + rank(seen[3] & mask)),
+                        + rank[seen[3] & mask]),
         )
 
-    def gram_rows(self, text: str) -> Iterator[np.ndarray]:
-        """``NgramLanguageModel._gram_rows``, by table lookups."""
-        side = len(self.alphabet)
-        block = None  # (start, ranks): one block's ranks serve every order
-        for n in NGRAM_ORDERS:
-            for start in range(0, len(text) - n + 1, _BLOCK):
-                if block is None or block[0] != start:
-                    block = start, self._ranks(text[start:start + _BLOCK + 2])
-                ranks = block[1][:_BLOCK + n - 1]
-                if n == 1:
-                    yield self.one.take(ranks)
-                elif n == 2:
-                    yield self.two.take(ranks[:-1] * side + ranks[1:])
-                else:
-                    prefixes = self.prefix.take(ranks[:-2] * side + ranks[1:-1])
-                    yield self.three.take(prefixes * side + ranks[2:])
-
     def _ranks(self, text: str) -> np.ndarray:
-        """Each character's rank in the alphabet."""
-        points = _code_points(text)
-        ranks = np.searchsorted(self.alphabet[:-1], points)
-        ranks[self.alphabet[ranks] != points] = len(self.alphabet) - 1
-        return ranks
+        """Each character's rank: its code point, clamped, indexes ``rank``."""
+        return self.rank.take(_code_points(text), mode="clip")
+
+    def fill(self, n: int, ranks: np.ndarray, out: np.ndarray) -> None:
+        """Write into ``out`` the rows of the n-grams that start at the
+        first ``len(out)`` of the characters with these ranks."""
+        count = len(out)
+        if n == 1:
+            self.one.take(ranks[:count], out=out)
+            return
+        np.multiply(ranks[:count], self.side, out=out)
+        out += ranks[1:count + 1]
+        if n == 2:
+            self.two.take(out, out=out)
+            return
+        self.prefix.take(out, out=out)
+        out *= self.side
+        out += ranks[2:count + 2]
+        self.three.take(out, out=out)
 
 
 def _distinct(ascending: np.ndarray) -> np.ndarray:

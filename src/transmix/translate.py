@@ -627,8 +627,11 @@ def translate_corpus(
     choice: resume to continue, restart to wipe. An exception raised by the
     backend stops the run after the last pair before it is committed.
     ``abbreviation_dir`` is as in ``trim_incomplete``, and ``strict`` as in
-    ``read_corpus``.
+    ``read_corpus``. A target given more than once is a ``ValueError``.
     """
+    for tgt in targets:
+        if targets.count(tgt) > 1:
+            raise ValueError(f"target {tgt!r} is given more than once")
     template = template or PromptTemplate()
     params = params or GenerationParams()
     counter = counter or WhitespaceCounter()

@@ -224,6 +224,18 @@ def test_out_of_range_option_is_config_error(
     assert not (tmp_path / "out").exists()
 
 
+def test_repeated_target_is_config_error(tmp_path, capsys):
+    path = tmp_path / "pipeline.ini"
+    path.write_text("[translate]\ntargets = fr, de, fr\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.problems == ["translate.targets: 'fr' is given more than once"]
+    assert main(["translate", str(tmp_path / "in.jsonl"), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(path)]) == 2
+    assert "translate.targets: 'fr' is given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("option, value", [("backoff", "-1"), ("max_tokens", "-5")])
 @pytest.mark.parametrize("source", ["env", "ini"])
 def test_negative_backoff_or_max_tokens_is_config_error(

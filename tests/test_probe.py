@@ -276,6 +276,34 @@ def test_model_of_a_large_alphabet_scores_by_binary_search():
     assert train_langid()._row_tables is not None
 
 
+def last_code_point_model():
+    model = NgramLanguageModel()
+    model.add_language("en", "\n".join(seed_lines("en")[:30]) + " a\U0010FFFFb")
+    model.add_language("fr", "\n".join(seed_lines("fr")[:30]) + " \U0010FFFF\U0010FFFF")
+    model.finalize()
+    return model
+
+
+@pytest.mark.parametrize("gram_path", GRAM_PATHS, indirect=True)
+def test_rank_table_of_the_last_code_point_counts_toward_the_cap(gram_path, monkeypatch):
+    model = last_code_point_model()
+    if gram_path == "tables":
+        tables = model._row_tables
+        assert len(tables.rank) == 0x10FFFF + 2
+        entries = sum(table.size for table in (
+            tables.rank, tables.one, tables.two, tables.prefix, tables.three))
+        assert entries <= probe._TABLE_CAP
+        monkeypatch.setattr(probe, "_TABLE_CAP", entries - 1)
+        assert last_code_point_model()._row_tables is None
+        # the bundled model's largest code point is U+0153
+        assert len(train_langid()._row_tables.rank) < 1000
+    else:
+        assert model._row_tables is None
+    assert_scores_equal_reference([model], [
+        "\U0010FFFF", "a\U0010FFFFb", "\U0010FFFF\U0010FFFF\U0010FFFF", "\U0010FFFE",
+        "x\U0010FFFEy\U0010FFFF", "\U0001F600\U0010FFFF\ud800", seed_lines("fr")[40]])
+
+
 def test_saved_model_file_is_unchanged(tmp_path):
     # sha256 of the file that a model trained on the bundled seeds saves: the
     # model file format, which files saved by earlier versions rely on

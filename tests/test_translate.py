@@ -409,6 +409,15 @@ class TestTranslateCorpus:
             assert all(d.lang == tgt for d in docs)
             assert docs[0].id == "doc0000:" + tgt
 
+    def test_repeated_target_is_refused_before_any_output(self, tmp_path, ws_counter):
+        in_path = corpus_of(tmp_path, 3)
+        backend = MockEchoBackend(PromptTemplate())
+        with pytest.raises(ValueError, match="target 'fr' is given more than once"):
+            translate_corpus(in_path, ["fr", "de", "fr"], backend, tmp_path / "out",
+                             counter=ws_counter, params=FAST, sleep=NO_SLEEP)
+        assert backend.calls == 0
+        assert not (tmp_path / "out").exists()
+
     def test_one_failing_doc_recorded_not_lost(self, tmp_path, ws_counter):
         in_path = corpus_of(tmp_path, 10)
         out_dir = tmp_path / "out"
