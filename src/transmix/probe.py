@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, asdict
 from collections import Counter
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -59,7 +58,9 @@ class NgramLanguageModel:
     """Character n-gram multinomial model with add-one smoothing."""
 
     def __init__(self) -> None:
-        self.counts: dict[str, dict[int, Counter]] = {}
+        # lang -> order -> (distinct gram codes, ascending; their counts; first-seen keys)
+        self._tallies: dict[str, dict[int, tuple[np.ndarray, ...]]] = {}
+        self._counts: dict[str, dict[int, Counter]] | None = None  # ``counts``, once built
         self.totals: dict[str, dict[int, int]] = {}
         self.vocab_sizes: dict[int, int] = {}
         # Smoothed log-probabilities, one column per language in ``languages``
@@ -75,22 +76,33 @@ class NgramLanguageModel:
 
     @property
     def languages(self) -> list[str]:
-        return sorted(self.counts)
+        return sorted(self._tallies)
+
+    @property
+    def counts(self) -> dict[str, dict[int, Counter]]:
+        """A read-only view: each language's gram strings and counts, in first-seen order."""
+        if self._counts is None:
+            self._counts = {lang: {n: _counter(n, *per_order[n]) for n in NGRAM_ORDERS}
+                            for lang, per_order in self._tallies.items()}
+        return self._counts
 
     def add_language(self, lang: str, text: str) -> None:
-        per_order = self.counts.setdefault(
-            lang, {n: Counter() for n in NGRAM_ORDERS})
+        """Count the text's grams into ``lang``'s, as ``Counter.update`` over strings would."""
+        points = _code_points(text)
+        tallies = self._tallies.setdefault(lang, {})
+        totals = self.totals.setdefault(lang, dict.fromkeys(NGRAM_ORDERS, 0))
         for n in NGRAM_ORDERS:
-            per_order[n].update(_grams(text, n))
-        self.totals[lang] = {n: sum(per_order[n].values()) for n in NGRAM_ORDERS}
+            count = max(len(points) - n + 1, 0)
+            codes, counts, first = _group(_pack([points[k:count + k] for k in range(n)]))
+            new = codes, counts, first + totals[n]  # seen after the grams counted before
+            tallies[n] = _group(*map(np.concatenate, zip(tallies[n], new))) if n in tallies else new
+            totals[n] += count
+        self._counts = None
         self._table = None  # stale until finalize()
 
     def finalize(self) -> None:
         """Fix smoothing vocabularies from the union over languages."""
-        for n in NGRAM_ORDERS:
-            # one slot for unseen grams; the union is not held while tabulating
-            self.vocab_sizes[n] = 1 + len(set().union(
-                *(per_order[n] for per_order in self.counts.values())))
+        self.vocab_sizes = {}  # _tabulate counts each order's union, plus one for unseen grams
         self._tabulate()
 
     def _tabulate(self) -> None:
@@ -101,23 +113,16 @@ class NgramLanguageModel:
         blocks = []
         first = 0
         for n in NGRAM_ORDERS:
-            per_lang = [self.counts[lang][n] for lang in languages]
-            every = _gram_codes([gram for counts in per_lang for gram in counts], n)
-            order = np.argsort(every)
-            ranked = every[order]
-            distinct = np.diff(ranked, prepend=-1) != 0  # codes are never negative
-            seen = ranked[distinct]
-            rows = np.empty_like(order)  # the rows of ``every``, language by language
-            rows[order] = np.cumsum(distinct) - 1
-            block = np.empty((len(seen) + 1, len(per_lang)))
-            start = 0
-            for col, (lang, counts) in enumerate(zip(languages, per_lang)):
-                denom = self.totals[lang][n] + self.vocab_sizes[n]
+            tallies = [self._tallies[lang][n] for lang in languages]
+            seen = _distinct(np.sort(np.concatenate([codes for codes, _, _ in tallies])))
+            block = np.empty((len(seen) + 1, len(languages)))
+            for col, (lang, (codes, counts, _)) in enumerate(zip(languages, tallies)):
+                denom = self.totals[lang][n] + self.vocab_sizes.setdefault(n, 1 + len(seen))
                 block[:, col] = math.log(1 / denom)
                 # math.log, as the per-gram sum it replaces, once per distinct count
-                logs = {c: math.log((c + 1) / denom) for c in set(counts.values())}
-                block[rows[start:start + len(counts)], col] = [logs[c] for c in counts.values()]
-                start += len(counts)
+                distinct = _distinct(np.sort(counts))
+                logs = np.array([math.log((c + 1) / denom) for c in distinct.tolist()])
+                block[np.searchsorted(seen, codes), col] = logs[np.searchsorted(distinct, counts)]
             self._codes[n] = (np.append(seen, -1), first)
             first += len(block)
             blocks.append(block)
@@ -201,22 +206,21 @@ class NgramLanguageModel:
     @classmethod
     def load(cls, path: str | Path) -> "NgramLanguageModel":
         payload = json.loads(Path(path).read_text(encoding="utf-8", errors="surrogatepass"))
+        if payload["orders"] != list(NGRAM_ORDERS):
+            raise ValueError(f"{path}: orders {payload['orders']} differ from {list(NGRAM_ORDERS)}")
+        for name, per_order in [("vocab_sizes", payload["vocab_sizes"]), *(
+                (f"the counts of {lang!r}", c) for lang, c in payload["counts"].items())]:
+            if missing := [n for n in NGRAM_ORDERS if str(n) not in per_order]:
+                raise ValueError(f"{path}: {name} lack order {missing[0]}")
         model = cls()
         for lang, per_order in payload["counts"].items():
-            model.counts[lang] = {
-                int(n): Counter(c) for n, c in per_order.items()}
-            model.totals[lang] = {
-                n: sum(c.values()) for n, c in model.counts[lang].items()}
-        model.vocab_sizes = {int(k): v for k, v in payload["vocab_sizes"].items()}
+            grams = {n: per_order[str(n)] for n in NGRAM_ORDERS}
+            model._tallies[lang] = {n: _group(_gram_codes(c, n), np.array([*c.values()], np.int64),
+                                              np.arange(len(c))) for n, c in grams.items()}
+            model.totals[lang] = {n: sum(c.values()) for n, c in grams.items()}
+        model.vocab_sizes = {n: payload["vocab_sizes"][str(n)] for n in NGRAM_ORDERS}
         model._tabulate()
         return model
-
-
-def _grams(text: str, n: int) -> Iterable[str]:
-    if n == 1:
-        return text
-    pairs = map(operator.add, text, text[1:])
-    return pairs if n == 2 else map(operator.add, pairs, text[2:])
 
 
 class _RowTables:
@@ -337,6 +341,27 @@ def _gram_codes(grams: Collection[str], n: int) -> np.ndarray:
     if len(joined) != n * len(grams):
         raise ValueError(f"the model's {n}-grams are not all {n} characters long")
     return _pack(_code_points(joined).reshape(-1, n).T)
+
+
+def _group(codes: np.ndarray, counts: np.ndarray | None = None,
+           first: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Each distinct code, ascending, with the sum of its counts and the least
+    of its first-seen keys; without them, each code counts one, seen at its index."""
+    order = np.argsort(codes)
+    codes = codes[order]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))  # codes are never negative
+    counts = np.ones(len(codes), np.int64) if counts is None else counts[order]
+    first = order if first is None else first[order]
+    return codes[starts], np.add.reduceat(counts, starts), np.minimum.reduceat(first, starts)
+
+
+def _counter(n: int, codes: np.ndarray, counts: np.ndarray, first: np.ndarray) -> Counter:
+    """The n-grams of the codes as strings, with their counts, in first-seen order."""
+    order = np.argsort(first)
+    points = codes[order, None] >> _CODE_BITS * np.arange(n - 1, -1, -1) & (1 << _CODE_BITS) - 1
+    text = points.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+    grams = [text[k:k + n] for k in range(0, len(text), n)]
+    return Counter(dict(zip(grams, counts[order].tolist())))
 
 
 def bundled_seed_paths() -> dict[str, Path]:

@@ -231,7 +231,7 @@ def _walk_path(obj, path: str):
 
 @dataclass(frozen=True)
 class GenerationParams:
-    max_tokens: int = 0  # 0 = twice the chunk token budget
+    max_tokens: int = 0  # 0 = twice the chunk token budget; see _chunk_request
     temperature: float = 0.0
     retries: int = 3
     backoff: float = 1.0
@@ -303,13 +303,18 @@ def trim_incomplete(raw: str, lang: str,
 
 def _chunk_request(backend, template: PromptTemplate, chunk_limit: int,
                    params: GenerationParams, sleep: Callable[[float], None]):
-    """Return request(doc, tgt, chunk): one chunk's prompt sent with retries."""
-    max_tokens = params.resolve_max_tokens(chunk_limit)
+    """Return request(doc, tgt, chunk): one chunk's prompt sent with retries.
+
+    A chunk asks for ``params.resolve_max_tokens(chunk_limit)`` tokens,
+    or for twice its own token count if that is more: a sentence longer than
+    the limit is a chunk of its own, and its output must not be cut short.
+    """
+    floor = params.resolve_max_tokens(chunk_limit)
 
     def request(doc: Document, tgt: str, chunk: Chunk) -> BackendResult:
         prompt = build_prompt(chunk, doc.lang, tgt, template)
         return complete_with_retries(
-            backend, prompt, max_tokens=max_tokens,
+            backend, prompt, max_tokens=max(floor, 2 * chunk.token_count),
             temperature=params.temperature, retries=params.retries,
             backoff=params.backoff, sleep=sleep)
 
@@ -589,6 +594,7 @@ class TranslateManifest:
     failed: int = 0
     skipped_resume: int = 0
     chunk_calls: int = 0
+    oversized_chunks: int = 0  # chunks over the chunk limit: one sentence each
     dropped_sentences: int = 0
 
 
@@ -656,6 +662,7 @@ def translate_corpus(
                                             abbreviation_dir)
             store.commit(doc.id, tgt, translated, records)
             manifest.chunk_calls += len(records)
+            manifest.oversized_chunks += sum(c.token_count > chunk_limit for c in chunks)
             manifest.dropped_sentences += sum(r.dropped_sentences for r in records)
             if translated is not None:
                 manifest.ok += 1

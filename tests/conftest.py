@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 from transmix.corpus import Document, write_corpus
+from transmix.probe import NgramLanguageModel
 from transmix.tokenizer import BpeCounter, WhitespaceCounter, bundled_bpe_paths
 
 SEED_DIR = Path(__file__).parent.parent / "src" / "transmix" / "data" / "seeds"
@@ -51,3 +53,34 @@ def make_docs(rng: random.Random, count: int, lang: str = "en",
         words = random_words(rng, rng.randint(min_words, max_words))
         docs.append(Document(id=f"doc{i:05d}", lang=lang, text=" ".join(words)))
     return docs
+
+
+# each problem of ``malformed_model_file`` and the error that loading names it by
+MALFORMED_MODELS = {
+    "orders": "orders [1, 2] differ from [1, 2, 3]",
+    "counts": "the counts of 'fr' lack order 2",
+    "vocab_sizes": "vocab_sizes lack order 3",
+}
+
+
+def malformed_model_file(tmp_path: Path, problem: str) -> Path:
+    """A language-model file with one problem: orders other than (1, 2, 3)
+    ("orders"), a language without its 2-gram counts ("counts"), or no
+    3-gram vocabulary size ("vocab_sizes")."""
+    model = NgramLanguageModel()
+    model.add_language("en", "the quick brown fox")
+    model.add_language("fr", "le renard brun")
+    model.finalize()
+    path = tmp_path / "langid.json"
+    model.save(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if problem == "orders":
+        payload["orders"] = [1, 2]
+        for per_order in payload["counts"].values():
+            del per_order["3"]
+    elif problem == "counts":
+        del payload["counts"]["fr"]["2"]
+    else:
+        del payload["vocab_sizes"]["3"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path

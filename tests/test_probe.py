@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,7 @@ from transmix.probe import (
 )
 from transmix.translate import BackendResult
 
-from conftest import seed_lines
+from conftest import MALFORMED_MODELS, malformed_model_file, seed_lines
 
 LANGS = ("en", "fr", "de", "es")
 
@@ -328,6 +329,97 @@ def test_scoring_before_finalize_asks_for_finalize():
     model.finalize()
     assert model.languages == ["en", "fr"]
     assert set(classify_language("the fox", model).scores) == {"en", "fr"}
+
+
+def reference_counts(calls):
+    """The string-gram ``Counter.update`` counting that gram codes replaced,
+    over (language, text) training calls in order."""
+    counts = {}
+    for lang, text in calls:
+        per_order = counts.setdefault(lang, {n: Counter() for n in (1, 2, 3)})
+        for n, counter in per_order.items():
+            counter.update(text[i:i + n] for i in range(len(text) - n + 1))
+    return counts
+
+
+def assert_counts_equal_reference(model, calls):
+    expected = reference_counts(calls)
+    assert model.counts == expected
+    # key order too: it is the order of the saved file
+    assert [(lang, n, list(c.items())) for lang, per_order in model.counts.items()
+            for n, c in per_order.items()] == \
+        [(lang, n, list(c.items())) for lang, per_order in expected.items()
+         for n, c in per_order.items()]
+    assert model.totals == {lang: {n: sum(c.values()) for n, c in per_order.items()}
+                            for lang, per_order in expected.items()}
+
+
+def trained(calls):
+    model = NgramLanguageModel()
+    for lang, text in calls:
+        model.add_language(lang, text)
+    model.finalize()
+    return model
+
+
+def test_repeated_training_counts_like_counter_update(tmp_path):
+    en, fr = seed_lines("en"), seed_lines("fr")
+    calls = [
+        ("en", "\n".join(en[:40])),
+        ("fr", "\n".join(fr[:40]) + " \U0001F600"),
+        # old grams, in a new order, and new grams after them
+        ("en", "\n".join(reversed(en[20:60])) + " qxzj \u00e9\U0001F601"),
+        ("fr", ""),
+        ("en", "zz"),
+    ]
+    model = trained(calls)
+    assert_counts_equal_reference(model, calls)
+    expected = reference_counts(calls)
+    path = tmp_path / "langid.json"
+    model.save(path)
+    payload = {
+        "orders": [1, 2, 3],
+        "vocab_sizes": {str(n): 1 + len(set().union(*(per[n] for per in expected.values())))
+                        for n in (1, 2, 3)},
+        "counts": {lang: {str(n): dict(c) for n, c in per_order.items()}
+                   for lang, per_order in expected.items()},
+    }
+    assert path.read_bytes() == json.dumps(payload, ensure_ascii=False).encode("utf-8")
+    assert_scores_equal_reference([model, NgramLanguageModel.load(path)],
+                                  [en[70], fr[70], "qxzj zz", "\U0001F600\U0001F601"])
+
+
+def test_counts_of_empty_short_and_surrogate_texts_like_counter_update(tmp_path):
+    model = NgramLanguageModel()
+    calls = []
+    for lang, text in [("en", ""), ("en", "a"), ("de", "ab"), ("en", "ab"),
+                       ("de", "\U0001F600\ud800x\udfff\U0010FFFF\ud800\udc00"),
+                       ("en", "\udc00\ud800\U0001F600a"), ("de", "")]:
+        model.add_language(lang, text)
+        calls.append((lang, text))
+        # each read sees every call so far: training refreshes the view
+        assert_counts_equal_reference(model, calls)
+    model.finalize()
+    path = tmp_path / "langid.json"
+    model.save(path)
+    loaded = NgramLanguageModel.load(path)
+    assert_counts_equal_reference(loaded, calls)
+    assert_scores_equal_reference([model, loaded], [
+        "ab", "\ud800\udc00", "x\udfff\U0010FFFF", "\U0001F600a", "q"])
+
+
+def test_counts_are_read_only():
+    model = trained([("en", "the quick brown fox")])
+    with pytest.raises(AttributeError):
+        model.counts = {}
+
+
+@pytest.mark.parametrize("problem", MALFORMED_MODELS)
+def test_malformed_model_file_is_a_value_error_naming_it(tmp_path, problem):
+    path = malformed_model_file(tmp_path, problem)
+    with pytest.raises(ValueError) as raised:
+        NgramLanguageModel.load(path)
+    assert str(raised.value) == f"{path}: {MALFORMED_MODELS[problem]}"
 
 
 class TestClassifyLanguage:

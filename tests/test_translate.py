@@ -319,6 +319,39 @@ class TestTranslateDocument:
         assert len(records) == 4
         assert out.text.split() == doc.text.split()
 
+    def test_oversized_chunk_asks_for_twice_its_own_tokens(self, tmp_path, ws_counter):
+        class Recording(MockEchoBackend):
+            def __init__(self, template):
+                super().__init__(template)
+                self.max_tokens = []
+
+            def complete(self, prompt, max_tokens=0, temperature=0.0):
+                self.max_tokens.append(max_tokens)
+                return super().complete(prompt, max_tokens, temperature)
+
+        # a 450-word sentence is a chunk of its own at limit 300; the short
+        # sentence after it makes a normal chunk
+        long_sentence = " ".join(f"w{j}" for j in range(450)) + "."
+        doc = Document(id="big", lang="en", text=long_sentence + " A short one.")
+        backend = Recording(PromptTemplate())
+        out, _ = translate_document(doc, "fr", backend, counter=ws_counter,
+                                    chunk_limit=300, params=FAST, sleep=NO_SLEEP)
+        assert backend.max_tokens == [900, 600]
+        assert out.text.split() == doc.text.split()
+        # a configured max_tokens is the floor
+        backend = Recording(PromptTemplate())
+        translate_document(doc, "fr", backend, counter=ws_counter, chunk_limit=300,
+                           params=GenerationParams(max_tokens=1000, max_in_flight=1),
+                           sleep=NO_SLEEP)
+        assert backend.max_tokens == [1000, 1000]
+        in_path = tmp_path / "in.jsonl"
+        write_corpus(in_path, [doc, Document(id="small", lang="en", text="Tiny.")])
+        manifest = translate_corpus(in_path, ["fr", "de"], Recording(PromptTemplate()),
+                                    tmp_path / "out", counter=ws_counter, chunk_limit=300,
+                                    params=FAST, sleep=NO_SLEEP)
+        assert manifest.chunk_calls == 6
+        assert manifest.oversized_chunks == 2  # one per committed pair of "big"
+
     def test_backend_failure_marks_document_failed(self, ws_counter):
         doc = Document(id="d4", lang="en", text="One fact. Two facts.")
         backend = FlakyBackend(PromptTemplate(), fail_times=99)
