@@ -114,10 +114,9 @@ def _stage_dir(base: Path, name: str, config: PipelineConfig) -> Path:
     return path
 
 
-def _write_manifest(stage_dir: Path, manifest: dict) -> None:
-    (stage_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+def _write_json(path: Path, record: dict) -> None:
+    path.write_text(json.dumps(record, indent=2, ensure_ascii=False) + "\n",
+                    encoding="utf-8")
 
 
 # ---- stages ---------------------------------------------------------------
@@ -168,7 +167,7 @@ def run_filter(config: PipelineConfig, input_path: str, stage_dir: Path) -> Path
                     "doc": json.loads(line),
                     "report": report.to_dict(),
                 }, ensure_ascii=False) + "\n")
-    _write_manifest(stage_dir, {
+    _write_json(stage_dir / "manifest.json", {
         "stage": "filter", **counts,
         "rules": list(config.quality.active_rules()),
     })
@@ -192,7 +191,7 @@ def run_dedup(config: PipelineConfig, input_path: str, stage_dir: Path,
     kept_path = stage_dir / "kept.jsonl"
     write_corpus(kept_path, read_back_lines([src], result.kept_positions))
     result.write_manifest(stage_dir / "clusters.jsonl")
-    _write_manifest(stage_dir, {
+    _write_json(stage_dir / "manifest.json", {
         "stage": "dedup", "in": len(src), "kept": len(result.kept_ids),
         "removed": len(result.removed_ids), "clusters": len(result.clusters),
         **result.params,
@@ -216,7 +215,7 @@ def run_translate(config: PipelineConfig, input_path: str, stage_dir: Path,
         abbreviation_dir=config.abbreviation_dir or None,
         strict=config.strict,
     )
-    _write_manifest(stage_dir, {"stage": "translate", **asdict(manifest)})
+    _write_json(stage_dir / "manifest.json", {"stage": "translate", **asdict(manifest)})
     return {tgt: stage_dir / f"{tgt}.jsonl" for tgt in config.targets}
 
 
@@ -235,7 +234,7 @@ def run_mix(config: PipelineConfig, sources: list[tuple[str, str]],
         strict=config.strict)
     out_path = stage_dir / "mixed.jsonl"
     write_corpus(out_path, mixed)
-    _write_manifest(stage_dir, manifest)
+    _write_json(stage_dir / "manifest.json", manifest)
     return out_path
 
 
@@ -245,7 +244,7 @@ def run_pack(config: PipelineConfig, input_path: str, stage_dir: Path) -> Path:
     manifest = pack_mod.pack_stream(
         read_corpus(input_path, strict=config.strict), counter, out_path,
         sequence_length=config.sequence_length)
-    manifest.write(stage_dir / "manifest.json")
+    _write_json(stage_dir / "manifest.json", asdict(manifest))
     return out_path
 
 
@@ -261,13 +260,11 @@ def run_probe(config: PipelineConfig, stage_dir: Path) -> None:
         temperature=config.probe_temperature,
         seed=derive_seed(config.seed, "probe"),
     )
-    (stage_dir / "prior_report.json").write_text(report.to_json() + "\n",
-                                                 encoding="utf-8")
+    _write_json(stage_dir / "prior_report.json", asdict(report))
     with open(stage_dir / "translation_pairs.jsonl", "w", encoding="utf-8") as fh:
         for record in evidence:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    _write_manifest(stage_dir, {"stage": "probe",
-                                **json.loads(report.to_json())})
+    _write_json(stage_dir / "manifest.json", {"stage": "probe", **asdict(report)})
 
 
 def run_pipeline(config: PipelineConfig, input_path: str, out_dir: Path,

@@ -74,21 +74,19 @@ class MixtureEntry:
     name: str
     path: str
     token_budget: int | None = None
-    weight: float | None = None
 
 
 @dataclass
 class MixtureSpec:
-    """Named sources with per-source token budgets or weights for one stage.
+    """Named sources with per-source token budgets for one stage.
 
-    When no entry carries either, every source gets the smallest source's
+    When no entry carries one, every source gets the smallest source's
     token total as its budget, resolved once the sources are counted.
     """
 
     stage: str
     entries: list[MixtureEntry]
     seed: int = 0
-    total_tokens: int | None = None  # required when entries carry weights
 
     def validate(self) -> None:
         if not self.entries:
@@ -99,29 +97,14 @@ class MixtureSpec:
                 raise MixtureError(f"stage {self.stage!r} has two sources named {e.name!r}")
             names.add(e.name)
         budgets = [e.token_budget is not None for e in self.entries]
-        weights = [e.weight is not None for e in self.entries]
-        if any(budgets) and any(weights):
-            raise MixtureError("entries must use budgets or weights, not a mix")
-        if any(budgets) != all(budgets) or any(weights) != all(weights):
-            raise MixtureError("give every entry a budget or a weight, or none of them")
-        if all(weights):
-            total = sum(e.weight for e in self.entries)
-            if abs(total - 1.0) > 1e-9:
-                raise MixtureError(f"weights sum to {total}, expected 1.0")
-            if self.total_tokens is None:
-                raise MixtureError("weight-based entries need total_tokens")
+        if any(budgets) != all(budgets):
+            raise MixtureError("give every entry a budget, or none of them")
 
-    def resolved_budgets(self, totals: dict[str, int] | None = None) -> dict[str, int]:
-        """Token budget per source; ``totals`` (tokens per source) is needed
-        only when the entries carry neither budgets nor weights."""
+    def resolved_budgets(self, totals: dict[str, int]) -> dict[str, int]:
+        """Token budget per source, given the tokens per source."""
         self.validate()
-        first = self.entries[0]
-        if first.token_budget is not None:
+        if self.entries[0].token_budget is not None:
             return {e.name: int(e.token_budget) for e in self.entries}
-        if first.weight is not None:
-            return {e.name: int(round(e.weight * self.total_tokens)) for e in self.entries}
-        if totals is None:
-            raise MixtureError("the smallest-source budget needs the source totals")
         smallest = min(totals[e.name] for e in self.entries)
         return {e.name: smallest for e in self.entries}
 

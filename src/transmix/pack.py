@@ -9,9 +9,8 @@ little-endian uint32 token ids.
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -56,12 +55,6 @@ class PackManifest:
             == self.sequence_count * self.sequence_length + self.dropped_remainder
             and 0 <= self.dropped_remainder < self.sequence_length
         )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
 
 
 def pack_stream(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from collections import Counter
 from pathlib import Path
 from typing import Collection, Sequence
@@ -129,12 +129,9 @@ class NgramLanguageModel:
         self._table = np.concatenate(blocks)
         self._row_tables = _RowTables.build(self._codes)
 
-    def log_prob(self, lang: str, text: str) -> float:
-        """Average log-probability per character of the text under ``lang``."""
-        return self.log_probs(text)[lang]
-
     def log_probs(self, text: str) -> dict[str, float]:
-        """``log_prob`` under every language, from one pass over the text."""
+        """The average log-probability per character of the text under each
+        language, from one pass over the text."""
         if self._table is None:
             raise RuntimeError(
                 "the language model is not finalized: call finalize() after add_language()")
@@ -205,16 +202,32 @@ class NgramLanguageModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "NgramLanguageModel":
-        payload = json.loads(Path(path).read_text(encoding="utf-8", errors="surrogatepass"))
+        """The model that ``save`` wrote to ``path``; a ValueError naming the
+        path if the file does not hold one."""
+        try:
+            return cls._from_payload(json.loads(
+                Path(path).read_text(encoding="utf-8", errors="surrogatepass")))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+    @classmethod
+    def _from_payload(cls, payload: object) -> "NgramLanguageModel":
+        if not isinstance(payload, dict):
+            raise ValueError(f"a JSON {type(payload).__name__}, not an object")
+        if missing := [k for k in ("orders", "vocab_sizes", "counts") if k not in payload]:
+            raise ValueError(f"no {missing[0]!r} key")
         if payload["orders"] != list(NGRAM_ORDERS):
-            raise ValueError(f"{path}: orders {payload['orders']} differ from {list(NGRAM_ORDERS)}")
+            raise ValueError(f"orders {payload['orders']} differ from {list(NGRAM_ORDERS)}")
         for name, per_order in [("vocab_sizes", payload["vocab_sizes"]), *(
                 (f"the counts of {lang!r}", c) for lang, c in payload["counts"].items())]:
             if missing := [n for n in NGRAM_ORDERS if str(n) not in per_order]:
-                raise ValueError(f"{path}: {name} lack order {missing[0]}")
+                raise ValueError(f"{name} lack order {missing[0]}")
         model = cls()
         for lang, per_order in payload["counts"].items():
             grams = {n: per_order[str(n)] for n in NGRAM_ORDERS}
+            for n, c in grams.items():
+                if not all(type(v) is int for v in c.values()):
+                    raise ValueError(f"the {n}-gram counts of {lang!r} are not all integers")
             model._tallies[lang] = {n: _group(_gram_codes(c, n), np.array([*c.values()], np.int64),
                                               np.arange(len(c))) for n, c in grams.items()}
             model.totals[lang] = {n: sum(c.values()) for n, c in grams.items()}
@@ -418,12 +431,6 @@ class PriorReport:
     max_tokens: int
     temperature: float
     seed: int | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    def check(self) -> bool:
-        return self.obtained == 0 or abs(sum(self.percentages.values()) - 100.0) <= 0.1
 
 
 def probe_prior(

@@ -8,14 +8,12 @@ which tokenizer produced their counts.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from pathlib import Path
 
 __all__ = [
     "TokenCounter",
     "WhitespaceCounter",
     "BpeCounter",
-    "learn_bpe",
     "bundled_bpe_paths",
 ]
 
@@ -154,48 +152,6 @@ def _apply_merge(symbols: list[str], pair: tuple[str, str]) -> list[str]:
             merged.append(symbols[i])
             i += 1
     return merged
-
-
-def learn_bpe(texts: list[str], num_merges: int = 400) -> tuple[list[str], list[tuple[str, str]]]:
-    """Learn a merge table from raw text; returns (vocab lines, merges).
-
-    Tie-breaks on the pair itself so the result is independent of input
-    order. Mainly used to regenerate the bundled vocab/merges files.
-    """
-    word_freq: Counter[tuple[str, ...]] = Counter()
-    for text in texts:
-        for word in text.split():
-            word_freq[tuple(word) + (_WORD_END,)] += 1
-
-    merges: list[tuple[str, str]] = []
-    for _ in range(num_merges):
-        pair_freq: Counter[tuple[str, str]] = Counter()
-        for symbols, freq in word_freq.items():
-            for i in range(len(symbols) - 1):
-                pair_freq[(symbols[i], symbols[i + 1])] += freq
-        if not pair_freq:
-            break
-        best = max(pair_freq.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        if pair_freq[best] < 2:
-            break
-        merges.append(best)
-        next_freq: Counter[tuple[str, ...]] = Counter()
-        for symbols, freq in word_freq.items():
-            next_freq[tuple(_apply_merge(list(symbols), best))] += freq
-        word_freq = next_freq
-
-    symbols = {sym for word in word_freq for sym in word}
-    for left, right in merges:
-        symbols.add(left + right)
-    vocab = [_UNK, _EOS] + sorted(symbols)
-    return vocab, merges
-
-
-def write_bpe_files(vocab: list[str], merges: list[tuple[str, str]],
-                    vocab_path: str | Path, merges_path: str | Path) -> None:
-    Path(vocab_path).write_text("\n".join(vocab) + "\n", encoding="utf-8")
-    Path(merges_path).write_text(
-        "\n".join(f"{a} {b}" for a, b in merges) + "\n", encoding="utf-8")
 
 
 def bundled_bpe_paths() -> tuple[Path, Path]:

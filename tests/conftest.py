@@ -60,13 +60,21 @@ MALFORMED_MODELS = {
     "orders": "orders [1, 2] differ from [1, 2, 3]",
     "counts": "the counts of 'fr' lack order 2",
     "vocab_sizes": "vocab_sizes lack order 3",
+    "list": "a JSON list, not an object",
+    "no-orders": "no 'orders' key",
+    "no-counts": "no 'counts' key",
+    "no-vocab_sizes": "no 'vocab_sizes' key",
+    "gram-length": "the model's 2-grams are not all 2 characters long",
+    "count": "the 1-gram counts of 'en' are not all integers",
 }
 
 
 def malformed_model_file(tmp_path: Path, problem: str) -> Path:
     """A language-model file with one problem: orders other than (1, 2, 3)
-    ("orders"), a language without its 2-gram counts ("counts"), or no
-    3-gram vocabulary size ("vocab_sizes")."""
+    ("orders"), a language without its 2-gram counts ("counts"), no 3-gram
+    vocabulary size ("vocab_sizes"), a list in place of the object ("list"),
+    a missing top-level key ("no-orders", "no-counts", "no-vocab_sizes"), a
+    3-character 2-gram ("gram-length") or a count that is a string ("count")."""
     model = NgramLanguageModel()
     model.add_language("en", "the quick brown fox")
     model.add_language("fr", "le renard brun")
@@ -80,7 +88,15 @@ def malformed_model_file(tmp_path: Path, problem: str) -> Path:
             del per_order["3"]
     elif problem == "counts":
         del payload["counts"]["fr"]["2"]
-    else:
+    elif problem == "vocab_sizes":
         del payload["vocab_sizes"]["3"]
+    elif problem == "list":
+        payload = [payload]
+    elif problem.startswith("no-"):
+        del payload[problem.removeprefix("no-")]
+    elif problem == "gram-length":
+        payload["counts"]["en"]["2"]["abc"] = 1
+    else:
+        payload["counts"]["en"]["1"]["t"] = "x"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path

@@ -133,22 +133,6 @@ class TestInterleave:
 
 
 class TestMixtureSpec:
-    def test_budgets_and_weights_cannot_mix(self):
-        spec = MixtureSpec(stage="s", entries=[
-            MixtureEntry(name="a", path="x", token_budget=10),
-            MixtureEntry(name="b", path="y", weight=1.0),
-        ])
-        with pytest.raises(MixtureError, match="not a mix"):
-            spec.validate()
-
-    def test_weights_must_sum_to_one(self):
-        spec = MixtureSpec(stage="s", total_tokens=100, entries=[
-            MixtureEntry(name="a", path="x", weight=0.6),
-            MixtureEntry(name="b", path="y", weight=0.6),
-        ])
-        with pytest.raises(MixtureError, match="sum"):
-            spec.validate()
-
     def test_budgets_given_to_some_entries_only_rejected(self):
         spec = MixtureSpec(stage="s", entries=[
             MixtureEntry(name="a", path="x", token_budget=10),
@@ -161,15 +145,6 @@ class TestMixtureSpec:
         spec = MixtureSpec(stage="s", entries=[
             MixtureEntry(name="a", path="x"), MixtureEntry(name="b", path="y")])
         assert spec.resolved_budgets({"a": 70, "b": 40}) == {"a": 40, "b": 40}
-        with pytest.raises(MixtureError, match="source totals"):
-            spec.resolved_budgets()
-
-    def test_weight_resolution(self):
-        spec = MixtureSpec(stage="s", total_tokens=1000, entries=[
-            MixtureEntry(name="a", path="x", weight=0.5),
-            MixtureEntry(name="b", path="y", weight=0.5),
-        ])
-        assert spec.resolved_budgets() == {"a": 500, "b": 500}
 
 
 class TestComposeStage:
@@ -199,20 +174,6 @@ class TestComposeStage:
         mixed, manifest = compose_stage(spec, ws_counter)
         assert len(mixed) == sum(v["docs"] for v in manifest["sources"].values())
         assert len({json.loads(line)["id"] for line in mixed}) == len(mixed)
-
-    def test_small_weight_source_realized_within_relative_tolerance(
-            self, tmp_path, ws_counter):
-        # a 0.2%-weight source must land within +-10% relative of its target
-        entries = self.write_sources(tmp_path, {"en": 5000, "fr": 30},
-                                     tokens_per_doc=2)
-        spec = MixtureSpec(stage="cooldown", seed=3, total_tokens=10_000, entries=[
-            MixtureEntry(name="en", path=dict(entries)["en"], weight=0.998),
-            MixtureEntry(name="fr", path=dict(entries)["fr"], weight=0.002),
-        ])
-        mixed, manifest = compose_stage(spec, ws_counter)
-        target = 0.002 * 10_000
-        realized = manifest["sources"]["fr"]["tokens"]
-        assert abs(realized - target) / target <= 0.10
 
     def test_default_budget_is_the_smallest_source_total(self, tmp_path, ws_counter):
         entries = self.write_sources(tmp_path, {"en": 40, "fr": 25, "de": 31})

@@ -10,8 +10,6 @@ from transmix.tokenizer import (
     WhitespaceCounter,
     _word_id,
     bundled_bpe_paths,
-    learn_bpe,
-    write_bpe_files,
 )
 
 from conftest import seed_lines
@@ -135,11 +133,15 @@ class TestBpeCounter:
         assert ids and all(i == bpe_counter.unk_id for i in ids[:-1])
 
     def test_fingerprint_tracks_files(self, tmp_path, bpe_counter):
-        vocab, merges = learn_bpe(["aa ab ba bb aa ab"], num_merges=5)
-        write_bpe_files(vocab, merges, tmp_path / "v.txt", tmp_path / "m.txt")
-        other = BpeCounter(tmp_path / "v.txt", tmp_path / "m.txt")
-        assert other.fingerprint != bpe_counter.fingerprint
-        assert other.fingerprint.startswith("bpe:")
+        vocab, merges = tmp_path / "v.txt", tmp_path / "m.txt"
+        vocab.write_text("<unk>\n<eos>\na\nb\n</w>\nab\nab</w>\n", encoding="utf-8")
+        merges.write_text("a b\nab </w>\n", encoding="utf-8")
+        small = BpeCounter(vocab, merges)
+        assert small.fingerprint.startswith("bpe:")
+        assert small.fingerprint != bpe_counter.fingerprint
+        assert BpeCounter(vocab, merges).fingerprint == small.fingerprint
+        merges.write_text("a b\n", encoding="utf-8")
+        assert BpeCounter(vocab, merges).fingerprint != small.fingerprint
 
     def test_missing_specials_rejected(self, tmp_path):
         (tmp_path / "v.txt").write_text("a\nb\n", encoding="utf-8")
@@ -147,9 +149,3 @@ class TestBpeCounter:
         with pytest.raises(ValueError, match="<unk>"):
             BpeCounter(tmp_path / "v.txt", tmp_path / "m.txt")
 
-
-def test_learn_bpe_is_input_order_independent():
-    texts = ["river bridge harbor", "harbor bridge river"]
-    v1, m1 = learn_bpe([texts[0], texts[1]], num_merges=20)
-    v2, m2 = learn_bpe([texts[1], texts[0]], num_merges=20)
-    assert v1 == v2 and m1 == m2
