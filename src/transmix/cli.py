@@ -1,7 +1,8 @@
 """Command-line front-end and end-to-end stage orchestration.
 
 Exit codes: 0 on success, 1 on a stage failure (partial artifacts retained
-with a FAILED marker), 2 on usage or configuration errors. Every stage
+with a FAILED marker in the failing stage's directory, and in the run's
+root for ``pipeline``), 2 on usage or configuration errors. Every stage
 directory gets the resolved config snapshot and a stage manifest, so runs
 are reproducible and auditable.
 """
@@ -12,8 +13,10 @@ import argparse
 import itertools
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 
 from . import corpus as corpus_mod
 from . import dedup as dedup_mod
@@ -24,7 +27,7 @@ from . import quality as quality_mod
 from . import translate as translate_mod
 from .config import ConfigError, PipelineConfig, load_config
 from .corpus import TwoPassCorpus, read_back_lines, read_corpus, scan_corpus, write_corpus
-from .mixer import MixtureEntry, MixtureSpec, derive_seed
+from .mixer import derive_seed
 from .segment import chunk_document
 
 
@@ -104,14 +107,19 @@ def _apply_cli_overrides(config: PipelineConfig, args: argparse.Namespace) -> No
         config.strict = True
 
 
-def _stage_dir(base: Path, name: str, config: PipelineConfig) -> Path:
-    path = base / name
+@contextmanager
+def _stage(path: Path, config: PipelineConfig) -> Iterator[Path]:
+    """The directory of one stage, made, with the resolved config written and
+    a stale FAILED removed. An exception leaves ``FAILED`` there, naming it,
+    and goes on."""
     path.mkdir(parents=True, exist_ok=True)
     config.write_snapshot(path / "resolved_config.json")
-    failed = path / "FAILED"
-    if failed.exists():
-        failed.unlink()
-    return path
+    (path / "FAILED").unlink(missing_ok=True)
+    try:
+        yield path
+    except Exception as exc:
+        (path / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")
+        raise
 
 
 def _write_json(path: Path, record: dict) -> None:
@@ -222,15 +230,9 @@ def run_translate(config: PipelineConfig, input_path: str, stage_dir: Path,
 def run_mix(config: PipelineConfig, sources: list[tuple[str, str]],
             stage_dir: Path) -> Path:
     # no budget: compose_stage gives each source the smallest source's total
-    budget = config.mix_budget_per_source if config.mix_budget_per_source > 0 else None
-    spec = MixtureSpec(
-        stage="mix",
-        entries=[MixtureEntry(name=n, path=p, token_budget=budget)
-                 for n, p in sources],
-        seed=derive_seed(config.seed, "mix"),
-    )
     mixed, manifest = mixer_mod.compose_stage(
-        spec, config.make_counter(), buffer_size=config.mix_buffer_size,
+        sources, config.make_counter(), budget=config.mix_budget_per_source or None,
+        seed=derive_seed(config.seed, "mix"), buffer_size=config.mix_buffer_size,
         strict=config.strict)
     out_path = stage_dir / "mixed.jsonl"
     write_corpus(out_path, mixed)
@@ -269,21 +271,20 @@ def run_probe(config: PipelineConfig, stage_dir: Path) -> None:
 
 def run_pipeline(config: PipelineConfig, input_path: str, out_dir: Path,
                  resume: bool, restart: bool, exact: bool) -> None:
-    stale = out_dir / "FAILED"
-    if stale.exists():
-        stale.unlink()
-    config.write_snapshot(out_dir / "resolved_config.json")
-    kept = run_filter(config, input_path, _stage_dir(out_dir, "01_filter", config))
-    kept = run_dedup(config, str(kept), _stage_dir(out_dir, "02_dedup", config),
-                     exact=exact)
+    with _stage(out_dir / "01_filter", config) as stage_dir:
+        kept = run_filter(config, input_path, stage_dir)
+    with _stage(out_dir / "02_dedup", config) as stage_dir:
+        kept = run_dedup(config, str(kept), stage_dir, exact=exact)
     sources: list[tuple[str, str]] = [("source", str(kept))]
-    if config.translate_enabled and config.targets:
-        translated = run_translate(
-            config, str(kept), _stage_dir(out_dir, "03_translate", config),
-            resume=resume, restart=restart)
+    if config.targets:
+        with _stage(out_dir / "03_translate", config) as stage_dir:
+            translated = run_translate(config, str(kept), stage_dir,
+                                       resume=resume, restart=restart)
         sources += [(tgt, str(path)) for tgt, path in sorted(translated.items())]
-    mixed = run_mix(config, sources, _stage_dir(out_dir, "04_mix", config))
-    run_pack(config, str(mixed), _stage_dir(out_dir, "05_pack", config))
+    with _stage(out_dir / "04_mix", config) as stage_dir:
+        mixed = run_mix(config, sources, stage_dir)
+    with _stage(out_dir / "05_pack", config) as stage_dir:
+        run_pack(config, str(mixed), stage_dir)
 
 
 # ---- entry point ----------------------------------------------------------
@@ -295,51 +296,36 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         _apply_cli_overrides(config, args)
         config.validate()  # again, for the values the flags set
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    stage_dir: Path | None = None
-    try:
         if args.command == "stats":
             run_stats(config, args.input, args.out)
         elif args.command == "segment":
             run_segment(config, args.input, args.out)
-        elif args.command == "filter":
-            stage_dir = _stage_dir(Path(args.out_dir), ".", config)
-            run_filter(config, args.input, stage_dir)
-        elif args.command == "dedup":
-            stage_dir = _stage_dir(Path(args.out_dir), ".", config)
-            run_dedup(config, args.input, stage_dir, exact=args.exact)
-        elif args.command == "translate":
-            stage_dir = _stage_dir(Path(args.out_dir), ".", config)
-            run_translate(config, args.input, stage_dir,
-                          resume=args.resume, restart=args.restart)
-        elif args.command == "mix":
-            if not config.mix_sources:
+        else:
+            if args.command == "mix" and not config.mix_sources:
                 raise ConfigError(["mix.sources: required by transmix mix "
                                    "(sources = name:path, ...)"])
-            stage_dir = _stage_dir(Path(args.out_dir), ".", config)
-            run_mix(config, config.mix_sources, stage_dir)
-        elif args.command == "pack":
-            stage_dir = _stage_dir(Path(args.out_dir), ".", config)
-            run_pack(config, args.input, stage_dir)
-        elif args.command == "probe":
-            stage_dir = _stage_dir(Path(args.out_dir), ".", config)
-            run_probe(config, stage_dir)
-        elif args.command == "pipeline":
-            stage_dir = Path(args.out_dir)
-            stage_dir.mkdir(parents=True, exist_ok=True)
-            run_pipeline(config, args.input, stage_dir,
-                         resume=args.resume, restart=args.restart,
-                         exact=args.exact)
+            with _stage(Path(args.out_dir), config) as stage_dir:
+                if args.command == "filter":
+                    run_filter(config, args.input, stage_dir)
+                elif args.command == "dedup":
+                    run_dedup(config, args.input, stage_dir, exact=args.exact)
+                elif args.command == "translate":
+                    run_translate(config, args.input, stage_dir,
+                                  resume=args.resume, restart=args.restart)
+                elif args.command == "mix":
+                    run_mix(config, config.mix_sources, stage_dir)
+                elif args.command == "pack":
+                    run_pack(config, args.input, stage_dir)
+                elif args.command == "probe":
+                    run_probe(config, stage_dir)
+                elif args.command == "pipeline":
+                    run_pipeline(config, args.input, stage_dir,
+                                 resume=args.resume, restart=args.restart,
+                                 exact=args.exact)
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - process boundary
-        if isinstance(exc, ConfigError):
-            print(str(exc), file=sys.stderr)
-            return 2
-        if stage_dir is not None:
-            (stage_dir / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n",
-                                              encoding="utf-8")
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

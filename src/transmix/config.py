@@ -97,7 +97,6 @@ class PipelineConfig:
     bpe_merges: str = _opt("corpus", "")
     chunk_limit: int = _opt("segment", 300)
     abbreviation_dir: str = _opt("segment", "")
-    translate_enabled: bool = _opt("translate", True, "enabled")
     targets: list[str] = _opt("translate", ["fr", "de", "es"], parse=_parse_list)
     backend: str = _opt("translate", "mock-echo")
     endpoint: str = _opt("translate", "")

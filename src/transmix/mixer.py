@@ -9,8 +9,7 @@ recorded in the composition manifest.
 ``compose_stage`` holds numbers, not text: it reads each source as a
 ``corpus.TwoPassCorpus``, whose first pass it uses to count every document's
 tokens; the sample and the shuffle are made over document indices, and the
-``MixedCorpus`` it returns reads the sampled lines back each time it is
-iterated.
+iterator it returns reads the sampled lines back once.
 
 Every token count here is made by the caller's ``TokenCounter``, whose
 fingerprint the manifest records; a ``token_count`` key in an input line is
@@ -22,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import random
 from array import array
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -33,13 +31,10 @@ from .tokenizer import TokenCounter
 T = TypeVar("T")
 
 __all__ = [
-    "MixtureEntry",
-    "MixtureSpec",
     "MixtureError",
     "balanced_sample",
     "interleave",
     "compose_stage",
-    "MixedCorpus",
     "derive_seed",
 ]
 
@@ -47,7 +42,7 @@ DEFAULT_BUFFER_SIZE = 100_000
 
 
 class MixtureError(ValueError):
-    """Invalid mixture spec or an unsatisfiable budget."""
+    """No sources, two sources of one name, or an unsatisfiable budget."""
 
 
 def derive_seed(seed: int, name: str) -> int:
@@ -67,46 +62,6 @@ def _shuffle(items: list, rng: random.Random) -> None:
     for i in range(len(items) - 1, 0, -1):
         j = _randbelow(rng, i + 1)
         items[i], items[j] = items[j], items[i]
-
-
-@dataclass(frozen=True)
-class MixtureEntry:
-    name: str
-    path: str
-    token_budget: int | None = None
-
-
-@dataclass
-class MixtureSpec:
-    """Named sources with per-source token budgets for one stage.
-
-    When no entry carries one, every source gets the smallest source's
-    token total as its budget, resolved once the sources are counted.
-    """
-
-    stage: str
-    entries: list[MixtureEntry]
-    seed: int = 0
-
-    def validate(self) -> None:
-        if not self.entries:
-            raise MixtureError(f"stage {self.stage!r} has no sources")
-        names: set[str] = set()
-        for e in self.entries:
-            if e.name in names:
-                raise MixtureError(f"stage {self.stage!r} has two sources named {e.name!r}")
-            names.add(e.name)
-        budgets = [e.token_budget is not None for e in self.entries]
-        if any(budgets) != all(budgets):
-            raise MixtureError("give every entry a budget, or none of them")
-
-    def resolved_budgets(self, totals: dict[str, int]) -> dict[str, int]:
-        """Token budget per source, given the tokens per source."""
-        self.validate()
-        if self.entries[0].token_budget is not None:
-            return {e.name: int(e.token_budget) for e in self.entries}
-        smallest = min(totals[e.name] for e in self.entries)
-        return {e.name: smallest for e in self.entries}
 
 
 def balanced_sample(
@@ -174,85 +129,69 @@ def interleave(
     yield from buffer
 
 
-class MixedCorpus:
-    """The mixed documents of ``compose_stage``: a sized sequence that reads
-    their lines back from the sources on each iteration.
-
-    It holds one integer per document. Each iteration reads the lines back a
-    few hundred at a time, and raises CorpusRereadError if a source changed
-    since ``compose_stage`` read it.
-    """
-
-    def __init__(self, sources: list[TwoPassCorpus], refs: np.ndarray) -> None:
-        self._sources = sources
-        self._refs = refs  # index * len(sources) + source, in output order
-
-    def __len__(self) -> int:
-        return len(self._refs)
-
-    def __iter__(self) -> Iterator[str]:
-        return read_back_lines(self._sources, self._refs)
-
-
 def compose_stage(
-    spec: MixtureSpec,
+    sources: Sequence[tuple[str, str]],
     counter: TokenCounter,
+    budget: int | None = None,
+    seed: int = 0,
     buffer_size: int = DEFAULT_BUFFER_SIZE,
     strict: bool = False,
-) -> tuple[MixedCorpus, dict]:
-    """Sample every source to its budget, interleave, and report realized counts.
+) -> tuple[Iterator[str], dict]:
+    """Sample every ``(name, path)`` source to one token budget, interleave,
+    and report realized counts.
 
     Each source's first pass counts each document once, before anything is
     emitted, so a shortfall in any source fails the stage with no partial
     output. Per document it keeps a token count, not the text; the budget
-    is the smallest source's total when the spec gives none. The mixed
-    documents come back as a ``MixedCorpus`` that reads them from the
-    sources again, so the sources must be regular files that do not change
-    until it has been read (CorpusRereadError otherwise). ``strict`` is as in
+    is the smallest source's total when none is given. The mixed lines come
+    back as an iterator that reads them from the sources again, so the
+    sources must be regular files that do not change until it has been read
+    (CorpusRereadError otherwise). ``strict`` is as in
     ``corpus.read_corpus``.
     """
-    spec.validate()
-    sources = [TwoPassCorpus(e.path, strict) for e in spec.entries]
-    token_counts = {e.name: array("q", (counter.count(d.text) for d in src.documents()))
-                    for e, src in zip(spec.entries, sources)}
-    totals = {name: sum(counts) for name, counts in token_counts.items()}
-    budgets = spec.resolved_budgets(totals)
+    if not sources:
+        raise MixtureError("the mix has no sources")
+    names: set[str] = set()
+    for name, _ in sources:
+        if name in names:
+            raise MixtureError(f"the mix has two sources named {name!r}")
+        names.add(name)
+    corpora = [TwoPassCorpus(path, strict) for _, path in sources]
+    token_counts = [array("q", (counter.count(d.text) for d in src.documents()))
+                    for src in corpora]
+    totals = [sum(counts) for counts in token_counts]
+    if budget is None:
+        budget = min(totals)
 
-    shortfalls = []
-    for entry in spec.entries:
-        total = totals[entry.name]
-        if total < budgets[entry.name]:
-            shortfalls.append(
-                f"{entry.name}: have {total}, need {budgets[entry.name]}")
+    shortfalls = [f"{name}: have {total}, need {budget}"
+                  for (name, _), total in zip(sources, totals) if total < budget]
     if shortfalls:
         raise MixtureError("source shortfall: " + "; ".join(shortfalls))
 
     # the shuffle moves references, index * len(sources) + source, not documents
-    k = len(spec.entries)
+    k = len(sources)
     samples: list[array] = []
     realized: dict[str, dict] = {}
-    for s, entry in enumerate(spec.entries):
-        counts = token_counts[entry.name]
-        sub_seed = derive_seed(spec.seed, f"sample:{entry.name}")
-        taken = _take(counts, budgets[entry.name], sub_seed)
+    for s, ((name, _), counts) in enumerate(zip(sources, token_counts)):
+        sub_seed = derive_seed(seed, f"sample:{name}")
+        taken = _take(counts, budget, sub_seed)
         samples.append(array("q", [idx * k + s for idx in taken]))
-        realized[entry.name] = {
-            "budget": budgets[entry.name],
+        realized[name] = {
+            "budget": budget,
             "tokens": sum(counts[idx] for idx in taken),
             "docs": len(taken),
             "seed": sub_seed,
         }
 
-    shuffle_seed = derive_seed(spec.seed, "interleave")
+    shuffle_seed = derive_seed(seed, "interleave")
     refs = np.fromiter(interleave(samples, seed=shuffle_seed, buffer_size=buffer_size),
                        dtype=np.int64, count=sum(map(len, samples)))
-    mixed = MixedCorpus(sources, refs)
     manifest = {
-        "stage": spec.stage,
-        "seed": spec.seed,
+        "stage": "mix",
+        "seed": seed,
         "shuffle_seed": shuffle_seed,
         "sources": realized,
-        "output_docs": len(mixed),
+        "output_docs": len(refs),
         "tokenizer_fingerprint": counter.fingerprint,
     }
-    return mixed, manifest
+    return read_back_lines(corpora, refs), manifest

@@ -212,28 +212,44 @@ class NgramLanguageModel:
 
     @classmethod
     def _from_payload(cls, payload: object) -> "NgramLanguageModel":
-        if not isinstance(payload, dict):
-            raise ValueError(f"a JSON {type(payload).__name__}, not an object")
+        payload = _as_object(payload, "")
         if missing := [k for k in ("orders", "vocab_sizes", "counts") if k not in payload]:
             raise ValueError(f"no {missing[0]!r} key")
         if payload["orders"] != list(NGRAM_ORDERS):
             raise ValueError(f"orders {payload['orders']} differ from {list(NGRAM_ORDERS)}")
-        for name, per_order in [("vocab_sizes", payload["vocab_sizes"]), *(
-                (f"the counts of {lang!r}", c) for lang, c in payload["counts"].items())]:
+        vocab_sizes = _as_object(payload["vocab_sizes"], "'vocab_sizes' is ")
+        counts = {lang: _as_object(c, f"the counts of {lang!r} are ")
+                  for lang, c in _as_object(payload["counts"], "'counts' is ").items()}
+        for name, per_order in [("vocab_sizes", vocab_sizes), *(
+                (f"the counts of {lang!r}", c) for lang, c in counts.items())]:
             if missing := [n for n in NGRAM_ORDERS if str(n) not in per_order]:
                 raise ValueError(f"{name} lack order {missing[0]}")
+        for n in NGRAM_ORDERS:
+            if type(size := vocab_sizes[str(n)]) is not int or size < 1:
+                raise ValueError(f"vocab_sizes of order {n} is {size!r}, not a positive integer")
         model = cls()
-        for lang, per_order in payload["counts"].items():
-            grams = {n: per_order[str(n)] for n in NGRAM_ORDERS}
+        for lang, per_order in counts.items():
+            grams = {n: _as_object(per_order[str(n)], f"the {n}-gram counts of {lang!r} are ")
+                     for n in NGRAM_ORDERS}
             for n, c in grams.items():
                 if not all(type(v) is int for v in c.values()):
                     raise ValueError(f"the {n}-gram counts of {lang!r} are not all integers")
+                if any(v < 0 for v in c.values()):
+                    raise ValueError(f"the {n}-gram counts of {lang!r} include a negative count")
             model._tallies[lang] = {n: _group(_gram_codes(c, n), np.array([*c.values()], np.int64),
                                               np.arange(len(c))) for n, c in grams.items()}
             model.totals[lang] = {n: sum(c.values()) for n, c in grams.items()}
-        model.vocab_sizes = {n: payload["vocab_sizes"][str(n)] for n in NGRAM_ORDERS}
+        model.vocab_sizes = {n: vocab_sizes[str(n)] for n in NGRAM_ORDERS}
         model._tabulate()
         return model
+
+
+def _as_object(value: object, what: str) -> dict:
+    """``value`` if it is a JSON object; else a ValueError that starts with
+    ``what`` and names its JSON type."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what}a JSON {type(value).__name__}, not an object")
+    return value
 
 
 class _RowTables:

@@ -9,7 +9,6 @@ import pytest
 
 from transmix.cli import main
 from transmix.corpus import Document, read_corpus, write_corpus
-from transmix.mixer import MixtureEntry, MixtureSpec
 from transmix.pack import PackManifest, unpack_inspect
 
 from conftest import MALFORMED_MODELS, malformed_model_file, seed_lines
@@ -419,6 +418,49 @@ class TestPipeline:
         assert stats["total"]["tokens"] == sum(v["tokens"] for v in mix["sources"].values())
         assert stats["total"]["tokens"] == read_manifest(out / "05_pack")["total_doc_tokens"]
 
+    def test_no_targets_mixes_the_source_alone(self, tmp_path):
+        ini = tmp_path / "pipeline.ini"
+        ini.write_text("[translate]\ntargets =\n", encoding="utf-8")
+        code, out = self.run_pipeline(tmp_path, "run", extra=("--config", str(ini)))
+        assert code == 0
+        assert not (out / "03_translate").exists()
+        mix = read_manifest(out / "04_mix")
+        assert list(mix["sources"]) == ["source"]
+        assert mix["output_docs"] == read_manifest(out / "02_dedup")["kept"]
+        assert read_manifest(out / "05_pack")["total_doc_tokens"] == \
+            mix["sources"]["source"]["tokens"]
+
+    def test_a_failed_stage_and_the_run_root_are_marked_until_resumed(
+            self, tmp_path, monkeypatch):
+        from transmix.config import PipelineConfig
+        from transmix.translate import MockEchoBackend
+
+        class Killed(RuntimeError):
+            pass
+
+        class KillingEcho(MockEchoBackend):
+            def complete(self, prompt, max_tokens=0, temperature=0.0):
+                if self.calls >= 20:
+                    raise Killed("backend gone")
+                return super().complete(prompt, max_tokens, temperature)
+
+        original = PipelineConfig.make_backend
+        monkeypatch.setattr(PipelineConfig, "make_backend",
+                            lambda self: KillingEcho(self.make_template()))
+        code, out = self.run_pipeline(tmp_path, "run")
+        assert code == 1
+        for marked in (out, out / "03_translate"):
+            assert (marked / "FAILED").read_text() == "Killed: backend gone\n"
+        for stage in ("01_filter", "02_dedup"):
+            assert not (out / stage / "FAILED").exists()
+        assert not (out / "04_mix").exists()
+
+        monkeypatch.setattr(PipelineConfig, "make_backend", original)
+        code, out = self.run_pipeline(tmp_path, "run", extra=("--resume",))
+        assert code == 0
+        assert not (out / "FAILED").exists()
+        assert not (out / "03_translate" / "FAILED").exists()
+
     def test_seed_changes_pack_output(self, tmp_path):
         _, out_a = self.run_pipeline(tmp_path, "runA", seed="7")
         _, out_b = self.run_pipeline(tmp_path, "runB", seed="8")
@@ -557,16 +599,15 @@ def test_mix_refuses_a_source_changed_before_it_is_read_back(tmp_path):
     paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
     for path in paths:
         write_corpus(path, docs)
-    spec = MixtureSpec(stage="s", seed=3, entries=[
-        MixtureEntry(name=p.stem, path=str(p)) for p in paths])
-    mixed, _ = compose_stage(spec, WhitespaceCounter())
+    sources = [(p.stem, str(p)) for p in paths]
+    mixed, _ = compose_stage(sources, WhitespaceCounter(), seed=3)
     with open(paths[0], "a", encoding="utf-8") as fh:
         fh.write(docs[0].to_json() + "\n")
     with pytest.raises(CorpusRereadError, match="changed between reads"):
         list(mixed)
 
     # same size and mtime, other text: the documents read back do not match
-    mixed, _ = compose_stage(spec, WhitespaceCounter())
+    mixed, _ = compose_stage(sources, WhitespaceCounter(), seed=3)
     st = os.stat(paths[1])
     swapped = paths[1].read_text(encoding="utf-8").replace("The", "Teh")
     paths[1].write_text(swapped, encoding="utf-8")

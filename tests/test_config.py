@@ -139,6 +139,15 @@ def test_unknown_keys_rejected_with_their_names(tmp_path):
     assert err.value.problems == ["dedupe: unknown section", "DEFAULT: unknown section"]
 
 
+def test_removed_translate_enabled_option_exits_2(tmp_path, capsys):
+    # an empty "targets =" turns translation off; "enabled" is no option
+    path = tmp_path / "pipeline.ini"
+    path.write_text("[translate]\nenabled = true\n", encoding="utf-8")
+    assert main(["pipeline", str(tmp_path / "in.jsonl"), "--config", str(path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "translate.enabled: unknown option" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 def test_example_ini_states_the_table_defaults():
     example = Path(__file__).resolve().parent.parent / "pipeline.example.ini"
     assert load_config(example) == load_config(None) == PipelineConfig()

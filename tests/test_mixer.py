@@ -10,9 +10,7 @@ import pytest
 from transmix.corpus import Document, _parse_line, read_corpus, write_corpus
 from transmix.mixer import (
     DEFAULT_BUFFER_SIZE,
-    MixtureEntry,
     MixtureError,
-    MixtureSpec,
     balanced_sample,
     compose_stage,
     derive_seed,
@@ -132,21 +130,6 @@ class TestInterleave:
         assert abs(adjacent - expected) < 5 * expected ** 0.5 + 5
 
 
-class TestMixtureSpec:
-    def test_budgets_given_to_some_entries_only_rejected(self):
-        spec = MixtureSpec(stage="s", entries=[
-            MixtureEntry(name="a", path="x", token_budget=10),
-            MixtureEntry(name="b", path="y"),
-        ])
-        with pytest.raises(MixtureError, match="or none of them"):
-            spec.validate()
-
-    def test_no_budgets_resolve_to_the_smallest_total(self):
-        spec = MixtureSpec(stage="s", entries=[
-            MixtureEntry(name="a", path="x"), MixtureEntry(name="b", path="y")])
-        assert spec.resolved_budgets({"a": 70, "b": 40}) == {"a": 40, "b": 40}
-
-
 class TestComposeStage:
     def write_sources(self, tmp_path, sizes, tokens_per_doc=10):
         entries = []
@@ -160,43 +143,42 @@ class TestComposeStage:
     def test_equal_budgets_realized_within_one_doc(self, tmp_path, ws_counter):
         entries = self.write_sources(
             tmp_path, {"en": 100, "fr": 120, "de": 90, "es": 110})
-        spec = MixtureSpec(stage="pretrain", seed=7, entries=[
-            MixtureEntry(name=n, path=p, token_budget=500) for n, p in entries])
-        mixed, manifest = compose_stage(spec, ws_counter)
+        _, manifest = compose_stage(entries, ws_counter, budget=500, seed=7)
         realized = [v["tokens"] for v in manifest["sources"].values()]
         assert max(realized) - min(realized) < 10  # one doc = 10 tokens
         assert all(v >= 500 for v in realized)
 
     def test_conservation_union_of_samples(self, tmp_path, ws_counter):
         entries = self.write_sources(tmp_path, {"en": 50, "fr": 50})
-        spec = MixtureSpec(stage="s", seed=1, entries=[
-            MixtureEntry(name=n, path=p, token_budget=200) for n, p in entries])
-        mixed, manifest = compose_stage(spec, ws_counter)
+        mixed, manifest = compose_stage(entries, ws_counter, budget=200, seed=1)
+        mixed = list(mixed)
+        assert len(mixed) == manifest["output_docs"]
         assert len(mixed) == sum(v["docs"] for v in manifest["sources"].values())
         assert len({json.loads(line)["id"] for line in mixed}) == len(mixed)
 
     def test_default_budget_is_the_smallest_source_total(self, tmp_path, ws_counter):
         entries = self.write_sources(tmp_path, {"en": 40, "fr": 25, "de": 31})
-        spec = MixtureSpec(stage="s", seed=4, entries=[
-            MixtureEntry(name=n, path=p) for n, p in entries])
-        mixed, manifest = compose_stage(spec, ws_counter)
+        _, manifest = compose_stage(entries, ws_counter, seed=4)
         assert {v["budget"] for v in manifest["sources"].values()} == {250}
         assert manifest["sources"]["fr"]["docs"] == 25
         assert all(250 <= v["tokens"] < 260 for v in manifest["sources"].values())
 
     def test_shortfall_fails_before_any_output(self, tmp_path, ws_counter):
         entries = self.write_sources(tmp_path, {"en": 100, "fr": 2})
-        spec = MixtureSpec(stage="s", seed=0, entries=[
-            MixtureEntry(name=n, path=p, token_budget=500) for n, p in entries])
         with pytest.raises(MixtureError, match="fr: have 20, need 500"):
-            compose_stage(spec, ws_counter)
+            compose_stage(entries, ws_counter, budget=500)
+
+    def test_no_sources_or_two_of_one_name_rejected(self, tmp_path, ws_counter):
+        with pytest.raises(MixtureError, match="the mix has no sources"):
+            compose_stage([], ws_counter)
+        [(_, path)] = self.write_sources(tmp_path, {"en": 5})
+        with pytest.raises(MixtureError, match="has two sources named 'en'"):
+            compose_stage([("en", path), ("fr", path), ("en", path)], ws_counter)
 
     def test_seed_determinism_end_to_end(self, tmp_path, ws_counter):
         entries = self.write_sources(tmp_path, {"en": 60, "fr": 60})
-        spec = MixtureSpec(stage="s", seed=42, entries=[
-            MixtureEntry(name=n, path=p, token_budget=300) for n, p in entries])
-        first, _ = compose_stage(spec, ws_counter)
-        second, _ = compose_stage(spec, ws_counter)
+        first, _ = compose_stage(entries, ws_counter, budget=300, seed=42)
+        second, _ = compose_stage(entries, ws_counter, budget=300, seed=42)
         assert list(first) == list(second)
 
     def test_counts_each_document_once_and_samples_like_balanced_sample(
@@ -208,9 +190,7 @@ class TestComposeStage:
                              text=" ".join(["w"] * rng.randint(1, 40)))
                     for i in range(80)]
             write_corpus(tmp_path / f"{lang}.jsonl", docs)
-            entries.append(MixtureEntry(name=lang, path=str(tmp_path / f"{lang}.jsonl"),
-                                        token_budget=600))
-        spec = MixtureSpec(stage="s", seed=9, entries=entries)
+            entries.append((lang, str(tmp_path / f"{lang}.jsonl")))
 
         class CountingCounter(type(ws_counter)):
             calls = 0
@@ -219,15 +199,16 @@ class TestComposeStage:
                 CountingCounter.calls += 1
                 return super().count(text)
 
-        mixed, manifest = compose_stage(spec, CountingCounter())
+        mixed, manifest = compose_stage(entries, CountingCounter(), budget=600, seed=9)
         assert CountingCounter.calls == 160
-        for entry in entries:
-            docs = [d for d in map(_parse_line, mixed) if d.lang == entry.name]
+        mixed = list(mixed)
+        for name, path in entries:
+            docs = [d for d in map(_parse_line, mixed) if d.lang == name]
             expected = balanced_sample(
-                read_corpus(entry.path), 600, ws_counter,
-                seed=derive_seed(9, f"sample:{entry.name}"))
+                read_corpus(path), 600, ws_counter,
+                seed=derive_seed(9, f"sample:{name}"))
             assert sorted(d.id for d in docs) == sorted(d.id for d in expected)
-            realized = manifest["sources"][entry.name]
+            realized = manifest["sources"][name]
             assert realized["tokens"] == sum(ws_counter.count(d.text) for d in expected)
             assert realized["docs"] == len(expected)
 
@@ -248,24 +229,21 @@ class TestMixedCorpus:
                     for i in range(300)]
             path = tmp_path / f"{lang}.jsonl"
             write_corpus(path, docs)
-            entries.append(MixtureEntry(name=lang, path=str(path), token_budget=5000))
-        spec = MixtureSpec(stage="s", seed=5, entries=entries)
-        return spec, compose_stage(spec, WhitespaceCounter(), buffer_size=buffer_size)
+            entries.append((lang, str(path)))
+        return entries, compose_stage(entries, WhitespaceCounter(), budget=5000, seed=5,
+                                      buffer_size=buffer_size)
 
     @pytest.mark.parametrize("buffer_size", [DEFAULT_BUFFER_SIZE, 7])
     def test_order_equals_interleaving_the_sampled_documents(self, tmp_path, buffer_size):
-        spec, (mixed, manifest) = self.compose(tmp_path, buffer_size)
-        samples = [balanced_sample(read_corpus(e.path), e.token_budget, WhitespaceCounter(),
-                                   seed=derive_seed(spec.seed, f"sample:{e.name}"))
-                   for e in spec.entries]
-        expected = list(interleave(samples, seed=derive_seed(spec.seed, "interleave"),
+        entries, (mixed, manifest) = self.compose(tmp_path, buffer_size)
+        samples = [balanced_sample(read_corpus(path), 5000, WhitespaceCounter(),
+                                   seed=derive_seed(5, f"sample:{name}"))
+                   for name, path in entries]
+        expected = list(interleave(samples, seed=derive_seed(5, "interleave"),
                                    buffer_size=buffer_size))
-        assert list(mixed) == [d.to_json() for d in expected]
+        mixed = list(mixed)
+        assert mixed == [d.to_json() for d in expected]
         assert len(mixed) == manifest["output_docs"] == len(expected) > 900
-
-    def test_iterates_twice_with_the_same_result(self, tmp_path):
-        _, (mixed, _) = self.compose(tmp_path)
-        assert list(mixed) == list(mixed)
 
     def test_partly_consumed_view_leaks_no_file_handle(self, tmp_path, monkeypatch):
         import transmix.corpus as corpus_mod
