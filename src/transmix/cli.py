@@ -110,14 +110,14 @@ def _apply_cli_overrides(config: PipelineConfig, args: argparse.Namespace) -> No
 @contextmanager
 def _stage(path: Path, config: PipelineConfig) -> Iterator[Path]:
     """The directory of one stage, made, with the resolved config written and
-    a stale FAILED removed. An exception leaves ``FAILED`` there, naming it,
-    and goes on."""
+    a stale FAILED removed. An exception, ``KeyboardInterrupt`` included,
+    leaves ``FAILED`` there, naming it, and goes on."""
     path.mkdir(parents=True, exist_ok=True)
     config.write_snapshot(path / "resolved_config.json")
     (path / "FAILED").unlink(missing_ok=True)
     try:
         yield path
-    except Exception as exc:
+    except BaseException as exc:
         (path / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")
         raise
 

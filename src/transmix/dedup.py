@@ -9,24 +9,28 @@ cluster manifest so runs are comparable.
 
 ``dedup_corpus`` reads its documents once and keeps no text. Each
 language has one LSH index, the one store of its ids and signature rows:
-each document is signed straight into a ``uint64`` row of the index's
-256-row blocks, about 1 KB per document. ``exact`` verification also keeps
-each document's shingles as one sorted ``uint64`` array. The index buckets
-each band by sorting the band's columns, and clustering state is kept only
-for ids that share a bucket. The hash values are those of hashing each
-joined 5-gram with 8-byte blake2b, so signatures, kept ids and manifests do
-not depend on this layout.
+each document is signed straight into a 1 KB ``uint64`` row of one
+256-row block in RAM. Full blocks go to a temporary file under ``TMPDIR``
+(a RAM-backed ``TMPDIR`` keeps them in RAM), and the index keeps 128 B per
+document in RAM, a 64-bit key per band. ``exact`` verification also keeps
+each document's shingles as one sorted ``uint64`` array, as before. The
+index buckets each band by sorting its keys, and clustering state is kept
+only for ids that share a bucket. The hash values are those of hashing
+each joined 5-gram with 8-byte blake2b, so signatures, kept ids and
+manifests do not depend on this layout.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from collections import defaultdict
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -203,19 +207,22 @@ def _array_jaccard(a: np.ndarray, b: np.ndarray) -> float:
     return shared / union if union else 1.0  # two empty sets are equal
 
 
-# signature rows per block of an index; its last block holds at most this
-# many unused rows (256 x 1 KB)
+# signature rows in an index's block in RAM (256 x 1 KB)
 _ROW_BLOCK = 256
+_ROW_BYTES = NUM_HASHES * 8
+_FMIX = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))  # murmur3 fmix64
 
 
 class LshIndex:
     """Banded index over signatures: 16 bands x 8 rows by default.
 
     Two documents become a candidate pair iff all rows of some band agree.
-    The index holds the signatures as uint64 rows, in blocks of
-    ``_ROW_BLOCK`` rows that it allocates one at a time. Each band is
-    bucketed by sorting its columns, gathered from every block, so only
-    buckets of two or more ids become Python lists.
+    Rows are signed into one block of ``_ROW_BLOCK`` uint64 rows in RAM.
+    When a full block needs another row, the index keeps a 64-bit key of
+    each band of its rows, writes the rows to an unnamed temporary file and
+    reuses the block; ``close()`` or a ``with`` block closes the file. Each
+    band is bucketed by sorting its keys. Two band values share a key with a
+    chance of about 2^-64, which only adds a candidate pair to verify.
     """
 
     def __init__(self, bands: int = BANDS, rows: int = ROWS) -> None:
@@ -224,22 +231,56 @@ class LshIndex:
         self.bands = bands
         self.rows = rows
         self._ids: list[str] = []
-        self._blocks: list[np.ndarray] = []  # (_ROW_BLOCK, NUM_HASHES) uint64 each
+        self._block = np.empty((_ROW_BLOCK, NUM_HASHES), dtype=np.uint64)
+        self._keys: list[np.ndarray] = []  # (len(self._block), bands) per spilled block
+        self._spilled = 0  # rows written to the file
+        self._file: BinaryIO | None = None
+
+    def __enter__(self) -> "LshIndex":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close (and so delete) the file of spilled rows, if one was opened."""
+        if self._file is not None:
+            self._file.close()
 
     def add(self, doc_id: str, sig: MinHashSignature) -> None:
         self._append(doc_id)[:] = sig.values
 
     def _append(self, doc_id: str) -> np.ndarray:
         """Add ``doc_id`` and return its row, for the caller to fill."""
-        i = len(self._ids)
-        if i % _ROW_BLOCK == 0:
-            self._blocks.append(np.empty((_ROW_BLOCK, NUM_HASHES), dtype=np.uint64))
+        i = len(self._ids) - self._spilled
+        if i == len(self._block):
+            if self._file is None:
+                self._file = tempfile.TemporaryFile()
+            offset = self._spilled * _ROW_BYTES
+            if os.pwrite(self._file.fileno(), self._block, offset) != self._block.nbytes:
+                raise OSError("short write of signature rows to the temporary file")
+            self._keys.append(self._band_keys(self._block))
+            self._spilled, i = len(self._ids), 0
         self._ids.append(doc_id)
-        return self._blocks[-1][i % _ROW_BLOCK]
+        return self._block[i]
+
+    def _band_keys(self, block: np.ndarray) -> np.ndarray:
+        """A 64-bit key of each band of each row: per value, xor it in, then fmix64."""
+        values = block.reshape(len(block), self.bands, self.rows)
+        keys = np.zeros((len(block), self.bands), dtype=np.uint64)
+        for r in range(self.rows):
+            keys ^= values[:, :, r]
+            for multiplier in _FMIX:
+                keys ^= keys >> np.uint64(33)
+                keys *= multiplier
+            keys ^= keys >> np.uint64(33)
+        return keys
 
     def row(self, i: int) -> np.ndarray:
         """The signature row added ``i``-th, counting from 0."""
-        return self._blocks[i // _ROW_BLOCK][i % _ROW_BLOCK]
+        if i >= self._spilled:
+            return self._block[i - self._spilled]
+        return np.frombuffer(os.pread(self._file.fileno(), _ROW_BYTES, i * _ROW_BYTES), np.uint64)
 
     def buckets(self, row_of: dict[str, int] | None = None) -> Iterator[list[str]]:
         """Each band's buckets of two or more ids, band by band.
@@ -253,22 +294,15 @@ class LshIndex:
         n = len(self._ids)
         if not n:
             return
-        # the rows added: every block, the last one cut to its filled rows
-        blocks = [*self._blocks[:-1], self._blocks[-1][:(n - 1) % _ROW_BLOCK + 1]]
+        keys = [*self._keys, self._band_keys(self._block[:n - self._spilled])]
         for band in range(self.bands):
-            # the band's columns, each gathered from every block
-            columns = [np.concatenate([block[:, c] for block in blocks])
-                       for c in range(band * self.rows, (band + 1) * self.rows)]
-            order = np.lexsort(columns[::-1])
-            # a run of equal keys starts at 0 and wherever a key differs from
-            # the one before it in some column
-            differs = np.zeros(len(order) - 1, dtype=bool)
-            for column in columns:
-                ordered = column[order]
-                differs |= ordered[1:] != ordered[:-1]
-            del columns, ordered
-            starts = np.flatnonzero(np.concatenate(([True], differs)))
-            ends = np.append(starts[1:], len(order))
+            column = np.concatenate([block[:, band] for block in keys])
+            order = np.argsort(column, kind="stable")
+            ordered = column[order]
+            # a run of equal keys starts at 0 and wherever a key differs from the last
+            starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+            del column, ordered
+            ends = np.append(starts[1:], n)
             shared = ends - starts > 1
             table = []
             for lo, hi in zip(starts[shared].tolist(), ends[shared].tolist()):
@@ -351,30 +385,35 @@ def dedup_corpus(
     indexes: dict[str, LshIndex] = {}  # by language
     # by language, for ``exact``: each document's sorted shingles, by row
     arrays: dict[str, list[np.ndarray]] = {}
-    scratch = np.empty((_SIGN_BLOCK, NUM_HASHES), dtype=np.uint64)
-    for doc in docs:
-        if doc.id in order:
-            raise ValueError(f"duplicate document id {doc.id!r}")
-        order[doc.id] = None
-        shingles = shingle_set(doc.text, shingle_size)
-        if shingles:
-            index = indexes.get(doc.lang)
-            if index is None:
-                index = indexes[doc.lang] = LshIndex(bands=bands, rows=rows)
-            x: set[int] | np.ndarray = shingles
-            if exact:
-                x = np.sort(_shingle_array(shingles))
-                arrays.setdefault(doc.lang, []).append(x)
-            _sign_into(x, seed, index._append(doc.id), scratch)
-    del scratch
-
     removed: set[str] = set()
     clusters: list[dict] = []
-    for lang in sorted(indexes):
-        lang_removed, lang_clusters = _dedup_group(
-            indexes.pop(lang), arrays.pop(lang, None), seed, threshold)
-        removed |= lang_removed
-        clusters.extend(lang_clusters)
+    try:
+        scratch = np.empty((_SIGN_BLOCK, NUM_HASHES), dtype=np.uint64)
+        for doc in docs:
+            if doc.id in order:
+                raise ValueError(f"duplicate document id {doc.id!r}")
+            order[doc.id] = None
+            shingles = shingle_set(doc.text, shingle_size)
+            if shingles:
+                index = indexes.get(doc.lang)
+                if index is None:
+                    index = indexes[doc.lang] = LshIndex(bands=bands, rows=rows)
+                x: set[int] | np.ndarray = shingles
+                if exact:
+                    x = np.sort(_shingle_array(shingles))
+                    arrays.setdefault(doc.lang, []).append(x)
+                _sign_into(x, seed, index._append(doc.id), scratch)
+        del scratch
+
+        for lang in sorted(indexes):
+            with indexes.pop(lang) as index:
+                lang_removed, lang_clusters = _dedup_group(index, arrays.pop(lang, None),
+                                                           seed, threshold)
+            removed |= lang_removed
+            clusters.extend(lang_clusters)
+    finally:
+        for index in indexes.values():
+            index.close()
 
     kept_positions = [i for i, doc_id in enumerate(order) if doc_id not in removed]
     kept_ids = [doc_id for doc_id in order if doc_id not in removed]

@@ -236,6 +236,9 @@ class NgramLanguageModel:
                     raise ValueError(f"the {n}-gram counts of {lang!r} are not all integers")
                 if any(v < 0 for v in c.values()):
                     raise ValueError(f"the {n}-gram counts of {lang!r} include a negative count")
+                if any(v >= 2**63 for v in c.values()):
+                    raise ValueError(f"the {n}-gram counts of {lang!r} include a count "
+                                     "of 2**63 or more")
             model._tallies[lang] = {n: _group(_gram_codes(c, n), np.array([*c.values()], np.int64),
                                               np.arange(len(c))) for n, c in grams.items()}
             model.totals[lang] = {n: sum(c.values()) for n, c in grams.items()}

@@ -67,6 +67,7 @@ MALFORMED_MODELS = {
     "gram-length": "the model's 2-grams are not all 2 characters long",
     "count": "the 1-gram counts of 'en' are not all integers",
     "negative-count": "the 1-gram counts of 'en' include a negative count",
+    "count-overflow": "the 1-gram counts of 'en' include a count of 2**63 or more",
     "language-counts": "the counts of 'en' are a JSON int, not an object",
     "counts-list": "'counts' is a JSON list, not an object",
     "order-counts-list": "the 2-gram counts of 'en' are a JSON list, not an object",
@@ -80,11 +81,12 @@ def malformed_model_file(tmp_path: Path, problem: str) -> Path:
     ("orders"), a language without its 2-gram counts ("counts"), no 3-gram
     vocabulary size ("vocab_sizes"), a list in place of the object ("list"),
     a missing top-level key ("no-orders", "no-counts", "no-vocab_sizes"), a
-    3-character 2-gram ("gram-length"), a count that is a string ("count") or
-    negative ("negative-count"), a number in place of a language's counts
-    ("language-counts"), a list in place of all counts ("counts-list") or of
-    one order's ("order-counts-list"), or a 1-gram vocabulary size that is a
-    string ("vocab-string") or 0 ("vocab-zero")."""
+    3-character 2-gram ("gram-length"), a count that is a string ("count"),
+    negative ("negative-count") or 2**64 ("count-overflow"), a number in
+    place of a language's counts ("language-counts"), a list in place of all
+    counts ("counts-list") or of one order's ("order-counts-list"), or a
+    1-gram vocabulary size that is a string ("vocab-string") or 0
+    ("vocab-zero")."""
     model = NgramLanguageModel()
     model.add_language("en", "the quick brown fox")
     model.add_language("fr", "le renard brun")
@@ -108,6 +110,8 @@ def malformed_model_file(tmp_path: Path, problem: str) -> Path:
         payload["counts"]["en"]["2"]["abc"] = 1
     elif problem == "negative-count":
         payload["counts"]["en"]["1"]["t"] = -1
+    elif problem == "count-overflow":
+        payload["counts"]["en"]["1"]["t"] = 2**64
     elif problem == "language-counts":
         payload["counts"]["en"] = 5
     elif problem == "counts-list":

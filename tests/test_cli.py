@@ -461,6 +461,22 @@ class TestPipeline:
         assert not (out / "FAILED").exists()
         assert not (out / "03_translate" / "FAILED").exists()
 
+    def test_ctrl_c_marks_the_stage_and_the_run_root(self, tmp_path, monkeypatch):
+        from transmix import mixer
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(mixer, "compose_stage", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.run_pipeline(tmp_path, "run")
+        out = tmp_path / "run"
+        for marked in (out, out / "04_mix"):
+            assert (marked / "FAILED").read_text() == "KeyboardInterrupt: \n"
+        for stage in ("01_filter", "02_dedup", "03_translate"):
+            assert not (out / stage / "FAILED").exists()
+        assert not (out / "05_pack").exists()
+
     def test_seed_changes_pack_output(self, tmp_path):
         _, out_a = self.run_pipeline(tmp_path, "runA", seed="7")
         _, out_b = self.run_pipeline(tmp_path, "runB", seed="8")

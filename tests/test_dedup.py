@@ -8,6 +8,7 @@ estimator still trips them for a few percent of random seeds.
 
 import hashlib
 import math
+import os
 import random
 import tracemalloc
 from collections import defaultdict
@@ -248,6 +249,24 @@ class TestLshIndex:
         buckets = list(indexes[0].buckets())
         assert buckets == list(indexes[1].buckets())
         assert all(len(ids) > 1 and ids == sorted(set(ids)) for ids in buckets)
+
+    def test_band_keys_tell_reordered_and_xor_equal_rows_apart(self):
+        # a key blind to the order of a band's rows, or one that combined
+        # them by xor or by addition alone, would bucket these together
+        rng = random.Random(79)
+        base = [rng.getrandbits(64) for _ in range(NUM_HASHES)]
+        d = rng.getrandbits(64)
+        variants = {"base": base, "swapped": list(base), "xor": list(base), "sum": list(base)}
+        for lo in range(0, NUM_HASHES, 8):
+            variants["swapped"][lo:lo + 2] = base[lo + 1], base[lo]
+            variants["xor"][lo:lo + 2] = base[lo] ^ d, base[lo + 1] ^ d
+            variants["sum"][lo:lo + 2] = (base[lo] + d) % 2**64, (base[lo + 1] - d) % 2**64
+        entries = [(doc_id, tuple(values)) for doc_id, values in variants.items()]
+        index = LshIndex()
+        for doc_id, values in entries:
+            index.add(doc_id, MinHashSignature(values=values, seed=0))
+        assert reference_buckets(entries) == []
+        assert list(index.buckets()) == []
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -495,6 +514,32 @@ def reference_buckets(entries, bands: int = 16, rows: int = 8) -> list[list[str]
     return out
 
 
+def colliding_entries(rng, bands, rows):
+    """302 (id, values) entries of random signatures, with band collisions
+    forced among them, an exact copy and an id added twice."""
+    sigs = {f"s{i:03d}": [rng.getrandbits(64) for _ in range(NUM_HASHES)]
+            for i in range(300)}
+    ids = list(sigs)
+    for _ in range(400):
+        # force collisions: copy a whole band, or all of it but its first
+        # or its last row, from one signature to another
+        a, b = rng.sample(ids, 2)
+        lo = rng.randrange(bands) * rows
+        hi = lo + rows
+        miss = rng.random()
+        if miss < 0.15:
+            lo += 1
+        elif miss < 0.3:
+            hi -= 1
+        sigs[b][lo:hi] = sigs[a][lo:hi]
+    sigs["copy"] = list(sigs["s000"])
+    entries = [(doc_id, tuple(values)) for doc_id, values in sigs.items()]
+    entries.append(("s001", tuple(sigs["s001"])))  # the same id twice
+    entries.append(("s002", tuple(rng.getrandbits(64) for _ in range(NUM_HASHES))))
+    rng.shuffle(entries)
+    return entries
+
+
 def reference_dedup_corpus(docs, threshold=0.8, seed=0, exact=False):
     """Kept ids and clusters of the tuple path; clustering is shared."""
     groups = defaultdict(list)
@@ -597,36 +642,66 @@ class TestMatrixPathEqualsReference:
 
     @pytest.mark.parametrize("bands,rows", [(16, 8), (32, 4), (8, 16)])
     def test_lsh_buckets(self, bands, rows):
-        rng = random.Random(47 + bands)
-        sigs = {f"s{i:03d}": [rng.getrandbits(64) for _ in range(NUM_HASHES)]
-                for i in range(300)}
-        ids = list(sigs)
-        for _ in range(400):
-            # force collisions: copy a whole band, or all of it but its first
-            # or its last row, from one signature to another
-            a, b = rng.sample(ids, 2)
-            lo = rng.randrange(bands) * rows
-            hi = lo + rows
-            miss = rng.random()
-            if miss < 0.15:
-                lo += 1
-            elif miss < 0.3:
-                hi -= 1
-            sigs[b][lo:hi] = sigs[a][lo:hi]
-        sigs["copy"] = list(sigs["s000"])
-        entries = [(doc_id, tuple(values)) for doc_id, values in sigs.items()]
-        entries.append(("s001", tuple(sigs["s001"])))  # the same id twice
-        entries.append(("s002", tuple(rng.getrandbits(64) for _ in range(NUM_HASHES))))
-        rng.shuffle(entries)
+        entries = colliding_entries(random.Random(47 + bands), bands, rows)
+        with LshIndex(bands=bands, rows=rows) as index:
+            assert 1 < len(entries) / dedup._ROW_BLOCK < 2  # a full block and a part of one
+            for doc_id, values in entries:
+                index.add(doc_id, MinHashSignature(values=values, seed=0))
+            expected = reference_buckets(entries, bands, rows)
+            assert any(len(ids) > 2 for ids in expected)
+            assert list(index.buckets()) == expected
+            assert list(index.buckets()) == expected  # buckets() can be called again
 
-        index = LshIndex(bands=bands, rows=rows)
-        assert 1 < len(entries) / dedup._ROW_BLOCK < 2  # a full block and a part of one
-        for doc_id, values in entries:
-            index.add(doc_id, MinHashSignature(values=values, seed=0))
-        expected = reference_buckets(entries, bands, rows)
-        assert any(len(ids) > 2 for ids in expected)
-        assert list(index.buckets()) == expected
-        assert list(index.buckets()) == expected  # buckets() can be called again
+    @pytest.mark.parametrize("row_block", [1, 7, 256])
+    def test_lsh_buckets_after_more_adds(self, row_block, monkeypatch):
+        # the second half collides with rows of the first, which by then
+        # are written out, and with rows still in the block in RAM
+        monkeypatch.setattr(dedup, "_ROW_BLOCK", row_block)
+        entries = colliding_entries(random.Random(61), 16, 8)
+        half = len(entries) // 2
+        with LshIndex() as index:
+            for start, end in [(0, half), (half, len(entries))]:
+                for doc_id, values in entries[start:end]:
+                    index.add(doc_id, MinHashSignature(values=values, seed=0))
+                expected = reference_buckets(entries[:end])
+                assert any(len(ids) > 2 for ids in expected)
+                assert list(index.buckets()) == expected
+                assert list(index.buckets()) == expected
+
+    @pytest.mark.parametrize("row_block", [1, 7, 256])
+    def test_rows_read_back_from_the_file_and_the_block(self, row_block, monkeypatch):
+        monkeypatch.setattr(dedup, "_ROW_BLOCK", row_block)
+        rng = random.Random(67)
+        rows = [tuple(rng.getrandbits(64) for _ in range(NUM_HASHES)) for _ in range(600)]
+        with LshIndex() as index:
+            for i, values in enumerate(rows):
+                index.add(f"r{i:03d}", MinHashSignature(values=values, seed=0))
+                # the first row, written out from the second block on, and the newest
+                assert tuple(index.row(0).tolist()) == rows[0]
+                assert tuple(index.row(i).tolist()) == values
+            spilled = (len(rows) - 1) // row_block * row_block
+            assert 0 < spilled < len(rows)
+            assert os.fstat(index._file.fileno()).st_size == spilled * NUM_HASHES * 8
+            assert [tuple(index.row(i).tolist()) for i in range(len(rows))] == rows
+        assert index._file.closed
+
+    def test_index_holds_one_block_of_rows(self):
+        # 4,096 rows are 4 MB; the index keeps one 256-row block (256 KB)
+        # and 16 x 8 B of band keys per row (512 KB)
+        rng = random.Random(71)
+        sigs = [MinHashSignature(values=tuple(rng.getrandbits(64) for _ in range(NUM_HASHES)),
+                                 seed=0) for _ in range(64)]
+        ids = [f"d{i:04d}" for i in range(4096)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with LshIndex() as index:
+                for i, doc_id in enumerate(ids):
+                    index.add(doc_id, sigs[i % len(sigs)])
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1 << 20
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("exact", [False, True], ids=["estimate", "exact"])
@@ -683,6 +758,41 @@ def test_dedup_corpus_reads_a_one_shot_stream(exact, row_block, monkeypatch):
     assert result.clusters == clusters
 
 
+@pytest.mark.parametrize("failure", ["none", "read", "score"])
+def test_dedup_corpus_closes_the_files_of_its_indexes(failure, monkeypatch):
+    # 7-row blocks, so both languages' indexes write rows out
+    monkeypatch.setattr(dedup, "_ROW_BLOCK", 7)
+    opened = []
+    original = dedup.tempfile.TemporaryFile
+
+    def temporary_file():
+        opened.append(original())
+        return opened[-1]
+
+    monkeypatch.setattr(dedup.tempfile, "TemporaryFile", temporary_file)
+    rng = random.Random(73)
+    docs, _ = make_corpus_with_plants(rng, [("0.95", 190, 5, 10)], 40)
+    docs += [Document(id=f"f{i:02d}", lang="fr", text=" ".join(rng.sample(seed_lines("fr"), 3)))
+             for i in range(20)]
+
+    def stream():
+        yield from docs
+        if failure == "read":
+            raise OSError("input gone")
+
+    if failure == "score":
+        def score(a, b):
+            raise RuntimeError("scoring failed")
+        monkeypatch.setattr(dedup, "estimate_jaccard", score)
+    if failure == "none":
+        assert dedup_corpus(stream(), seed=0).removed_ids
+    else:
+        with pytest.raises(OSError if failure == "read" else RuntimeError):
+            dedup_corpus(stream(), seed=0)
+    assert len(opened) == 2
+    assert all(fh.closed for fh in opened)
+
+
 def test_normalize_memo_stops_at_its_cap():
     # every code point, so the table sees far more than its cap
     text = "".join(map(chr, range(0x110000)))
@@ -693,8 +803,9 @@ def test_normalize_memo_stops_at_its_cap():
 
 
 def test_dedup_corpus_memory_per_document_is_bounded():
-    # signatures are 1 KB rows of one matrix; the text was loaded before
-    # tracing starts, so the peak counts only what dedup holds
+    # the index keeps 128 B of band keys per document and one block of 1 KB
+    # rows; the text was loaded before tracing starts, so the peak counts
+    # only what dedup holds
     rng = random.Random(53)
     lines = seed_lines("en")
     docs = []
