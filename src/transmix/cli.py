@@ -28,7 +28,6 @@ from . import translate as translate_mod
 from .config import ConfigError, PipelineConfig, load_config
 from .corpus import TwoPassCorpus, read_back_lines, read_corpus, scan_corpus, write_corpus
 from .mixer import derive_seed
-from .segment import chunk_document
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,11 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-language corpus statistics")
     p.add_argument("input")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-
-    p = sub.add_parser("segment", parents=[shared],
-                       help="sentence-split and chunk a corpus")
-    p.add_argument("input")
-    p.add_argument("--out", required=True, help="chunk records (JSONL)")
 
     p = sub.add_parser("filter", parents=[shared],
                        help="quality-filter a corpus")
@@ -137,21 +131,6 @@ def run_stats(config: PipelineConfig, input_path: str, out: str | None) -> None:
         Path(out).write_text(report + "\n", encoding="utf-8")
     else:
         print(report)
-
-
-def run_segment(config: PipelineConfig, input_path: str, out: str) -> None:
-    counter = config.make_counter()
-    with open(out, "w", encoding="utf-8") as fh:
-        for doc in read_corpus(input_path, strict=config.strict):
-            for chunk in chunk_document(doc, counter, config.chunk_limit,
-                                        config.abbreviation_dir or None):
-                fh.write(json.dumps({
-                    "doc_id": doc.id,
-                    "index": chunk.index,
-                    "token_count": chunk.token_count,
-                    "sentences": len(chunk.sentences),
-                    "text": chunk.text,
-                }, ensure_ascii=False) + "\n")
 
 
 def run_filter(config: PipelineConfig, input_path: str, stage_dir: Path) -> Path:
@@ -298,8 +277,6 @@ def main(argv: list[str] | None = None) -> int:
         config.validate()  # again, for the values the flags set
         if args.command == "stats":
             run_stats(config, args.input, args.out)
-        elif args.command == "segment":
-            run_segment(config, args.input, args.out)
         else:
             if args.command == "mix" and not config.mix_sources:
                 raise ConfigError(["mix.sources: required by transmix mix "

@@ -37,8 +37,8 @@ BLOCK_MARGIN = 0.6  # the margin each alternating block needs to count as a pair
 LOW_CONFIDENCE_CHARS = 20
 _CODE_BITS = 21  # bits per code point in a gram code: a 3-gram fits in an int64
 _BLOCK = 1 << 14  # characters per scoring block: at most 3 * _BLOCK rows per gather
-# Entries the row tables may hold. Past it (a model of a script with a few
-# thousand characters) scoring binary-searches the seen gram codes instead.
+# Entries the row tables, the rank table included, may hold: a model past it (a
+# script with a few thousand characters) is refused where it is built or loaded.
 _TABLE_CAP = 1 << 22
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -67,12 +67,7 @@ class NgramLanguageModel:
         # order. Each order has a row per gram seen in any language, by
         # ascending gram code, then a row for unseen grams. None while stale.
         self._table: np.ndarray | None = None
-        # order -> (its seen gram codes, ascending, then a -1 that matches no
-        # code; the order's first row in the table)
-        self._codes: dict[int, tuple[np.ndarray, int]] = {}
-        # Each gram's row by table lookups, or None when the lookup tables
-        # would pass ``_TABLE_CAP`` and scoring searches ``_codes`` instead
-        self._row_tables: _RowTables | None = None
+        self._row_tables: _RowTables | None = None  # each gram's row; None until tabulated
 
     @property
     def languages(self) -> list[str]:
@@ -101,7 +96,8 @@ class NgramLanguageModel:
         self._table = None  # stale until finalize()
 
     def finalize(self) -> None:
-        """Fix smoothing vocabularies from the union over languages."""
+        """Fix smoothing vocabularies from the union over languages; a ValueError
+        if there are no languages or the row tables would pass ``_TABLE_CAP``."""
         self.vocab_sizes = {}  # _tabulate counts each order's union, plus one for unseen grams
         self._tabulate()
 
@@ -110,7 +106,10 @@ class NgramLanguageModel:
         the counts and the vocabulary sizes, so scoring gathers table rows
         instead of taking logs."""
         languages = self.languages
+        if not languages:
+            raise ValueError("the model has no languages")
         blocks = []
+        orders = {}  # order -> (its seen gram codes, ascending; its first row in the table)
         first = 0
         for n in NGRAM_ORDERS:
             tallies = [self._tallies[lang][n] for lang in languages]
@@ -123,11 +122,11 @@ class NgramLanguageModel:
                 distinct = _distinct(np.sort(counts))
                 logs = np.array([math.log((c + 1) / denom) for c in distinct.tolist()])
                 block[np.searchsorted(seen, codes), col] = logs[np.searchsorted(distinct, counts)]
-            self._codes[n] = (np.append(seen, -1), first)
+            orders[n] = seen, first
             first += len(block)
             blocks.append(block)
+        self._row_tables = _RowTables.build(orders)  # before the table: a refusal leaves no model
         self._table = np.concatenate(blocks)
-        self._row_tables = _RowTables.build(self._codes)
 
     def log_probs(self, text: str) -> dict[str, float]:
         """The average log-probability per character of the text under each
@@ -163,9 +162,6 @@ class NgramLanguageModel:
                     filled = 0
                 out = rows[filled:filled + count]
                 filled += count
-                if tables is None:
-                    self._search_rows(n, text[start:start + count + n - 1], out)
-                    continue
                 if ranked[0] != start:
                     ranked = start, tables._ranks(text[start:start + block + 2])
                 tables.fill(n, ranked[1], out)
@@ -176,16 +172,6 @@ class NgramLanguageModel:
         values[0] += total
         # a sequential running sum: a pairwise sum would change the last bits
         return np.add.accumulate(values, axis=0, out=values)[-1]
-
-    def _search_rows(self, n: int, text: str, out: np.ndarray) -> None:
-        """Write the table rows of the text's n-grams into ``out``, found by
-        binary search of the order's seen gram codes."""
-        codes, first = self._codes[n]
-        points = _code_points(text)
-        grams = _pack([points[k:len(out) + k] for k in range(n)])
-        found = np.searchsorted(codes[:-1], grams)
-        found[codes[found] != grams] = len(codes) - 1  # the unseen row
-        np.add(found, first, out=out)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -227,18 +213,19 @@ class NgramLanguageModel:
         for n in NGRAM_ORDERS:
             if type(size := vocab_sizes[str(n)]) is not int or size < 1:
                 raise ValueError(f"vocab_sizes of order {n} is {size!r}, not a positive integer")
+            if size >= 2**63:
+                raise ValueError(f"vocab_sizes of order {n} is 2**63 or more")
         model = cls()
         for lang, per_order in counts.items():
             grams = {n: _as_object(per_order[str(n)], f"the {n}-gram counts of {lang!r} are ")
                      for n in NGRAM_ORDERS}
             for n, c in grams.items():
-                if not all(type(v) is int for v in c.values()):
-                    raise ValueError(f"the {n}-gram counts of {lang!r} are not all integers")
-                if any(v < 0 for v in c.values()):
-                    raise ValueError(f"the {n}-gram counts of {lang!r} include a negative count")
-                if any(v >= 2**63 for v in c.values()):
-                    raise ValueError(f"the {n}-gram counts of {lang!r} include a count "
-                                     "of 2**63 or more")
+                for v in c.values():
+                    if type(v) is not int or not 0 <= v < 2**63:
+                        raise ValueError(f"the {n}-gram counts of {lang!r} " + (
+                            "are not all integers" if type(v) is not int else
+                            "include a negative count" if v < 0 else
+                            "include a count of 2**63 or more"))
             model._tallies[lang] = {n: _group(_gram_codes(c, n), np.array([*c.values()], np.int64),
                                               np.arange(len(c))) for n, c in grams.items()}
             model.totals[lang] = {n: sum(c.values()) for n, c in grams.items()}
@@ -283,10 +270,10 @@ class _RowTables:
         self.three = three  # [prefix rank, c] -> 3-gram row
 
     @classmethod
-    def build(cls, codes: dict[int, tuple[np.ndarray, int]]) -> "_RowTables | None":
-        """The tables for ``NgramLanguageModel._codes``, or None when they
-        would hold more than ``_TABLE_CAP`` entries."""
-        seen = {n: codes[n][0][:-1] for n in NGRAM_ORDERS}
+    def build(cls, codes: dict[int, tuple[np.ndarray, int]]) -> "_RowTables":
+        """The tables for each order's seen gram codes, ascending, and first
+        row; a ValueError if they would hold more than ``_TABLE_CAP`` entries."""
+        seen = {n: codes[n][0] for n in NGRAM_ORDERS}
         mask = (1 << _CODE_BITS) - 1
         # a loaded model may hold grams whose characters or prefixes were
         # seen in no lower order, so every order adds to both
@@ -295,8 +282,10 @@ class _RowTables:
         prefixes = _distinct(seen[3] >> _CODE_BITS)
         side = len(alphabet) + 1
         rank_size = int(alphabet.max(initial=-1)) + 2
-        if rank_size + side + (2 * side + len(prefixes) + 1) * side > _TABLE_CAP:
-            return None
+        entries = rank_size + side + (2 * side + len(prefixes) + 1) * side
+        if entries > _TABLE_CAP:
+            raise ValueError(f"the row tables would hold {entries:,} entries, over the cap of "
+                             f"{_TABLE_CAP:,}, for an alphabet of {len(alphabet):,} characters")
         rank = np.full(rank_size, side - 1, dtype=np.int32)
         rank[alphabet] = np.arange(len(alphabet))
 
@@ -306,9 +295,9 @@ class _RowTables:
 
         def table(n: int, size: int, index: np.ndarray) -> np.ndarray:
             """The rows of the seen n-grams at ``index``, the unseen row elsewhere."""
-            gram_codes, first = codes[n]
-            rows = np.full(size, first + len(gram_codes) - 1, dtype=np.int32)
-            rows[index] = first + np.arange(len(gram_codes) - 1)
+            first = codes[n][1]
+            rows = np.full(size, first + len(seen[n]), dtype=np.int32)
+            rows[index] = first + np.arange(len(seen[n]))
             return rows
 
         prefix = np.full(side * side, len(prefixes), dtype=np.int32)

@@ -73,6 +73,10 @@ MALFORMED_MODELS = {
     "order-counts-list": "the 2-gram counts of 'en' are a JSON list, not an object",
     "vocab-string": "vocab_sizes of order 1 is '9', not a positive integer",
     "vocab-zero": "vocab_sizes of order 1 is 0, not a positive integer",
+    "vocab-overflow": "vocab_sizes of order 1 is 2**63 or more",
+    "no-languages": "the model has no languages",
+    "over-cap": "the row tables would hold 9,070,229 entries, over the cap of 4,194,304, "
+                "for an alphabet of 2,119 characters",
 }
 
 
@@ -84,9 +88,10 @@ def malformed_model_file(tmp_path: Path, problem: str) -> Path:
     3-character 2-gram ("gram-length"), a count that is a string ("count"),
     negative ("negative-count") or 2**64 ("count-overflow"), a number in
     place of a language's counts ("language-counts"), a list in place of all
-    counts ("counts-list") or of one order's ("order-counts-list"), or a
-    1-gram vocabulary size that is a string ("vocab-string") or 0
-    ("vocab-zero")."""
+    counts ("counts-list") or of one order's ("order-counts-list"), a 1-gram
+    vocabulary size that is a string ("vocab-string"), 0 ("vocab-zero") or
+    2**64 ("vocab-overflow"), no languages ("no-languages"), or 2,100 more
+    1-grams of CJK characters, too many for the row tables ("over-cap")."""
     model = NgramLanguageModel()
     model.add_language("en", "the quick brown fox")
     model.add_language("fr", "le renard brun")
@@ -104,6 +109,8 @@ def malformed_model_file(tmp_path: Path, problem: str) -> Path:
         del payload["vocab_sizes"]["3"]
     elif problem == "list":
         payload = [payload]
+    elif problem == "no-languages":
+        payload["counts"] = {}
     elif problem.startswith("no-"):
         del payload[problem.removeprefix("no-")]
     elif problem == "gram-length":
@@ -119,7 +126,9 @@ def malformed_model_file(tmp_path: Path, problem: str) -> Path:
     elif problem == "order-counts-list":
         payload["counts"]["en"]["2"] = list(payload["counts"]["en"]["2"])
     elif problem.startswith("vocab-"):
-        payload["vocab_sizes"]["1"] = "9" if problem == "vocab-string" else 0
+        payload["vocab_sizes"]["1"] = {"vocab-string": "9", "vocab-zero": 0}.get(problem, 2**64)
+    elif problem == "over-cap":
+        payload["counts"]["en"]["1"].update({chr(0x4E00 + k): 1 for k in range(2100)})
     else:
         payload["counts"]["en"]["1"]["t"] = "x"
     path.write_text(json.dumps(payload), encoding="utf-8")

@@ -76,28 +76,27 @@ def test_missing_input_is_stage_failure(tmp_path):
     assert (tmp_path / "out" / "FAILED").exists()
 
 
-def test_segment_subcommand(tmp_path, small_corpus):
-    out = tmp_path / "chunks.jsonl"
-    assert main(["segment", str(small_corpus), "--out", str(out)]) == 0
-    records = [json.loads(l) for l in out.read_text().splitlines()]
-    assert all(r["token_count"] > 0 for r in records)
-    assert {r["doc_id"] for r in records} == {f"doc{i:05d}" for i in range(30)}
-
-
 def test_custom_abbreviation_dir_does_not_outlast_the_command(tmp_path):
     from transmix.segment import split_sentences
 
     abbreviations = tmp_path / "abbreviations"
     abbreviations.mkdir()
     (abbreviations / "en.txt").write_text("xyz.\n", encoding="utf-8")
-    ini = tmp_path / "segment.ini"
-    ini.write_text(f"[segment]\nabbreviation_dir = {abbreviations}\n", encoding="utf-8")
     path = tmp_path / "in.jsonl"
     write_corpus(path, [Document(id="d", lang="en", text="We met Xyz. Smith today. He left.")])
-    out = tmp_path / "chunks.jsonl"
-    assert main(["segment", str(path), "--out", str(out), "--config", str(ini)]) == 0
-    [record] = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
-    assert record["sentences"] == 2  # "Xyz." is an abbreviation in the custom list
+
+    def oversized_chunks(name, segment):
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(f"[segment]\nchunk_limit = 4\n{segment}[translate]\ntargets = fr\n",
+                       encoding="utf-8")
+        out = tmp_path / name
+        assert main(["translate", str(path), "--out-dir", str(out), "--config", str(ini)]) == 0
+        return read_manifest(out)["oversized_chunks"]
+
+    # "We met Xyz. Smith today." is one 5-token sentence only when "Xyz." is
+    # an abbreviation, as in the custom list
+    assert oversized_chunks("custom", f"abbreviation_dir = {abbreviations}\n") == 1
+    assert oversized_chunks("bundled", "") == 0
     # the bundled list, which holds "dr.", is back for the next caller
     assert [s.text for s in split_sentences("Call Dr. Smith now.", "en")] == \
         ["Call Dr. Smith now."]
@@ -163,7 +162,7 @@ def test_strict_flag_aborts_on_malformed_line(tmp_path, capsys):
         ("", {"text": "\ud800"}, "'utf-8' codec can't encode character '\\ud800'"),
         ("-text-not-a-string", {"text": 5}, "text is not a string"),
         ("-id-not-a-string", {"id": None}, "id is not a string")]
-    for stage in ["filter", "dedup", "translate", "mix", "segment", "pack"]])
+    for stage in ["filter", "dedup", "translate", "mix", "pack"]])
 def test_a_lone_surrogate_escape_is_a_malformed_line(tmp_path, stage, bad_fields, error, capsys):
     # the escaped pair "\ud83d\ude00" is one character and stays
     docs = pipeline_docs(5)
@@ -178,8 +177,6 @@ def test_a_lone_surrogate_escape_is_a_malformed_line(tmp_path, stage, bad_fields
 
     def args(out):
         out.mkdir()
-        if stage == "segment":
-            return ["segment", str(path), "--out", str(out / "chunks.jsonl")]
         if stage == "mix":
             return ["mix", "--config", str(ini), "--out-dir", str(out)]
         return [stage, str(path), "--out-dir", str(out)]

@@ -39,33 +39,14 @@ def split_seeds():
     return train, held
 
 
-# How a model finds each gram's row in its log-probability table: by its row
-# tables, or by binary search of the seen gram codes, as a model whose row
-# tables would pass the size cap does
-GRAM_PATHS = ["tables", "searchsorted"]
-
-
-@pytest.fixture
-def gram_path(request, monkeypatch):
-    """Models built in the test take the path named by the parameter."""
-    if request.param == "searchsorted":
-        monkeypatch.setattr(probe, "_TABLE_CAP", 0)
-    return request.param
-
-
-def on_gram_path(request, build):
-    """``build()`` with its models on the path named by the fixture's
-    indirect parameter, the row tables when there is none."""
-    with pytest.MonkeyPatch.context() as patch:
-        if getattr(request, "param", "tables") == "searchsorted":
-            patch.setattr(probe, "_TABLE_CAP", 0)
-        return build()
+# tests of scoring through the row tables carry "tables" in their ids
+ON_ROW_TABLES = pytest.mark.parametrize("rows", ["tables"])
 
 
 @pytest.fixture(scope="module")
-def model(request):
+def model():
     train, _ = split_seeds()
-    return on_gram_path(request, lambda: train_langid(train))
+    return train_langid(train)
 
 
 @pytest.fixture(scope="module")
@@ -158,18 +139,16 @@ def edge_training_texts():
 
 
 @pytest.fixture(scope="module")
-def edge_models(request, tmp_path_factory):
+def edge_models(tmp_path_factory):
     """A model trained on astral-plane, combining and NUL characters, and the
     same model saved and loaded again."""
-    def build():
-        model = NgramLanguageModel()
-        for lang, text in edge_training_texts().items():
-            model.add_language(lang, text)
-        model.finalize()
-        path = tmp_path_factory.mktemp("edge") / "langid.json"
-        model.save(path)
-        return model, NgramLanguageModel.load(path)
-    return on_gram_path(request, build)
+    model = NgramLanguageModel()
+    for lang, text in edge_training_texts().items():
+        model.add_language(lang, text)
+    model.finalize()
+    path = tmp_path_factory.mktemp("edge") / "langid.json"
+    model.save(path)
+    return model, NgramLanguageModel.load(path)
 
 
 def assert_scores_equal_reference(models, texts):
@@ -182,8 +161,8 @@ def assert_scores_equal_reference(models, texts):
                 assert classify_language(text, scored).scores == expected, repr(text)
 
 
-@pytest.mark.parametrize("edge_models", GRAM_PATHS, indirect=True)
-def test_edge_case_texts_score_like_per_gram_logs(edge_models):
+@ON_ROW_TABLES
+def test_edge_case_texts_score_like_per_gram_logs(rows, edge_models):
     model, _ = edge_models
     assert all(twin not in model.counts[lang][len(twin)]
                for twin in TWIN_UNSEEN for lang in model.languages)
@@ -201,8 +180,8 @@ def surrogate_model():
 SURROGATE_TEXTS = EDGE_TEXTS + ["x\ud800", "\udfff\ud800q"]
 
 
-@pytest.mark.parametrize("gram_path", GRAM_PATHS, indirect=True)
-def test_lone_surrogates_in_training_text_score_like_per_gram_logs(gram_path):
+@ON_ROW_TABLES
+def test_lone_surrogates_in_training_text_score_like_per_gram_logs(rows):
     assert_scores_equal_reference([surrogate_model()], SURROGATE_TEXTS)
 
 
@@ -225,10 +204,7 @@ def test_all_unseen_texts_score_each_languages_unseen_log(edge_models):
     assert_scores_equal_reference(edge_models, ALL_UNSEEN)
 
 
-@pytest.mark.parametrize("block, edge_models, model", [
-    pytest.param(block, path, path, id=str(block) if path == "tables" else f"{block}-{path}")
-    for path in GRAM_PATHS for block in (1, 2, 3, 5, 64)
-], indirect=["edge_models", "model"])
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
 def test_texts_across_block_boundaries_score_like_per_gram_logs(
         block, edge_models, model, held_out, monkeypatch):
     monkeypatch.setattr(probe, "_BLOCK", block)
@@ -243,8 +219,8 @@ def test_text_longer_than_a_block_scores_like_per_gram_logs(model, held_out):
     assert_scores_equal_reference([model], [text[:probe._BLOCK + 1000]])
 
 
-@pytest.mark.parametrize("gram_path", GRAM_PATHS, indirect=True)
-def test_loaded_model_with_grams_missing_from_lower_orders(gram_path, tmp_path):
+@ON_ROW_TABLES
+def test_loaded_model_with_grams_missing_from_lower_orders(rows, tmp_path):
     # "abx" holds "x", which is in no 1-gram count; "qrs" and "zzc" start with
     # "qr" and "zz", which are in no 2-gram count, nor are "q", "r", "s", "z"
     counts = {
@@ -255,24 +231,29 @@ def test_loaded_model_with_grams_missing_from_lower_orders(gram_path, tmp_path):
     path.write_text(json.dumps({"orders": [1, 2, 3], "vocab_sizes": {"1": 4, "2": 4, "3": 5},
                                 "counts": counts}), encoding="utf-8")
     loaded = NgramLanguageModel.load(path)
-    assert (loaded._row_tables is None) == (gram_path == "searchsorted")
     assert_scores_equal_reference([loaded], [
         "abx", "qrs", "zzc", "x", "qr", "xqrsab", "abxqrszzccc", "qrsqrs", "zz zzc",
         "ab\U0001F600qrs", "cab\ud800qrsx"])
 
 
-def test_model_of_a_large_alphabet_scores_by_binary_search():
-    # 1,500 characters make row tables of more than _TABLE_CAP entries
+def test_model_of_a_large_alphabet_is_refused_at_finalize():
+    # 1,499 characters make row tables of more than _TABLE_CAP entries
     rng = random.Random(3)
     alphabet = [chr(0x4E00 + k) for k in range(1500)]
     model = NgramLanguageModel()
     for lang in ("zh", "ja"):
         model.add_language(lang, "".join(rng.choice(alphabet) for _ in range(6000)))
-    model.finalize()
-    assert model._row_tables is None
-    texts = ["".join(rng.choice(alphabet) for _ in range(n)) for n in (1, 2, 3, 40, 300)]
-    assert_scores_equal_reference([model], texts + ["\u4e00\u4e01x", "abc"])
-    assert train_langid()._row_tables is not None
+    with pytest.raises(ValueError) as raised:
+        model.finalize()
+    assert str(raised.value) == ("the row tables would hold 22,476,469 entries, over the cap "
+                                 "of 4,194,304, for an alphabet of 1,499 characters")
+    with pytest.raises(RuntimeError, match=r"finalize\(\)"):
+        model.log_probs("\u4e00\u4e01")
+
+
+def test_model_with_no_languages_is_refused_at_finalize():
+    with pytest.raises(ValueError, match="^the model has no languages$"):
+        NgramLanguageModel().finalize()
 
 
 def last_code_point_model():
@@ -283,21 +264,20 @@ def last_code_point_model():
     return model
 
 
-@pytest.mark.parametrize("gram_path", GRAM_PATHS, indirect=True)
-def test_rank_table_of_the_last_code_point_counts_toward_the_cap(gram_path, monkeypatch):
+@ON_ROW_TABLES
+def test_rank_table_of_the_last_code_point_counts_toward_the_cap(rows, monkeypatch):
     model = last_code_point_model()
-    if gram_path == "tables":
-        tables = model._row_tables
-        assert len(tables.rank) == 0x10FFFF + 2
-        entries = sum(table.size for table in (
-            tables.rank, tables.one, tables.two, tables.prefix, tables.three))
-        assert entries <= probe._TABLE_CAP
-        monkeypatch.setattr(probe, "_TABLE_CAP", entries - 1)
-        assert last_code_point_model()._row_tables is None
-        # the bundled model's largest code point is U+0153
-        assert len(train_langid()._row_tables.rank) < 1000
-    else:
-        assert model._row_tables is None
+    tables = model._row_tables
+    assert len(tables.rank) == 0x10FFFF + 2
+    entries = sum(table.size for table in (
+        tables.rank, tables.one, tables.two, tables.prefix, tables.three))
+    assert entries <= probe._TABLE_CAP
+    monkeypatch.setattr(probe, "_TABLE_CAP", entries - 1)
+    with pytest.raises(ValueError, match=f"would hold {entries:,} entries, over the cap of "
+                       f"{entries - 1:,}, "):
+        last_code_point_model()
+    # the bundled model's largest code point is U+0153
+    assert len(train_langid()._row_tables.rank) < 1000
     assert_scores_equal_reference([model], [
         "\U0010FFFF", "a\U0010FFFFb", "\U0010FFFF\U0010FFFF\U0010FFFF", "\U0010FFFE",
         "x\U0010FFFEy\U0010FFFF", "\U0001F600\U0010FFFF\ud800", seed_lines("fr")[40]])
