@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 1 on a stage failure (partial artifacts retained
 with a FAILED marker in the failing stage's directory, and in the run's
-root for ``pipeline``), 2 on usage or configuration errors. Every stage
-directory gets the resolved config snapshot and a stage manifest, so runs
-are reproducible and auditable.
+root for ``pipeline``), 2 on usage or configuration errors. Each ``run_*``
+stage writes its outputs and returns its manifest; ``_stage`` alone writes
+the stage directory's ``resolved_config.json``, ``FAILED`` and
+``manifest.json``, the last only when the stage succeeds.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ import argparse
 import itertools
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Callable
 
 from . import corpus as corpus_mod
 from . import dedup as dedup_mod
@@ -101,16 +101,21 @@ def _apply_cli_overrides(config: PipelineConfig, args: argparse.Namespace) -> No
         config.strict = True
 
 
-@contextmanager
-def _stage(path: Path, config: PipelineConfig) -> Iterator[Path]:
-    """The directory of one stage, made, with the resolved config written and
-    a stale FAILED removed. An exception, ``KeyboardInterrupt`` included,
-    leaves ``FAILED`` there, naming it, and goes on."""
+def _stage(path: Path, config: PipelineConfig, run: Callable[..., dict | None],
+           *args: Any, **kwargs: Any) -> None:
+    """Run ``run(config, *args, path, **kwargs)`` in the stage directory
+    ``path``: made, with the resolved config written and a stale FAILED and
+    manifest removed. The dict ``run`` returns is written to manifest.json,
+    last. An exception, ``KeyboardInterrupt`` included, leaves ``FAILED``
+    there, naming it, and goes on."""
     path.mkdir(parents=True, exist_ok=True)
-    config.write_snapshot(path / "resolved_config.json")
+    _write_json(path / "resolved_config.json", asdict(config))
     (path / "FAILED").unlink(missing_ok=True)
+    (path / "manifest.json").unlink(missing_ok=True)
     try:
-        yield path
+        manifest = run(config, *args, path, **kwargs)
+        if manifest is not None:
+            _write_json(path / "manifest.json", manifest)
     except BaseException as exc:
         (path / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")
         raise
@@ -126,23 +131,20 @@ def _write_json(path: Path, record: dict) -> None:
 def run_stats(config: PipelineConfig, input_path: str, out: str | None) -> None:
     stats = corpus_mod.compute_stats(
         read_corpus(input_path, strict=config.strict), config.make_counter())
-    report = json.dumps(stats.to_report(), indent=2, ensure_ascii=False)
     if out:
-        Path(out).write_text(report + "\n", encoding="utf-8")
+        _write_json(Path(out), stats.to_report())
     else:
-        print(report)
+        print(json.dumps(stats.to_report(), indent=2, ensure_ascii=False))
 
 
-def run_filter(config: PipelineConfig, input_path: str, stage_dir: Path) -> Path:
-    kept_path = stage_dir / "kept.jsonl"
-    rejected_path = stage_dir / "rejected.jsonl"
+def run_filter(config: PipelineConfig, input_path: str, stage_dir: Path) -> dict:
     counts = {"in": 0, "kept": 0, "rejected": 0}
     # a kept document is written as the line it was read from
     scanned, to_filter = itertools.tee(scan_corpus(input_path, strict=config.strict))
     reports = quality_mod.filter_corpus(
         (doc for _, _, doc in to_filter), config.quality, config.stopword_dir or None)
-    with open(kept_path, "w", encoding="utf-8") as kept_fh, \
-            open(rejected_path, "w", encoding="utf-8") as rej_fh:
+    with open(stage_dir / "kept.jsonl", "w", encoding="utf-8") as kept_fh, \
+            open(stage_dir / "rejected.jsonl", "w", encoding="utf-8") as rej_fh:
         for (_, line, _), (_, report) in zip(scanned, reports):
             counts["in"] += 1
             if report.keep:
@@ -154,15 +156,11 @@ def run_filter(config: PipelineConfig, input_path: str, stage_dir: Path) -> Path
                     "doc": json.loads(line),
                     "report": report.to_dict(),
                 }, ensure_ascii=False) + "\n")
-    _write_json(stage_dir / "manifest.json", {
-        "stage": "filter", **counts,
-        "rules": list(config.quality.active_rules()),
-    })
-    return kept_path
+    return {"stage": "filter", **counts, "rules": list(config.quality.active_rules())}
 
 
 def run_dedup(config: PipelineConfig, input_path: str, stage_dir: Path,
-              exact: bool) -> Path:
+              exact: bool) -> dict:
     # The input is read twice, and no document is held in between: the
     # first pass signs every document, the second copies the kept lines.
     src = TwoPassCorpus(input_path, strict=config.strict)
@@ -175,19 +173,17 @@ def run_dedup(config: PipelineConfig, input_path: str, stage_dir: Path,
         rows=config.dedup_rows,
         shingle_size=config.shingle_size,
     )
-    kept_path = stage_dir / "kept.jsonl"
-    write_corpus(kept_path, read_back_lines([src], result.kept_positions))
+    write_corpus(stage_dir / "kept.jsonl", read_back_lines([src], result.kept_positions))
     result.write_manifest(stage_dir / "clusters.jsonl")
-    _write_json(stage_dir / "manifest.json", {
+    return {
         "stage": "dedup", "in": len(src), "kept": len(result.kept_ids),
         "removed": len(result.removed_ids), "clusters": len(result.clusters),
         **result.params,
-    })
-    return kept_path
+    }
 
 
 def run_translate(config: PipelineConfig, input_path: str, stage_dir: Path,
-                  resume: bool, restart: bool) -> dict[str, Path]:
+                  resume: bool, restart: bool) -> dict:
     manifest = translate_mod.translate_corpus(
         input_path,
         targets=config.targets,
@@ -202,34 +198,28 @@ def run_translate(config: PipelineConfig, input_path: str, stage_dir: Path,
         abbreviation_dir=config.abbreviation_dir or None,
         strict=config.strict,
     )
-    _write_json(stage_dir / "manifest.json", {"stage": "translate", **asdict(manifest)})
-    return {tgt: stage_dir / f"{tgt}.jsonl" for tgt in config.targets}
+    return {"stage": "translate", **asdict(manifest)}
 
 
 def run_mix(config: PipelineConfig, sources: list[tuple[str, str]],
-            stage_dir: Path) -> Path:
+            stage_dir: Path) -> dict:
     # no budget: compose_stage gives each source the smallest source's total
     mixed, manifest = mixer_mod.compose_stage(
         sources, config.make_counter(), budget=config.mix_budget_per_source or None,
         seed=derive_seed(config.seed, "mix"), buffer_size=config.mix_buffer_size,
         strict=config.strict)
-    out_path = stage_dir / "mixed.jsonl"
-    write_corpus(out_path, mixed)
-    _write_json(stage_dir / "manifest.json", manifest)
-    return out_path
+    write_corpus(stage_dir / "mixed.jsonl", mixed)
+    return {"stage": "mix", **manifest}
 
 
-def run_pack(config: PipelineConfig, input_path: str, stage_dir: Path) -> Path:
-    counter = config.make_counter()
-    out_path = stage_dir / "tokens.bin"
+def run_pack(config: PipelineConfig, input_path: str, stage_dir: Path) -> dict:
     manifest = pack_mod.pack_stream(
-        read_corpus(input_path, strict=config.strict), counter, out_path,
-        sequence_length=config.sequence_length)
-    _write_json(stage_dir / "manifest.json", asdict(manifest))
-    return out_path
+        read_corpus(input_path, strict=config.strict), config.make_counter(),
+        stage_dir / "tokens.bin", sequence_length=config.sequence_length)
+    return asdict(manifest)
 
 
-def run_probe(config: PipelineConfig, stage_dir: Path) -> None:
+def run_probe(config: PipelineConfig, stage_dir: Path) -> dict:
     if config.probe_model_path:
         model = probe_mod.NgramLanguageModel.load(config.probe_model_path)
     else:
@@ -242,28 +232,25 @@ def run_probe(config: PipelineConfig, stage_dir: Path) -> None:
         seed=derive_seed(config.seed, "probe"),
     )
     _write_json(stage_dir / "prior_report.json", asdict(report))
-    with open(stage_dir / "translation_pairs.jsonl", "w", encoding="utf-8") as fh:
-        for record in evidence:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    _write_json(stage_dir / "manifest.json", {"stage": "probe", **asdict(report)})
+    write_corpus(stage_dir / "translation_pairs.jsonl",
+                 (json.dumps(record, ensure_ascii=False) for record in evidence))
+    return {"stage": "probe", **asdict(report)}
 
 
 def run_pipeline(config: PipelineConfig, input_path: str, out_dir: Path,
                  resume: bool, restart: bool, exact: bool) -> None:
-    with _stage(out_dir / "01_filter", config) as stage_dir:
-        kept = run_filter(config, input_path, stage_dir)
-    with _stage(out_dir / "02_dedup", config) as stage_dir:
-        kept = run_dedup(config, str(kept), stage_dir, exact=exact)
-    sources: list[tuple[str, str]] = [("source", str(kept))]
+    _stage(out_dir / "01_filter", config, run_filter, input_path)
+    _stage(out_dir / "02_dedup", config, run_dedup,
+           str(out_dir / "01_filter" / "kept.jsonl"), exact=exact)
+    kept = str(out_dir / "02_dedup" / "kept.jsonl")
+    sources = [("source", kept)]
     if config.targets:
-        with _stage(out_dir / "03_translate", config) as stage_dir:
-            translated = run_translate(config, str(kept), stage_dir,
-                                       resume=resume, restart=restart)
-        sources += [(tgt, str(path)) for tgt, path in sorted(translated.items())]
-    with _stage(out_dir / "04_mix", config) as stage_dir:
-        mixed = run_mix(config, sources, stage_dir)
-    with _stage(out_dir / "05_pack", config) as stage_dir:
-        run_pack(config, str(mixed), stage_dir)
+        _stage(out_dir / "03_translate", config, run_translate, kept,
+               resume=resume, restart=restart)
+        sources += [(tgt, str(out_dir / "03_translate" / f"{tgt}.jsonl"))
+                    for tgt in sorted(config.targets)]
+    _stage(out_dir / "04_mix", config, run_mix, sources)
+    _stage(out_dir / "05_pack", config, run_pack, str(out_dir / "04_mix" / "mixed.jsonl"))
 
 
 # ---- entry point ----------------------------------------------------------
@@ -281,24 +268,23 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "mix" and not config.mix_sources:
                 raise ConfigError(["mix.sources: required by transmix mix "
                                    "(sources = name:path, ...)"])
-            with _stage(Path(args.out_dir), config) as stage_dir:
-                if args.command == "filter":
-                    run_filter(config, args.input, stage_dir)
-                elif args.command == "dedup":
-                    run_dedup(config, args.input, stage_dir, exact=args.exact)
-                elif args.command == "translate":
-                    run_translate(config, args.input, stage_dir,
-                                  resume=args.resume, restart=args.restart)
-                elif args.command == "mix":
-                    run_mix(config, config.mix_sources, stage_dir)
-                elif args.command == "pack":
-                    run_pack(config, args.input, stage_dir)
-                elif args.command == "probe":
-                    run_probe(config, stage_dir)
-                elif args.command == "pipeline":
-                    run_pipeline(config, args.input, stage_dir,
-                                 resume=args.resume, restart=args.restart,
-                                 exact=args.exact)
+            out_dir = Path(args.out_dir)
+            if args.command == "filter":
+                _stage(out_dir, config, run_filter, args.input)
+            elif args.command == "dedup":
+                _stage(out_dir, config, run_dedup, args.input, exact=args.exact)
+            elif args.command == "translate":
+                _stage(out_dir, config, run_translate, args.input,
+                       resume=args.resume, restart=args.restart)
+            elif args.command == "mix":
+                _stage(out_dir, config, run_mix, config.mix_sources)
+            elif args.command == "pack":
+                _stage(out_dir, config, run_pack, args.input)
+            elif args.command == "probe":
+                _stage(out_dir, config, run_probe)
+            elif args.command == "pipeline":
+                _stage(out_dir, config, run_pipeline, args.input,
+                       resume=args.resume, restart=args.restart, exact=args.exact)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

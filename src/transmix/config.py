@@ -1,5 +1,6 @@
-"""Pipeline configuration: one INI-style file, env-var overrides, full
-validation up front, and a resolved snapshot written next to every artifact.
+"""Pipeline configuration: one INI-style file, env-var overrides and full
+validation up front. ``transmix`` writes ``asdict`` of the resolved config
+as ``resolved_config.json`` in every stage directory.
 
 The fields of ``PipelineConfig`` are the table of options, each with its INI
 section and option, default and parser; ``load_config`` rejects any other key.
@@ -12,9 +13,8 @@ no option is rejected too.
 from __future__ import annotations
 
 import configparser
-import json
 import os
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -226,14 +226,6 @@ class PipelineConfig:
     def generation_params(self) -> GenerationParams:
         return GenerationParams(**{f.name: getattr(self, f.name)
                                    for f in fields(GenerationParams)})
-
-    def snapshot(self) -> dict:
-        return asdict(self)
-
-    def write_snapshot(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.snapshot(), indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8")
 
 
 def _options() -> Iterator[tuple[str, str, str, Callable[[str], Any], bool]]:

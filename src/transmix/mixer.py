@@ -187,7 +187,6 @@ def compose_stage(
     refs = np.fromiter(interleave(samples, seed=shuffle_seed, buffer_size=buffer_size),
                        dtype=np.int64, count=sum(map(len, samples)))
     manifest = {
-        "stage": "mix",
         "seed": seed,
         "shuffle_seed": shuffle_seed,
         "sources": realized,

@@ -76,6 +76,39 @@ def test_missing_input_is_stage_failure(tmp_path):
     assert (tmp_path / "out" / "FAILED").exists()
 
 
+def test_a_failed_rerun_leaves_no_stale_manifest(tmp_path, small_corpus):
+    out = tmp_path / "filtered"
+    assert main(["filter", str(small_corpus), "--out-dir", str(out)]) == 0
+    assert read_manifest(out)["kept"] == 30
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(pipeline_docs(1)[0].to_json() + "\nnot json\n", encoding="utf-8")
+    assert main(["filter", str(bad), "--out-dir", str(out), "--strict"]) == 1
+    assert (out / "FAILED").exists()
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("stage", ["filter", "dedup", "translate", "mix", "pack"])
+def test_a_stage_subcommand_writes_the_manifest_of_that_pipeline_stage(
+        tmp_path, small_corpus, stage):
+    run = tmp_path / "run"
+    assert main(["pipeline", str(small_corpus), "--out-dir", str(run), "--seed", "7"]) == 0
+    if stage == "mix":
+        ini = tmp_path / "mix.ini"
+        sources = [f"source:{run / '02_dedup' / 'kept.jsonl'}"] + [
+            f"{tgt}:{run / '03_translate' / f'{tgt}.jsonl'}" for tgt in ("de", "es", "fr")]
+        ini.write_text(f"[mix]\nsources = {', '.join(sources)}\n", encoding="utf-8")
+        args = ["mix", "--config", str(ini)]
+    else:
+        read = {"filter": small_corpus, "dedup": run / "01_filter" / "kept.jsonl",
+                "translate": run / "02_dedup" / "kept.jsonl",
+                "pack": run / "04_mix" / "mixed.jsonl"}[stage]
+        args = [stage, str(read)]
+    out = tmp_path / stage
+    assert main([*args, "--out-dir", str(out), "--seed", "7"]) == 0
+    [in_pipeline] = run.glob(f"0?_{stage}")
+    assert (out / "manifest.json").read_bytes() == (in_pipeline / "manifest.json").read_bytes()
+
+
 def test_custom_abbreviation_dir_does_not_outlast_the_command(tmp_path):
     from transmix.segment import split_sentences
 
@@ -282,14 +315,13 @@ def test_mix_default_budget_reads_each_source_once(tmp_path, monkeypatch):
     monkeypatch.setattr(config, "make_counter", CountingCounter)
     out = tmp_path / "mixed"
     out.mkdir()
-    cli_mod.run_mix(config, sources, out)
+    manifest = cli_mod.run_mix(config, sources, out)
 
     assert sorted(reads) == sorted(path for _, path in sources)
     assert len(counted) == 20 + 14 + 17
     assert len(parsed) == 20 + 14 + 17  # no line read back is parsed again
     totals = {name: sum(WhitespaceCounter().count(d.text) for d in read_corpus(path))
               for name, path in sources}
-    manifest = read_manifest(out)
     assert {v["budget"] for v in manifest["sources"].values()} == {min(totals.values())}
     # only the sampled documents are read back, each once
     assert len(set(read_back)) == len(read_back) == manifest["output_docs"]
@@ -342,6 +374,7 @@ def test_probe_subcommand_with_echo_backend_records_zero_obtained(tmp_path):
     assert main(["probe", "--config", str(ini), "--out-dir", str(out)]) == 0
     report = json.loads((out / "prior_report.json").read_text())
     assert report["requested"] == 8 and report["obtained"] == 0
+    assert read_manifest(out) == {"stage": "probe", **report}
 
 
 @pytest.mark.parametrize("problem", MALFORMED_MODELS)
@@ -501,12 +534,13 @@ def lined_docs(lang, count, seed, lines_per_doc=(10, 30), dup_every=10):
 
 
 def traced_peak(run):
-    """Peak traced memory of ``run()``, in bytes above what it started with."""
+    """What ``run()`` returns, and its peak traced memory, in bytes above
+    what it started with."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        run()
-        return tracemalloc.get_traced_memory()[1] - base
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
@@ -526,8 +560,7 @@ def test_dedup_memory_per_input_document_is_bounded(tmp_path, exact):
     cli_mod.run_dedup(config, str(tmp_path / "warm.jsonl"), tmp_path, exact)
     out = tmp_path / "out"
     out.mkdir()
-    peak = traced_peak(lambda: cli_mod.run_dedup(config, str(path), out, exact))
-    manifest = read_manifest(out)
+    manifest, peak = traced_peak(lambda: cli_mod.run_dedup(config, str(path), out, exact))
     assert manifest["in"] == 2000 and manifest["removed"] >= 150
     allowed = 1536 * len(docs)
     if exact:
@@ -549,8 +582,8 @@ def test_mix_memory_per_input_document_is_bounded(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     cli_mod.run_mix(config, [(n, p) for n, p in sources[:1]], out)  # warm up
-    peak = traced_peak(lambda: cli_mod.run_mix(config, sources, out))
-    assert read_manifest(out)["output_docs"] >= 1500
+    manifest, peak = traced_peak(lambda: cli_mod.run_mix(config, sources, out))
+    assert manifest["output_docs"] >= 1500
     assert peak <= 1536 * 2000, f"{peak / 2000:.0f} B per doc"
 
 

@@ -102,11 +102,14 @@ def test_instruction_override_validated(tmp_path):
 
 
 def test_snapshot_is_json_ready(tmp_path):
-    config = load_config(None)
-    out = tmp_path / "snap.json"
-    config.write_snapshot(out)
+    from transmix.corpus import Document, write_corpus
+
+    path = tmp_path / "in.jsonl"
+    write_corpus(path, [Document(id="d", lang="en", text="a few words")])
+    out = tmp_path / "filtered"
+    assert main(["filter", str(path), "--out-dir", str(out)]) == 0
     import json
-    snap = json.loads(out.read_text(encoding="utf-8"))
+    snap = json.loads((out / "resolved_config.json").read_text(encoding="utf-8"))
     assert snap["seed"] == 0
     assert snap["quality"]["min_words"] == 50
 
