@@ -239,6 +239,9 @@ def run_probe(config: PipelineConfig, stage_dir: Path) -> dict:
 
 def run_pipeline(config: PipelineConfig, input_path: str, out_dir: Path,
                  resume: bool, restart: bool, exact: bool) -> None:
+    # a rerun that fails must not leave a later stage of the last run looking finished
+    for stage in ("01_filter", "02_dedup", "03_translate", "04_mix", "05_pack"):
+        (out_dir / stage / "manifest.json").unlink(missing_ok=True)
     _stage(out_dir / "01_filter", config, run_filter, input_path)
     _stage(out_dir / "02_dedup", config, run_dedup,
            str(out_dir / "01_filter" / "kept.jsonl"), exact=exact)

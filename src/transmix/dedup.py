@@ -7,28 +7,33 @@ pairs, which are confirmed against the similarity threshold before
 union-find clustering. All randomness derives from one seed, recorded in the
 cluster manifest so runs are comparable.
 
-``dedup_corpus`` reads its documents once and keeps no text. Each
-language has one LSH index, the one store of its ids and signature rows:
-each document is signed straight into a 1 KB ``uint64`` row of one
-256-row block in RAM. Full blocks go to a temporary file under ``TMPDIR``
-(a RAM-backed ``TMPDIR`` keeps them in RAM), and the index keeps 128 B per
+``dedup_corpus`` reads its documents once and keeps no text once signed:
+forked workers, one per CPU, sign batches of 64 (see ``_signed_batches``).
+Each language has one LSH index, the one store of its ids and signature
+rows: each signature is copied into a 1 KB ``uint64`` row of one 256-row
+block in RAM. Full blocks go to a temporary file under ``TMPDIR`` (a
+RAM-backed ``TMPDIR`` keeps them in RAM), and the index keeps 128 B per
 document in RAM, a 64-bit key per band. ``exact`` verification also keeps
-each document's shingles as one sorted ``uint64`` array, as before. The
-index buckets each band by sorting its keys, and clustering state is kept
-only for ids that share a bucket. The hash values are those of hashing
-each joined 5-gram with 8-byte blake2b, so signatures, kept ids and
-manifests do not depend on this layout.
+each document's shingles as one sorted ``uint64`` array. The index buckets
+each band by sorting its keys, and clustering state is kept only for ids
+that share a bucket. Each joined 5-gram is hashed with 8-byte blake2b, so
+signatures, kept ids and manifests depend on neither layout nor workers.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import multiprocessing
 import os
+import signal
 import tempfile
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from collections import defaultdict
-from functools import lru_cache
+from collections import defaultdict, deque
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -155,6 +160,7 @@ def _sign(shingles: set[int], seed: int) -> MinHashSignature:
 
 # shingles per block of the a * x + b scratch (128 x 128 x 8 B = 128 KB)
 _SIGN_BLOCK = 128
+_BATCH = 64  # documents a batch of signing work holds
 
 
 def _sign_into(shingles: set[int] | np.ndarray, seed: int, out: np.ndarray,
@@ -379,7 +385,7 @@ def dedup_corpus(
     into several languages are all kept. Documents that are empty after
     normalization are kept unconditionally.
 
-    ``docs`` is iterated once, and no document is held after it is signed.
+    ``docs`` is iterated once, and a text is held only until it is signed.
     """
     order: dict[str, None] = {}  # every id, in input order
     indexes: dict[str, LshIndex] = {}  # by language
@@ -387,23 +393,20 @@ def dedup_corpus(
     arrays: dict[str, list[np.ndarray]] = {}
     removed: set[str] = set()
     clusters: list[dict] = []
+    failed: list[Exception] = []
+    batches = _signed_batches(_read_batches(docs, order, failed), partial(
+        _sign_batch, seed=seed, shingle_size=shingle_size, exact=exact))
     try:
-        scratch = np.empty((_SIGN_BLOCK, NUM_HASHES), dtype=np.uint64)
-        for doc in docs:
-            if doc.id in order:
-                raise ValueError(f"duplicate document id {doc.id!r}")
-            order[doc.id] = None
-            shingles = shingle_set(doc.text, shingle_size)
-            if shingles:
-                index = indexes.get(doc.lang)
+        for keys, sigs, shingles in batches:
+            for (doc_id, lang), sig in zip(keys, sigs):
+                index = indexes.get(lang)
                 if index is None:
-                    index = indexes[doc.lang] = LshIndex(bands=bands, rows=rows)
-                x: set[int] | np.ndarray = shingles
-                if exact:
-                    x = np.sort(_shingle_array(shingles))
-                    arrays.setdefault(doc.lang, []).append(x)
-                _sign_into(x, seed, index._append(doc.id), scratch)
-        del scratch
+                    index = indexes[lang] = LshIndex(bands=bands, rows=rows)
+                index._append(doc_id)[:] = sig
+            for (_, lang), x in zip(keys, shingles):
+                arrays.setdefault(lang, []).append(x)
+        if failed:
+            raise failed[0]
 
         for lang in sorted(indexes):
             with indexes.pop(lang) as index:
@@ -412,6 +415,7 @@ def dedup_corpus(
             removed |= lang_removed
             clusters.extend(lang_clusters)
     finally:
+        batches.close()
         for index in indexes.values():
             index.close()
 
@@ -428,6 +432,81 @@ def dedup_corpus(
     }
     return DedupResult(kept_ids=kept_ids, removed_ids=removed,
                        kept_positions=kept_positions, clusters=clusters, params=params)
+
+
+def _read_batches(docs: Iterable[Document], order: dict, failed: list) -> Iterator[list]:
+    """``(id, lang, text)`` lists of ``_BATCH`` documents, each id added to ``order``.
+    An error reading ``docs`` ends the lists and is appended to ``failed``."""
+    batch = []
+    try:
+        for doc in docs:
+            if doc.id in order:
+                raise ValueError(f"duplicate document id {doc.id!r}")
+            order[doc.id] = None
+            batch.append((doc.id, doc.lang, doc.text))
+            if len(batch) == _BATCH:
+                full, batch = batch, []
+                yield full
+    except Exception as exc:  # noqa: BLE001 - the caller raises it
+        failed.append(exc)
+    if batch:
+        yield batch
+
+
+def _sign_batch(batch: list, seed: int, shingle_size: int, exact: bool) -> tuple:
+    """The ``(id, lang)`` of each document not empty after normalization, their
+    ``(k, NUM_HASHES)`` signatures and, for ``exact``, sorted shingle arrays."""
+    keys, arrays = [], []
+    sigs = np.empty((len(batch), NUM_HASHES), dtype=np.uint64)
+    scratch = np.empty((_SIGN_BLOCK, NUM_HASHES), dtype=np.uint64)
+    for doc_id, lang, text in batch:
+        shingles = shingle_set(text, shingle_size)
+        if shingles:
+            if exact:
+                arrays.append(np.sort(_shingle_array(shingles)))
+            _sign_into(arrays[-1] if exact else shingles, seed, sigs[len(keys)], scratch)
+            keys.append((doc_id, lang))
+    return keys, sigs[:len(keys)], arrays
+
+
+def _signed_batches(batches: Iterator[list], sign: Callable[[list], tuple]) -> Iterator[tuple]:
+    """``sign(batch)`` for each batch, in order: from a second batch on in
+    forked workers, one per CPU in the affinity mask, two batches a worker
+    in flight, if the platform can fork and no other thread runs (it could
+    deadlock the child). Closing it cancels unstarted batches, stops workers."""
+    head = list(itertools.islice(batches, 2))
+    forkable = (len(head) == 2 and threading.active_count() == 1
+                and hasattr(os, "sched_getaffinity")
+                and "fork" in multiprocessing.get_all_start_methods())
+    workers = len(os.sched_getaffinity(0)) if forkable else 1
+    batches = itertools.chain(head, batches)
+    if workers == 1:
+        yield from map(sign, batches)
+        return
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker)
+    pending: deque = deque()  # futures, oldest first
+    try:
+        for batch in batches:
+            pending.append(pool.submit(sign, batch))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        for future in pending:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _start_worker() -> None:
+    """Leave Ctrl-C to the parent, and exit once the parent is gone."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+
+
+def _exit_with_parent() -> None:
+    # returns once the parent's end of a pipe closes (later workers hold it too)
+    multiprocessing.parent_process().join()
+    os._exit(1)
 
 
 def _dedup_group(index: LshIndex, shingles: list[np.ndarray] | None, seed: int,

@@ -491,6 +491,20 @@ class TestPipeline:
         assert not (out / "FAILED").exists()
         assert not (out / "03_translate" / "FAILED").exists()
 
+    def test_a_failed_rerun_leaves_no_manifest_of_a_later_stage(self, tmp_path):
+        code, out = self.run_pipeline(tmp_path, "run", seed="7")
+        assert code == 0
+        # another seed, no --resume: translate refuses the journal it finds
+        code, out = self.run_pipeline(tmp_path, "run", seed="8")
+        assert code == 1
+        assert (out / "03_translate" / "FAILED").exists()
+        for stage in ("01_filter", "02_dedup"):  # rerun with seed 8
+            assert (out / stage / "manifest.json").exists(), stage
+            config = json.loads((out / stage / "resolved_config.json").read_text())
+            assert config["seed"] == 8
+        for stage in ("03_translate", "04_mix", "05_pack"):
+            assert not (out / stage / "manifest.json").exists(), stage
+
     def test_ctrl_c_marks_the_stage_and_the_run_root(self, tmp_path, monkeypatch):
         from transmix import mixer
 

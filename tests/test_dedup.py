@@ -8,10 +8,17 @@ estimator still trips them for a few percent of random seeds.
 
 import hashlib
 import math
+import multiprocessing
 import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +209,26 @@ def near_duplicate_families(rng, families, size):
     return docs
 
 
+@pytest.fixture
+def shingle_calls(monkeypatch):
+    """Counters of ``dedup.shingle_set`` calls, all and those made in other
+    processes (signing workers), shared with forked children."""
+    ctx = multiprocessing.get_context("fork")
+    calls, in_workers = ctx.Value("i", 0), ctx.Value("i", 0)
+    parent = os.getpid()
+
+    def counting(text, n=5):
+        with calls.get_lock():
+            calls.value += 1
+        if os.getpid() != parent:
+            with in_workers.get_lock():
+                in_workers.value += 1
+        return shingle_set(text, n)
+
+    monkeypatch.setattr(dedup, "shingle_set", counting)
+    return calls, in_workers
+
+
 def find_root(parent, x):
     while parent[x] != x:
         x = parent[x]
@@ -336,19 +363,16 @@ class TestDedupCorpus:
         assert len(result.clusters[0]["estimates"]) == n - 1
 
     @pytest.mark.parametrize("exact", [False, True], ids=["estimate", "exact"])
-    def test_each_document_shingled_once(self, monkeypatch, exact):
-        calls = []
-
-        def counting(text, n=5):
-            calls.append(text)
-            return shingle_set(text, n)
-
-        monkeypatch.setattr(dedup, "shingle_set", counting)
+    def test_each_document_shingled_once(self, monkeypatch, shingle_calls, exact):
+        # three batches, so two signing workers share the calls
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         rng = random.Random(25)
-        docs, _ = make_corpus_with_plants(rng, [("0.95", 190, 5, 10)], 20)
+        docs, _ = make_corpus_with_plants(rng, [("0.95", 190, 5, 10)], 150)
         docs.append(Document(id="empty", lang="en", text="..."))
         result = dedup_corpus(docs, seed=0, exact=exact)
-        assert len(calls) == len(docs)
+        calls, in_workers = shingle_calls
+        assert in_workers.value
+        assert calls.value == len(docs)
         assert "empty" in result.kept_ids
         assert result.removed_ids
 
@@ -791,6 +815,139 @@ def test_dedup_corpus_closes_the_files_of_its_indexes(failure, monkeypatch):
             dedup_corpus(stream(), seed=0)
     assert len(opened) == 2
     assert all(fh.closed for fh in opened)
+
+
+def signing_corpus(n):
+    """``n`` documents: planted pairs, near-duplicate families and distinct
+    documents in English, distinct French ones, and one empty document."""
+    rng = random.Random(89)
+    docs, _ = make_corpus_with_plants(rng, [("0.95", 190, 5, 60), ("0.80", 160, 20, 40)], 250)
+    docs += near_duplicate_families(rng, families=4, size=10)
+    docs += [Document(id=f"fr{i:03d}", lang="fr", text=" ".join(rng.sample(seed_lines("fr"), 3)))
+             for i in range(110)]
+    rng.shuffle(docs)
+    docs = docs[:n - 1]
+    docs.insert(n // 2, Document(id="empty", lang="en", text="..."))
+    return docs
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129, 600])  # 600: more rows than _ROW_BLOCK
+@pytest.mark.parametrize("exact", [False, True], ids=["estimate", "exact"])
+def test_signing_workers_give_the_in_process_result(n, exact, monkeypatch, shingle_calls):
+    docs = signing_corpus(n)
+    calls, in_workers = shingle_calls
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    in_process = dedup_corpus(iter(docs), seed=4, exact=exact)
+    assert calls.value == n and not in_workers.value
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forked = dedup_corpus(iter(docs), seed=4, exact=exact)
+    # a pool starts only once a second batch is read
+    assert bool(in_workers.value) == (n > dedup._BATCH)
+    assert calls.value == 2 * n
+    assert "empty" in forked.kept_ids
+    if n == 600:
+        assert sum(d.lang == "en" for d in docs) > dedup._ROW_BLOCK
+        assert len(forked.clusters) >= 50
+    for name in ("kept_ids", "removed_ids", "kept_positions", "clusters", "params"):
+        assert getattr(forked, name) == getattr(in_process, name), name
+
+
+def test_no_signing_worker_starts_while_another_thread_runs(monkeypatch, shingle_calls):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    docs = signing_corpus(200)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        result = dedup_corpus(docs, seed=0)
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    calls, in_workers = shingle_calls
+    assert calls.value == len(docs) and not in_workers.value
+    assert result.removed_ids
+
+
+def test_ctrl_c_in_the_input_stops_the_signing_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(dedup, "_ROW_BLOCK", 7)  # so the indexes open their files
+    opened = []
+    original = dedup.tempfile.TemporaryFile
+
+    def temporary_file():
+        opened.append(original())
+        return opened[-1]
+
+    monkeypatch.setattr(dedup.tempfile, "TemporaryFile", temporary_file)
+    workers, interrupted = [], []
+
+    def stream():
+        # Ctrl-C sends SIGINT to the workers too, which must carry on
+        for i, doc in enumerate(signing_corpus(600)):
+            if i == 300:
+                workers.extend(multiprocessing.active_children())
+                for worker in workers:
+                    os.kill(worker.pid, signal.SIGINT)
+                time.sleep(0.2)
+            if i == 500:
+                interrupted.append(i)
+                raise KeyboardInterrupt
+            yield doc
+
+    with pytest.raises(KeyboardInterrupt):
+        dedup_corpus(stream(), seed=0)
+    assert interrupted
+    assert len(workers) == 2
+    assert not multiprocessing.active_children()
+    assert [worker.exitcode for worker in workers] == [0, 0]  # shut down, not interrupted
+    assert opened and all(fh.closed for fh in opened)
+
+
+# a dedup whose input kills its process once the signing workers have started
+KILLED_DEDUP = """
+import multiprocessing, os, signal, sys
+from transmix.corpus import Document
+from transmix.dedup import dedup_corpus
+
+os.sched_getaffinity = lambda pid: {0, 1}
+
+def stream():
+    for i in range(10_000):
+        if i == 300:
+            with open(sys.argv[1], "w") as fh:
+                fh.write(" ".join(str(p.pid) for p in multiprocessing.active_children()))
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield Document(id=f"d{i}", lang="en", text=f"word{i} " * 40)
+
+dedup_corpus(stream())
+"""
+
+
+def running(pid):
+    """Whether ``pid`` is a process that is neither gone nor a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_signing_workers_exit_when_their_parent_is_killed(tmp_path):
+    pids_file = tmp_path / "workers"
+    src = str(Path(dedup.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", KILLED_DEDUP, str(pids_file)],
+                           env=env, timeout=60)
+    assert child.returncode == -signal.SIGKILL
+    pids = [int(pid) for pid in pids_file.read_text().split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not any(map(running, pids))
 
 
 def test_normalize_memo_stops_at_its_cap():
