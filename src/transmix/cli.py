@@ -1,11 +1,11 @@
 """Command-line front-end and end-to-end stage orchestration.
 
-Exit codes: 0 on success, 1 on a stage failure (partial artifacts retained
-with a FAILED marker in the failing stage's directory, and in the run's
-root for ``pipeline``), 2 on usage or configuration errors. Each ``run_*``
-stage writes its outputs and returns its manifest; ``_stage`` alone writes
-the stage directory's ``resolved_config.json``, ``FAILED`` and
-``manifest.json``, the last only when the stage succeeds.
+Exit codes: 0 on success, 1 on a stage failure or SIGTERM (partial
+artifacts retained with a FAILED marker in the failing stage's directory,
+and in the run's root for ``pipeline``), 2 on usage or configuration
+errors. Each ``run_*`` stage writes its outputs and returns its manifest;
+``_stage`` alone writes the stage directory's ``resolved_config.json``,
+``FAILED`` and ``manifest.json``, the last only when the stage succeeds.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import signal
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable
@@ -258,9 +260,18 @@ def run_pipeline(config: PipelineConfig, input_path: str, out_dir: Path,
 
 # ---- entry point ----------------------------------------------------------
 
+def _terminated(signum: int, frame: object) -> None:
+    raise SystemExit(f"terminated by {signal.Signals(signum).name}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # SIGTERM ends the command as Ctrl-C does: _stage marks the stage FAILED.
+    # Only the main thread may set a handler; callers in-process get theirs back.
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:
+        previous = signal.signal(signal.SIGTERM, _terminated)
     try:
         config = load_config(args.config)
         _apply_cli_overrides(config, args)
@@ -294,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - process boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -25,6 +25,7 @@ from .quality import RuleConfig
 from .tokenizer import BpeCounter, TokenCounter, WhitespaceCounter
 from .translate import (
     DEFAULT_INSTRUCTION,
+    LANGUAGE_NAMES,
     GenerationParams,
     HttpCompletionBackend,
     MockCipherBackend,
@@ -156,7 +157,7 @@ class PipelineConfig:
         if self.backend == "http-completion" and not self.endpoint:
             problems.append("translate.endpoint: required for the http backend")
         for tgt in self.targets:
-            if tgt not in ("en", "fr", "de", "es"):
+            if tgt not in LANGUAGE_NAMES:
                 problems.append(f"translate.targets: unknown language {tgt!r}")
         for tgt in sorted({tgt for tgt in self.targets if self.targets.count(tgt) > 1}):
             problems.append(f"translate.targets: {tgt!r} is given more than once")

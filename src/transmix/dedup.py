@@ -498,8 +498,10 @@ def _signed_batches(batches: Iterator[list], sign: Callable[[list], tuple]) -> I
 
 
 def _start_worker() -> None:
-    """Leave Ctrl-C to the parent, and exit once the parent is gone."""
+    """Leave Ctrl-C to the parent, end at SIGTERM whatever handler the parent
+    set, and exit once the parent is gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     threading.Thread(target=_exit_with_parent, daemon=True).start()
 
 

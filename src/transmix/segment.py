@@ -5,6 +5,11 @@ decided by terminal punctuation, per-language abbreviation lists (bundled
 editable text files), a lowercase-continuation rule, and forced breaks at
 blank lines. German additionally treats short digit ordinals ("3. Oktober")
 as non-boundaries.
+
+``split_sentences`` makes one scan with one compiled pattern for the places
+a cut may fall: a maximal run of terminal punctuation with the closers
+after it, or a blank line. A blank line and the end of the text always
+cut; at a run, the rules above decide.
 """
 
 from __future__ import annotations
@@ -28,7 +33,12 @@ __all__ = [
 
 TERMINALS = ".!?…"
 CLOSERS = "\"')]}»›”’"
-_CANDIDATES = re.compile(f"\n|[{re.escape(TERMINALS)}]+")
+# where a cut may fall: a blank line, or a maximal run of terminals with the
+# closers after it. Group 1 holds the run but its first character, group 2
+# the whitespace after the match (\s accepts what str.isspace does). The
+# leading character class lets the scan skip ahead to a newline or terminal.
+_CUTS = re.compile(r"[{t}\n](?:(?<=\n)[ \t\r]*\n|(?<!\n)([{t}]*)[{c}]*)(?=(\s*))".format(
+    t=re.escape(TERMINALS), c=re.escape(CLOSERS)))
 
 _DATA_DIR = Path(__file__).parent / "data" / "abbreviations"
 
@@ -91,65 +101,38 @@ def split_sentences(text: str, lang: str = "en",
 
     n = len(text)
     sentences: list[Sentence] = []
-
-    def emit(start: int, end: int) -> None:
-        while end > start and text[end - 1].isspace():
-            end -= 1
-        if end > start:
-            piece = text[start:end]
-            sentences.append(Sentence(piece, start, end, is_terminal_text(piece)))
-
-    # candidate positions: a newline or a maximal run of terminals
-    start = pos = _skip_ws(text, 0)
-    while (m := _CANDIDATES.search(text, pos)) is not None:
-        i, pos = m.span()
+    start = n - len(text.lstrip())
+    for m in _CUTS.finditer(text, start):
+        i = m.start()
+        if i < start:
+            continue  # in the whitespace skipped after the last cut
+        cut, nxt = m.span(2)
         if text[i] == "\n":
-            j = pos
-            while j < n and text[j] in " \t\r":
-                j += 1
-            if j >= n or text[j] == "\n":
-                # blank line: forced boundary regardless of punctuation
-                emit(start, i)
-                start = pos = _skip_ws(text, j)
-            continue
-        k = pos
-        while k < n and text[k] in CLOSERS:
-            k += 1
-        if _is_boundary(text, i, pos - 1, k, lang, abbreviations):
-            emit(start, k)
-            start = pos = _skip_ws(text, k)
-    emit(start, n)
+            cut = i  # a blank line: forced, regardless of punctuation
+        elif nxt < n:
+            if cut == nxt:
+                continue  # "3.14", "z.B.", mid-token punctuation
+            if text[nxt].islower():
+                continue  # continuation: "he said... and left"
+            if text[i] == "." and not m.group(1):  # a lone period
+                w = i
+                while w > 0 and not text[w - 1].isspace():
+                    w -= 1
+                word = text[w:i + 1]
+                if word.lower() in abbreviations:
+                    continue
+                if lang == "de" and word[:-1].isdigit() and len(word) <= 3:
+                    continue  # German ordinals: "3. Oktober"
+        piece = text[start:cut].rstrip()
+        if piece:
+            sentences.append(Sentence(piece, start, start + len(piece),
+                                      is_terminal_text(piece)))
+        start = nxt
+    piece = text[start:].rstrip()  # the end of the text cuts too
+    if piece:
+        sentences.append(Sentence(piece, start, start + len(piece),
+                                  is_terminal_text(piece)))
     return sentences
-
-
-def _skip_ws(text: str, i: int) -> int:
-    n = len(text)
-    while i < n and text[i].isspace():
-        i += 1
-    return i
-
-
-def _is_boundary(text: str, run_start: int, run_end: int, after_closers: int,
-                 lang: str, abbreviations: frozenset[str]) -> bool:
-    n = len(text)
-    if after_closers >= n:
-        return True
-    if not text[after_closers].isspace():
-        return False  # "3.14", "z.B.", mid-token punctuation
-    single_period = run_start == run_end and text[run_start] == "."
-    if single_period:
-        w = run_start
-        while w > 0 and not text[w - 1].isspace():
-            w -= 1
-        word = text[w:run_start + 1]
-        if word.lower() in abbreviations:
-            return False
-        if lang == "de" and word[:-1].isdigit() and len(word) <= 3:
-            return False  # German ordinals: "3. Oktober"
-    nxt = _skip_ws(text, after_closers)
-    if nxt < n and text[nxt].islower():
-        return False  # continuation: "he said... and left"
-    return True
 
 
 def chunk_document(doc: Document, counter: TokenCounter, limit: int = 300,

@@ -579,7 +579,7 @@ class _RunStore(ExitStack):
             if record.status != "ok":
                 self.failures.write(json.dumps({"target": tgt, **asdict(record)},
                                                ensure_ascii=False) + "\n")
-        self.failures.flush()
+                self.failures.flush()
         status = "ok" if translated is not None else "failed"
         self.journal.write(json.dumps(
             {"doc_id": doc_id, "target": tgt, "status": status}) + "\n")

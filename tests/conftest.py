@@ -1,4 +1,5 @@
-"""Shared fixtures: counters, corpus builders, synthetic document factories."""
+"""Shared fixtures: counters, corpus builders, synthetic document factories
+and a sentence-splitting oracle."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 
 from transmix.corpus import Document, write_corpus
 from transmix.probe import NgramLanguageModel
+from transmix.segment import CLOSERS, TERMINALS, Sentence, is_terminal_text, load_abbreviations
 from transmix.tokenizer import BpeCounter, WhitespaceCounter, bundled_bpe_paths
 
 SEED_DIR = Path(__file__).parent.parent / "src" / "transmix" / "data" / "seeds"
@@ -53,6 +55,82 @@ def make_docs(rng: random.Random, count: int, lang: str = "en",
         words = random_words(rng, rng.randint(min_words, max_words))
         docs.append(Document(id=f"doc{i:05d}", lang=lang, text=" ".join(words)))
     return docs
+
+
+def reference_split(text, lang="en"):
+    """A per-character segmentation loop, with rules of its own, that
+    ``split_sentences`` must equal on every input."""
+    abbreviations = load_abbreviations(lang)
+    n = len(text)
+    sentences = []
+
+    def emit(start, end):
+        while end > start and text[end - 1].isspace():
+            end -= 1
+        if end > start:
+            piece = text[start:end]
+            sentences.append(Sentence(piece, start, end, is_terminal_text(piece)))
+
+    start = skip_ws(text, 0)
+    i = start
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            j = i + 1
+            while j < n and text[j] in " \t\r":
+                j += 1
+            if j >= n or text[j] == "\n":
+                emit(start, i)
+                start = skip_ws(text, j)
+                i = start
+                continue
+            i += 1
+            continue
+        if ch in TERMINALS:
+            run_end = i
+            while run_end + 1 < n and text[run_end + 1] in TERMINALS:
+                run_end += 1
+            k = run_end + 1
+            while k < n and text[k] in CLOSERS:
+                k += 1
+            if is_boundary(text, i, run_end, k, lang, abbreviations):
+                emit(start, k)
+                start = skip_ws(text, k)
+                i = start
+                continue
+            i = run_end + 1
+            continue
+        i += 1
+    emit(start, n)
+    return sentences
+
+
+def skip_ws(text, i):
+    n = len(text)
+    while i < n and text[i].isspace():
+        i += 1
+    return i
+
+
+def is_boundary(text, run_start, run_end, after_closers, lang, abbreviations):
+    """Whether the terminal run text[run_start:run_end + 1], with closers up
+    to ``after_closers``, ends a sentence."""
+    n = len(text)
+    if after_closers >= n:
+        return True
+    if not text[after_closers].isspace():
+        return False  # "3.14", "z.B.", mid-token punctuation
+    if run_start == run_end and text[run_start] == ".":
+        w = run_start
+        while w > 0 and not text[w - 1].isspace():
+            w -= 1
+        word = text[w:run_start + 1]
+        if word.lower() in abbreviations:
+            return False
+        if lang == "de" and word[:-1].isdigit() and len(word) <= 3:
+            return False  # German ordinals: "3. Oktober"
+    nxt = skip_ws(text, after_closers)
+    return not (nxt < n and text[nxt].islower())  # continuation: "he said... and left"
 
 
 # each problem of ``malformed_model_file`` and the error that loading names it by

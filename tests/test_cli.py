@@ -3,10 +3,14 @@
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import transmix
 from transmix.cli import main
 from transmix.corpus import Document, read_corpus, write_corpus
 from transmix.pack import PackManifest, unpack_inspect
@@ -23,6 +27,52 @@ def pipeline_docs(count, rng=None):
         lines = [pool[rng.randrange(len(pool))] for _ in range(8)]
         docs.append(Document(id=f"doc{i:05d}", lang="en", text=" ".join(lines)))
     return docs
+
+
+# runs ``transmix`` with argv[3:], signing in two workers, and sends itself
+# SIGTERM on entering run_mix ("mix") or on the 100th signature dedup indexes
+# ("dedup"), having written to argv[2] how many child processes it had then
+SIGTERM_AT = """
+import multiprocessing, os, signal, sys, time
+from transmix import cli, dedup
+
+os.sched_getaffinity = lambda pid: {0, 1}
+point, children = sys.argv[1:3]
+
+def terminate():
+    with open(children, "w") as fh:
+        fh.write(str(len(multiprocessing.active_children())))
+    os.kill(os.getpid(), signal.SIGTERM)
+    time.sleep(60)
+    sys.exit("SIGTERM did not end the run")
+
+if point == "mix":
+    cli.run_mix = lambda *args: terminate()
+else:
+    append, calls = dedup.LshIndex._append, []
+
+    def counted(self, doc_id):
+        calls.append(doc_id)
+        if len(calls) == 100:
+            terminate()
+        return append(self, doc_id)
+
+    dedup.LshIndex._append = counted
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def running_with(text):
+    """The pids of live processes whose command line holds ``text``; a forked
+    child keeps its parent's command line."""
+    pids = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            if text.encode() in (entry / "cmdline").read_bytes():
+                pids.append(int(entry.name))
+        except OSError:
+            pass  # it ended while we looked
+    return pids
 
 
 @pytest.fixture
@@ -520,6 +570,27 @@ class TestPipeline:
         for stage in ("01_filter", "02_dedup", "03_translate"):
             assert not (out / stage / "FAILED").exists()
         assert not (out / "05_pack").exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    @pytest.mark.parametrize("point, stage", [("mix", "04_mix"), ("dedup", "02_dedup")])
+    def test_sigterm_marks_the_stage_and_the_run_root(self, tmp_path, point, stage):
+        in_path = tmp_path / "in.jsonl"
+        write_corpus(in_path, pipeline_docs(150))
+        out = tmp_path / "run"
+        children = tmp_path / "children"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(transmix.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", SIGTERM_AT, point, str(children),
+             "pipeline", str(in_path), "--out-dir", str(out), "--seed", "7"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.endswith("terminated by SIGTERM\n")
+        for marked in (out, out / stage):
+            assert (marked / "FAILED").read_text() == "SystemExit: terminated by SIGTERM\n"
+        assert not (out / stage / "manifest.json").exists()
+        assert int(children.read_text()) == (2 if point == "dedup" else 0)
+        assert running_with(str(out)) == []
 
     def test_seed_changes_pack_output(self, tmp_path):
         _, out_a = self.run_pipeline(tmp_path, "runA", seed="7")

@@ -11,7 +11,7 @@ from transmix.cli import main
 from transmix.config import ConfigError, PipelineConfig, load_config
 from transmix.config import _OPTIONS
 from transmix.tokenizer import bundled_bpe_paths
-from transmix.translate import GenerationParams, MockCipherBackend, MockEchoBackend
+from transmix.translate import LANGUAGE_NAMES, GenerationParams, MockCipherBackend, MockEchoBackend
 
 
 def test_defaults_without_a_file():
@@ -246,6 +246,17 @@ def test_repeated_target_is_config_error(tmp_path, capsys):
                  "--config", str(path)]) == 2
     assert "translate.targets: 'fr' is given more than once" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_targets_are_the_languages_a_prompt_can_name(tmp_path):
+    path = tmp_path / "pipeline.ini"
+    path.write_text("[translate]\ntargets = it\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.problems == ["translate.targets: unknown language 'it'"]
+    for lang in LANGUAGE_NAMES:
+        path.write_text(f"[translate]\ntargets = {lang}\n", encoding="utf-8")
+        assert load_config(path).targets == [lang]
 
 
 @pytest.mark.parametrize("option, value", [("backoff", "-1"), ("max_tokens", "-5")])

@@ -9,16 +9,12 @@ from transmix.segment import (
     CLOSERS,
     TERMINALS,
     Chunk,
-    Sentence,
-    _is_boundary,
-    _skip_ws,
     chunk_document,
-    is_terminal_text,
     load_abbreviations,
     split_sentences,
 )
 
-from conftest import seed_lines
+from conftest import reference_split, seed_lines
 
 # abbreviation-heavy sentences, five per language, to exercise the lists
 TRICKY = {
@@ -65,61 +61,14 @@ def reconstructable(text, sentences):
     return not text[pos:].strip()
 
 
-def reference_split(text, lang="en"):
-    """The per-character segmentation loop that ``split_sentences`` replaced,
-    kept as the reference it must equal on every input."""
-    abbreviations = load_abbreviations(lang)
-    n = len(text)
-    sentences = []
-
-    def emit(start, end):
-        while end > start and text[end - 1].isspace():
-            end -= 1
-        if end > start:
-            piece = text[start:end]
-            sentences.append(Sentence(piece, start, end, is_terminal_text(piece)))
-
-    start = _skip_ws(text, 0)
-    i = start
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            j = i + 1
-            while j < n and text[j] in " \t\r":
-                j += 1
-            if j >= n or text[j] == "\n":
-                emit(start, i)
-                start = _skip_ws(text, j)
-                i = start
-                continue
-            i += 1
-            continue
-        if ch in TERMINALS:
-            run_end = i
-            while run_end + 1 < n and text[run_end + 1] in TERMINALS:
-                run_end += 1
-            k = run_end + 1
-            while k < n and text[k] in CLOSERS:
-                k += 1
-            if _is_boundary(text, i, run_end, k, lang, abbreviations):
-                emit(start, k)
-                start = _skip_ws(text, k)
-                i = start
-                continue
-            i = run_end + 1
-            continue
-        i += 1
-    emit(start, n)
-    return sentences
-
-
 # pieces for fuzzed segmentation input: words, terminal runs, closers,
 # German ordinals, and the whitespace the rules tell apart, blank lines included
 FUZZ_PIECES = (
     ["word", "Word", "élan", "Über", "x", "3", "12", "3.14", "z.B.", "U.S.", "3.", "12.", "123."]
     + list(TERMINALS) + ["...", "?!", "!!!", "…", "..", ".…"]
     + list(CLOSERS) + ['."', ".)", "!»", "?”"]
-    + [" ", " ", " ", "  ", "\t", "\r", "\n", "\n\n", "\n \t\r\n", " \n", "\r\n", "\u00a0"]
+    + [" ", " ", " ", "  ", "\t", "\r", "\n", "\n\n", "\n \t\r\n", " \n", "\r\n", "\u00a0",
+       "\x85", "\u2028", "\u3000"]
 )
 
 

@@ -26,6 +26,8 @@ from transmix.translate import (
     trim_incomplete,
 )
 
+from conftest import reference_split
+
 NO_SLEEP = lambda s: None  # noqa: E731 - keep test retries instant
 FAST = GenerationParams(retries=3, backoff=0.0, max_in_flight=1)
 
@@ -130,14 +132,7 @@ class TestTrimIncomplete:
         alphabet = 'ab A.!?… \n"'
         for _ in range(200):
             raw = "".join(rng.choice(alphabet) for _ in range(rng.randrange(80)))
-            sents = split_sentences(raw, "en")
-            keep = list(sents)
-            dropped = 0
-            while keep and not keep[-1].terminal:
-                keep.pop()
-                dropped += 1
-            expected = (raw[:keep[-1].end] if keep else "", dropped)
-            assert trim_incomplete(raw, "en") == expected
+            assert trim_incomplete(raw, "en") == reference_trim(raw, "en")
 
     def test_idempotent_and_ends_terminal(self):
         rng = random.Random(5)
@@ -154,8 +149,9 @@ class TestTrimIncomplete:
 
 def reference_trim(raw, lang):
     """The split-every-output ``trim_incomplete`` that the terminal fast path
-    replaced, kept as the reference it must equal."""
-    sentences = split_sentences(raw, lang)
+    replaced, kept as the reference it must equal; it splits with the
+    independent oracle, so the fuzz checks the splitter too."""
+    sentences = reference_split(raw, lang)
     keep = len(sentences)
     while keep > 0 and not sentences[keep - 1].terminal:
         keep -= 1
