@@ -208,8 +208,7 @@ def run_mix(config: PipelineConfig, sources: list[tuple[str, str]],
     # no budget: compose_stage gives each source the smallest source's total
     mixed, manifest = mixer_mod.compose_stage(
         sources, config.make_counter(), budget=config.mix_budget_per_source or None,
-        seed=derive_seed(config.seed, "mix"), buffer_size=config.mix_buffer_size,
-        strict=config.strict)
+        seed=derive_seed(config.seed, "mix"), strict=config.strict)
     write_corpus(stage_dir / "mixed.jsonl", mixed)
     return {"stage": "mix", **manifest}
 

@@ -18,13 +18,16 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from .dedup import BANDS, ROWS, SHINGLE_SIZE
-from .mixer import DEFAULT_BUFFER_SIZE
+from .dedup import BANDS, DEFAULT_THRESHOLD, ROWS, SHINGLE_SIZE
 from .pack import DEFAULT_SEQUENCE_LENGTH
+from .probe import DEFAULT_PROBE_MAX_TOKENS, DEFAULT_PROBE_N, DEFAULT_PROBE_TEMPERATURE
 from .quality import RuleConfig
+from .segment import DEFAULT_CHUNK_LIMIT
 from .tokenizer import BpeCounter, TokenCounter, WhitespaceCounter
 from .translate import (
+    DEFAULT_HTTP_TIMEOUT,
     DEFAULT_INSTRUCTION,
+    DEFAULT_RESPONSE_PATH,
     LANGUAGE_NAMES,
     GenerationParams,
     HttpCompletionBackend,
@@ -96,14 +99,14 @@ class PipelineConfig:
     tokenizer: str = _opt("corpus", "whitespace")
     bpe_vocab: str = _opt("corpus", "")
     bpe_merges: str = _opt("corpus", "")
-    chunk_limit: int = _opt("segment", 300)
+    chunk_limit: int = _opt("segment", DEFAULT_CHUNK_LIMIT)
     abbreviation_dir: str = _opt("segment", "")
     targets: list[str] = _opt("translate", ["fr", "de", "es"], parse=_parse_list)
     backend: str = _opt("translate", "mock-echo")
     endpoint: str = _opt("translate", "")
     model: str = _opt("translate", "")
-    response_path: str = _opt("translate", "choices.0.text")
-    http_timeout: float = _opt("translate", 60.0, "timeout")
+    response_path: str = _opt("translate", DEFAULT_RESPONSE_PATH)
+    http_timeout: float = _opt("translate", DEFAULT_HTTP_TIMEOUT, "timeout")
     # these [translate] fields are GenerationParams, with its defaults
     max_tokens: int = _opt("translate", GenerationParams.max_tokens)
     temperature: float = _opt("translate", GenerationParams.temperature)
@@ -121,17 +124,16 @@ class PipelineConfig:
             "max_bullet_line_fraction", "max_ellipsis_line_fraction",
             "min_alpha_word_fraction", "min_stop_words", "check_repetition")})
     stopword_dir: str = _opt("quality", "")
-    dedup_threshold: float = _opt("dedup", 0.8, "threshold")
+    dedup_threshold: float = _opt("dedup", DEFAULT_THRESHOLD, "threshold")
     dedup_bands: int = _opt("dedup", BANDS, "bands")
     dedup_rows: int = _opt("dedup", ROWS, "rows")
     shingle_size: int = _opt("dedup", SHINGLE_SIZE)
     mix_budget_per_source: int = _opt("mix", 0, "budget_per_source")  # 0 = smallest source total
-    mix_buffer_size: int = _opt("mix", DEFAULT_BUFFER_SIZE, "buffer_size")
     mix_sources: list[tuple[str, str]] = _opt("mix", [], "sources", _parse_sources)
     sequence_length: int = _opt("pack", DEFAULT_SEQUENCE_LENGTH)
-    probe_n: int = _opt("probe", 512, "n")
-    probe_max_tokens: int = _opt("probe", 300, "max_tokens")
-    probe_temperature: float = _opt("probe", 1.0, "temperature")
+    probe_n: int = _opt("probe", DEFAULT_PROBE_N, "n")
+    probe_max_tokens: int = _opt("probe", DEFAULT_PROBE_MAX_TOKENS, "max_tokens")
+    probe_temperature: float = _opt("probe", DEFAULT_PROBE_TEMPERATURE, "temperature")
     probe_model_path: str = _opt("probe", "", "model_path")
 
     def validate(self) -> None:
@@ -146,8 +148,6 @@ class PipelineConfig:
                     problems.append(f"{name}: required when tokenizer = bpe")
                 elif not Path(value).exists():
                     problems.append(f"{name}: file not found: {value}")
-        if self.chunk_limit < 1:
-            problems.append(f"segment.chunk_limit: must be >= 1, got {self.chunk_limit}")
         if self.abbreviation_dir and not Path(self.abbreviation_dir).is_dir():
             problems.append(
                 f"segment.abbreviation_dir: not a directory: {self.abbreviation_dir}")
@@ -161,17 +161,22 @@ class PipelineConfig:
                 problems.append(f"translate.targets: unknown language {tgt!r}")
         for tgt in sorted({tgt for tgt in self.targets if self.targets.count(tgt) > 1}):
             problems.append(f"translate.targets: {tgt!r} is given more than once")
-        if self.retries < 1:
-            problems.append("translate.retries: must be >= 1")
-        if self.backoff < 0:
-            problems.append(f"translate.backoff: must be >= 0, got {self.backoff}")
+        at_least = [("segment.chunk_limit", self.chunk_limit, 1),
+                    ("translate.retries", self.retries, 1),
+                    ("translate.backoff", self.backoff, 0),
+                    ("translate.temperature", self.temperature, 0),
+                    ("translate.max_in_flight", self.max_in_flight, 1),
+                    ("dedup.shingle_size", self.shingle_size, 1),
+                    ("pack.sequence_length", self.sequence_length, 2),
+                    ("probe.n", self.probe_n, 1),
+                    ("probe.max_tokens", self.probe_max_tokens, 1),
+                    ("probe.temperature", self.probe_temperature, 0)]
+        problems += [f"{name}: must be >= {low}, got {value}"
+                     for name, value, low in at_least if value < low]
         if self.max_tokens < 0:
             problems.append(
                 f"translate.max_tokens: must be >= 0 (0 = twice the chunk limit), "
                 f"got {self.max_tokens}")
-        if self.max_in_flight < 1:
-            problems.append(
-                f"translate.max_in_flight: must be >= 1, got {self.max_in_flight}")
         if self.http_timeout <= 0:
             problems.append(f"translate.timeout: must be > 0, got {self.http_timeout}")
         if not (0.0 < self.dedup_threshold < 1.0):
@@ -181,18 +186,10 @@ class PipelineConfig:
             problems.append(
                 f"dedup.bands x dedup.rows must be 128, got "
                 f"{self.dedup_bands}x{self.dedup_rows}")
-        if self.shingle_size < 1:
-            problems.append(f"dedup.shingle_size: must be >= 1, got {self.shingle_size}")
         if self.mix_budget_per_source < 0:
             problems.append(
                 f"mix.budget_per_source: must be >= 0 (0 = the smallest source's total), "
                 f"got {self.mix_budget_per_source}")
-        if self.mix_buffer_size < 1:
-            problems.append(f"mix.buffer_size: must be >= 1, got {self.mix_buffer_size}")
-        if self.sequence_length < 2:
-            problems.append("pack.sequence_length: must be >= 2")
-        if self.probe_n < 1:
-            problems.append("probe.n: must be >= 1")
         try:
             self.make_template()
         except TemplateError as exc:

@@ -57,6 +57,7 @@ NUM_HASHES = 128
 BANDS = 16
 ROWS = 8
 SHINGLE_SIZE = 5
+DEFAULT_THRESHOLD = 0.8
 
 
 # code points the str.translate table below remembers
@@ -366,7 +367,7 @@ class DedupResult:
 
 def dedup_corpus(
     docs: Sequence[Document] | Iterable[Document],
-    threshold: float = 0.8,
+    threshold: float = DEFAULT_THRESHOLD,
     seed: int = 0,
     exact: bool = False,
     bands: int = BANDS,

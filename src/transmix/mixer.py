@@ -2,9 +2,9 @@
 
 Sampling is without replacement: documents are shuffled and taken whole
 until the cumulative token count reaches the budget, including the final
-overshooting document. Streams from several sources are then interleaved
-with a bounded-memory buffer shuffle. All randomness is seed-driven and
-recorded in the composition manifest.
+overshooting document. The samples of several sources are then interleaved
+by one exact seeded shuffle of their union. All randomness is seed-driven
+and recorded in the composition manifest.
 
 ``compose_stage`` holds numbers, not text: it reads each source as a
 ``corpus.TwoPassCorpus``, whose first pass it uses to count every document's
@@ -19,8 +19,10 @@ neither read nor changed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from array import array
+from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -38,8 +40,6 @@ __all__ = [
     "derive_seed",
 ]
 
-DEFAULT_BUFFER_SIZE = 100_000
-
 
 class MixtureError(ValueError):
     """No sources, two sources of one name, or an unsatisfiable budget."""
@@ -51,16 +51,12 @@ def derive_seed(seed: int, name: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _randbelow(rng: random.Random, n: int) -> int:
+def _shuffle(items: list | array, rng: random.Random) -> None:
     # Fisher-Yates driven by Random.random(), the one generator method with a
     # documented cross-version stability guarantee; keeps seeded output
     # byte-identical across platforms and Python releases.
-    return int(rng.random() * n)
-
-
-def _shuffle(items: list, rng: random.Random) -> None:
     for i in range(len(items) - 1, 0, -1):
-        j = _randbelow(rng, i + 1)
+        j = int(rng.random() * (i + 1))
         items[i], items[j] = items[j], items[i]
 
 
@@ -101,32 +97,20 @@ def _take(counts: Sequence[int], budget: int, seed: int) -> list[int]:
     return taken
 
 
-def interleave(
-    corpora: Sequence[Iterable[T]],
-    seed: int = 0,
-    buffer_size: int = DEFAULT_BUFFER_SIZE,
-) -> Iterator[T]:
-    """Shuffle the union of several streams with a fixed-size buffer.
+def interleave(corpora: Sequence[Sequence[T]], seed: int = 0) -> Iterator[T]:
+    """Exact seeded shuffle of the union of several sequences.
 
     Every input item (a document, or a reference to one) appears exactly
-    once, and the order depends only on the seed and the stream lengths.
-    With a buffer at least as large as the input this is an exact uniform
-    shuffle; smaller buffers trade exactness for bounded memory.
+    once, and the order depends only on the seed and the sequence lengths.
+    The shuffle moves 8-byte positions in the concatenated sequences, not
+    the items.
     """
-    if buffer_size < 1:
-        raise ValueError("buffer_size must be >= 1")
-    rng = random.Random(seed)
-    buffer: list[T] = []
-    for corpus in corpora:
-        for doc in corpus:
-            if len(buffer) < buffer_size:
-                buffer.append(doc)
-                continue
-            slot = _randbelow(rng, buffer_size)
-            out, buffer[slot] = buffer[slot], doc
-            yield out
-    _shuffle(buffer, rng)
-    yield from buffer
+    starts = list(itertools.accumulate(map(len, corpora), initial=0))
+    order = array("q", range(starts[-1]))
+    _shuffle(order, random.Random(seed))
+    for pos in order:
+        c = bisect_right(starts, pos) - 1
+        yield corpora[c][pos - starts[c]]
 
 
 def compose_stage(
@@ -134,7 +118,6 @@ def compose_stage(
     counter: TokenCounter,
     budget: int | None = None,
     seed: int = 0,
-    buffer_size: int = DEFAULT_BUFFER_SIZE,
     strict: bool = False,
 ) -> tuple[Iterator[str], dict]:
     """Sample every ``(name, path)`` source to one token budget, interleave,
@@ -143,11 +126,11 @@ def compose_stage(
     Each source's first pass counts each document once, before anything is
     emitted, so a shortfall in any source fails the stage with no partial
     output. Per document it keeps a token count, not the text; the budget
-    is the smallest source's total when none is given. The mixed lines come
-    back as an iterator that reads them from the sources again, so the
-    sources must be regular files that do not change until it has been read
-    (CorpusRereadError otherwise). ``strict`` is as in
-    ``corpus.read_corpus``.
+    is the smallest source's total when none is given, and a source with no
+    tokens then fails the stage. The mixed lines come back as an iterator
+    that reads them from the sources again, so the sources must be regular
+    files that do not change until it has been read (CorpusRereadError
+    otherwise). ``strict`` is as in ``corpus.read_corpus``.
     """
     if not sources:
         raise MixtureError("the mix has no sources")
@@ -161,6 +144,9 @@ def compose_stage(
                     for src in corpora]
     totals = [sum(counts) for counts in token_counts]
     if budget is None:
+        empty = [name for (name, _), total in zip(sources, totals) if total == 0]
+        if empty:
+            raise MixtureError("sources with no tokens: " + ", ".join(map(repr, empty)))
         budget = min(totals)
 
     shortfalls = [f"{name}: have {total}, need {budget}"
@@ -184,7 +170,7 @@ def compose_stage(
         }
 
     shuffle_seed = derive_seed(seed, "interleave")
-    refs = np.fromiter(interleave(samples, seed=shuffle_seed, buffer_size=buffer_size),
+    refs = np.fromiter(interleave(samples, seed=shuffle_seed),
                        dtype=np.int64, count=sum(map(len, samples)))
     manifest = {
         "seed": seed,

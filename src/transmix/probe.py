@@ -35,6 +35,9 @@ MIN_SEED_CHARS = 10_000
 OTHER_MARGIN = 0.15  # per-character log-prob units
 BLOCK_MARGIN = 0.6  # the margin each alternating block needs to count as a pair
 LOW_CONFIDENCE_CHARS = 20
+DEFAULT_PROBE_N = 512
+DEFAULT_PROBE_MAX_TOKENS = 300
+DEFAULT_PROBE_TEMPERATURE = 1.0
 _CODE_BITS = 21  # bits per code point in a gram code: a 3-gram fits in an int64
 _BLOCK = 1 << 14  # characters per scoring block: at most 3 * _BLOCK rows per gather
 # Entries the row tables, the rank table included, may hold: a model past it (a
@@ -444,9 +447,9 @@ class PriorReport:
 def probe_prior(
     backend,
     model: NgramLanguageModel,
-    n: int = 512,
-    max_tokens: int = 300,
-    temperature: float = 1.0,
+    n: int = DEFAULT_PROBE_N,
+    max_tokens: int = DEFAULT_PROBE_MAX_TOKENS,
+    temperature: float = DEFAULT_PROBE_TEMPERATURE,
     seed: int | None = None,
 ) -> tuple[PriorReport, list[dict]]:
     """Sample n unconditional generations and chart their language prior.

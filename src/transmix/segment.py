@@ -33,6 +33,7 @@ __all__ = [
 
 TERMINALS = ".!?…"
 CLOSERS = "\"')]}»›”’"
+DEFAULT_CHUNK_LIMIT = 300  # tokens a chunk may hold
 # where a cut may fall: a blank line, or a maximal run of terminals with the
 # closers after it. Group 1 holds the run but its first character, group 2
 # the whitespace after the match (\s accepts what str.isspace does). The
@@ -135,7 +136,7 @@ def split_sentences(text: str, lang: str = "en",
     return sentences
 
 
-def chunk_document(doc: Document, counter: TokenCounter, limit: int = 300,
+def chunk_document(doc: Document, counter: TokenCounter, limit: int = DEFAULT_CHUNK_LIMIT,
                    abbreviation_dir: str | None = None) -> list[Chunk]:
     """Greedy chunking: append sentences while the running total stays within
     the budget; a single oversized sentence becomes its own chunk (sentences

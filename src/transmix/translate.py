@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import Document, read_corpus
-from .segment import (Chunk, chunk_document, is_terminal_text, load_abbreviations,
-                      split_sentences)
+from .segment import (DEFAULT_CHUNK_LIMIT, Chunk, chunk_document, is_terminal_text,
+                      load_abbreviations, split_sentences)
 from .tokenizer import TokenCounter, WhitespaceCounter
 
 __all__ = [
@@ -53,6 +53,9 @@ DEFAULT_INSTRUCTION = (
     "Reply with the {TARGET_LANGUAGE} translation only, without commentary:"
     "\n\n{SOURCE_TEXT}"
 )
+
+DEFAULT_RESPONSE_PATH = "choices.0.text"  # where HttpCompletionBackend finds the text
+DEFAULT_HTTP_TIMEOUT = 60.0  # seconds
 
 
 class TemplateError(ValueError):
@@ -189,8 +192,8 @@ class HttpCompletionBackend:
     kind = "http-completion"
 
     def __init__(self, endpoint: str, model: str,
-                 response_path: str = "choices.0.text",
-                 timeout: float = 60.0) -> None:
+                 response_path: str = DEFAULT_RESPONSE_PATH,
+                 timeout: float = DEFAULT_HTTP_TIMEOUT) -> None:
         self.endpoint = endpoint
         self.model = model
         self.response_path = response_path
@@ -452,7 +455,7 @@ def translate_document(
     backend,
     template: PromptTemplate | None = None,
     counter: TokenCounter | None = None,
-    chunk_limit: int = 300,
+    chunk_limit: int = DEFAULT_CHUNK_LIMIT,
     params: GenerationParams | None = None,
     sleep: Callable[[float], None] = time.sleep,
     abbreviation_dir: str | None = None,
@@ -605,7 +608,7 @@ def translate_corpus(
     out_dir: str | Path,
     template: PromptTemplate | None = None,
     counter: TokenCounter | None = None,
-    chunk_limit: int = 300,
+    chunk_limit: int = DEFAULT_CHUNK_LIMIT,
     params: GenerationParams | None = None,
     resume: bool = False,
     restart: bool = False,

@@ -541,6 +541,26 @@ class TestPipeline:
         assert not (out / "FAILED").exists()
         assert not (out / "03_translate" / "FAILED").exists()
 
+    def test_a_translation_with_no_tokens_fails_the_mix(self, tmp_path, monkeypatch):
+        # with no budget set, an empty source would balance the mix to 0 tokens
+        from transmix.config import PipelineConfig
+        from transmix.translate import BackendResult, MockEchoBackend
+
+        class Unreachable(MockEchoBackend):
+            def complete(self, prompt, max_tokens=0, temperature=0.0):
+                return BackendResult(error="URLError: connection refused")
+
+        monkeypatch.setattr(PipelineConfig, "make_backend",
+                            lambda self: Unreachable(self.make_template()))
+        ini = tmp_path / "pipeline.ini"
+        ini.write_text("[translate]\nretries = 1\n", encoding="utf-8")
+        code, out = self.run_pipeline(tmp_path, "run", extra=("--config", str(ini)))
+        assert code == 1
+        assert (out / "04_mix" / "FAILED").read_text() == \
+            "MixtureError: sources with no tokens: 'de', 'es', 'fr'\n"
+        assert not (out / "04_mix" / "mixed.jsonl").exists()
+        assert not (out / "05_pack" / "tokens.bin").exists()
+
     def test_a_failed_rerun_leaves_no_manifest_of_a_later_stage(self, tmp_path):
         code, out = self.run_pipeline(tmp_path, "run", seed="7")
         assert code == 0

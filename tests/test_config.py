@@ -142,6 +142,20 @@ def test_unknown_keys_rejected_with_their_names(tmp_path):
     assert err.value.problems == ["dedupe: unknown section", "DEFAULT: unknown section"]
 
 
+def test_removed_mix_buffer_size_option_exits_2(tmp_path, monkeypatch, capsys):
+    # the mix shuffles exactly; it has no buffer to size
+    path = tmp_path / "pipeline.ini"
+    path.write_text("[mix]\nbuffer_size = 100000\n", encoding="utf-8")
+    args = ["mix", "--out-dir", str(tmp_path / "out"), "--config"]
+    assert main([*args, str(path)]) == 2
+    assert "mix.buffer_size: unknown option" in capsys.readouterr().err
+    path.write_text("", encoding="utf-8")
+    monkeypatch.setenv("TWP_MIX_BUFFER_SIZE", "100000")
+    assert main([*args, str(path)]) == 2
+    assert "TWP_MIX_BUFFER_SIZE: unknown environment override" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_removed_translate_enabled_option_exits_2(tmp_path, capsys):
     # an empty "targets =" turns translation off; "enabled" is no option
     path = tmp_path / "pipeline.ini"
@@ -206,8 +220,9 @@ def test_unknown_env_override_rejected_with_its_name(monkeypatch):
 
 
 OUT_OF_RANGE = [("translate", "max_in_flight", "0"), ("translate", "timeout", "0"),
-                ("dedup", "shingle_size", "0"), ("mix", "buffer_size", "0"),
-                ("mix", "budget_per_source", "-1")]
+                ("translate", "temperature", "-1"), ("dedup", "shingle_size", "0"),
+                ("mix", "budget_per_source", "-1"), ("probe", "temperature", "-2"),
+                ("probe", "max_tokens", "-5")]
 
 
 @pytest.mark.parametrize("section, option, value, source", [

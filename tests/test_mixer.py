@@ -9,7 +9,6 @@ import pytest
 
 from transmix.corpus import Document, _parse_line, read_corpus, write_corpus
 from transmix.mixer import (
-    DEFAULT_BUFFER_SIZE,
     MixtureError,
     balanced_sample,
     compose_stage,
@@ -94,10 +93,20 @@ class TestInterleave:
         assert first == second
         assert first != third
 
-    def test_bounded_buffer_still_conserves(self):
-        a = uniform_docs(500, 1, prefix="a")
-        mixed = list(interleave([a], seed=5, buffer_size=32))
-        assert Counter(d.id for d in mixed) == Counter(d.id for d in a)
+    def test_a_large_mix_is_uniform_from_first_to_last_tenth(self):
+        # more than 100,000 items: each corpus keeps its input share at both
+        # ends of the output, not only in the middle
+        sizes = [60_000, 30_000, 20_000, 10_000]
+        corpora = [[c] * n for c, n in enumerate(sizes)]
+        mixed = list(interleave(corpora))
+        tenth = len(mixed) // 10
+        for part in (mixed[:tenth], mixed[-tenth:]):
+            counts = Counter(part)
+            for c, n in enumerate(sizes):
+                assert abs(counts[c] / tenth - n / len(mixed)) <= 0.02, (c, counts)
+
+    def test_empty_corpora_are_skipped(self):
+        assert sorted(interleave([[], ["a", "b"], [], ["c"], []], seed=3)) == ["a", "b", "c"]
 
     def test_positions_uniform_chi_square(self):
         # pool positions of corpus-a docs over 50 seeded shuffles; 10 bins
@@ -168,6 +177,15 @@ class TestComposeStage:
         with pytest.raises(MixtureError, match="fr: have 20, need 500"):
             compose_stage(entries, ws_counter, budget=500)
 
+    def test_a_source_with_no_tokens_fails_without_a_budget(self, tmp_path, ws_counter):
+        entries = self.write_sources(tmp_path, {"en": 10, "fr": 0, "de": 3})
+        write_corpus(tmp_path / "es.jsonl", [Document(id="e", lang="es", text=" ")])
+        entries.append(("es", str(tmp_path / "es.jsonl")))
+        with pytest.raises(MixtureError, match=r"^sources with no tokens: 'fr', 'es'$"):
+            compose_stage(entries, ws_counter)
+        with pytest.raises(MixtureError, match="fr: have 0, need 20; es: have 0, need 20"):
+            compose_stage(entries, ws_counter, budget=20)
+
     def test_no_sources_or_two_of_one_name_rejected(self, tmp_path, ws_counter):
         with pytest.raises(MixtureError, match="the mix has no sources"):
             compose_stage([], ws_counter)
@@ -220,7 +238,7 @@ def test_derive_seed_stable_and_distinct():
 
 
 class TestMixedCorpus:
-    def compose(self, tmp_path, buffer_size=DEFAULT_BUFFER_SIZE):
+    def compose(self, tmp_path):
         rng = random.Random(17)
         entries = []
         for lang in ("en", "fr", "de", "es"):
@@ -230,17 +248,14 @@ class TestMixedCorpus:
             path = tmp_path / f"{lang}.jsonl"
             write_corpus(path, docs)
             entries.append((lang, str(path)))
-        return entries, compose_stage(entries, WhitespaceCounter(), budget=5000, seed=5,
-                                      buffer_size=buffer_size)
+        return entries, compose_stage(entries, WhitespaceCounter(), budget=5000, seed=5)
 
-    @pytest.mark.parametrize("buffer_size", [DEFAULT_BUFFER_SIZE, 7])
-    def test_order_equals_interleaving_the_sampled_documents(self, tmp_path, buffer_size):
-        entries, (mixed, manifest) = self.compose(tmp_path, buffer_size)
+    def test_order_equals_interleaving_the_sampled_documents(self, tmp_path):
+        entries, (mixed, manifest) = self.compose(tmp_path)
         samples = [balanced_sample(read_corpus(path), 5000, WhitespaceCounter(),
                                    seed=derive_seed(5, f"sample:{name}"))
                    for name, path in entries]
-        expected = list(interleave(samples, seed=derive_seed(5, "interleave"),
-                                   buffer_size=buffer_size))
+        expected = list(interleave(samples, seed=derive_seed(5, "interleave")))
         mixed = list(mixed)
         assert mixed == [d.to_json() for d in expected]
         assert len(mixed) == manifest["output_docs"] == len(expected) > 900

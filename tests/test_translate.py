@@ -934,6 +934,35 @@ class TestHttpBackend:
         assert out.text == "Une réponse complète."
         assert records[0].status == "ok"
 
+    @pytest.mark.parametrize("response_path", ["choices.0.text", "choices.0.nope"])
+    def test_backend_built_from_config(self, completion_server, tmp_path, response_path):
+        from transmix.cli import main
+        from transmix.config import load_config
+
+        server, received = completion_server
+        ini = tmp_path / "pipeline.ini"
+        ini.write_text(
+            f"[translate]\ntargets = fr\nbackend = http-completion\nendpoint = {server.url}\n"
+            f"model = wmt-model\nresponse_path = {response_path}\ntimeout = 7.5\n"
+            "retries = 1\n", encoding="utf-8")
+        backend = load_config(ini).make_backend()
+        assert isinstance(backend, HttpCompletionBackend)
+        assert (backend.endpoint, backend.model, backend.response_path, backend.timeout) == (
+            server.url, "wmt-model", response_path, 7.5)
+
+        write_corpus(tmp_path / "in.jsonl",
+                     [Document(id="h", lang="en", text="A sentence to send away.")])
+        out = tmp_path / "out"
+        assert main(["translate", str(tmp_path / "in.jsonl"), "--out-dir", str(out),
+                     "--config", str(ini)]) == 0
+        assert received[-1]["model"] == "wmt-model"
+        translated = [d.text for d in read_corpus(out / "fr.jsonl")]
+        failures = (out / "failures.jsonl").read_text(encoding="utf-8")
+        if response_path == "choices.0.text":
+            assert translated == ["Une réponse complète."] and failures == ""
+        else:
+            assert translated == [] and "'choices.0.nope'" in failures
+
     def test_prior_probe_over_http(self, completion_server):
         from transmix.probe import probe_prior, train_langid
 
