@@ -221,12 +221,8 @@ def run_pack(config: PipelineConfig, input_path: str, stage_dir: Path) -> dict:
 
 
 def run_probe(config: PipelineConfig, stage_dir: Path) -> dict:
-    if config.probe_model_path:
-        model = probe_mod.NgramLanguageModel.load(config.probe_model_path)
-    else:
-        model = probe_mod.train_langid()
     report, evidence = probe_mod.probe_prior(
-        config.make_backend(), model,
+        config.make_backend(), probe_mod.train_langid(),
         n=config.probe_n,
         max_tokens=config.probe_max_tokens,
         temperature=config.probe_temperature,

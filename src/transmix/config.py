@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterator
+from urllib.parse import urlsplit
 
 from .dedup import BANDS, DEFAULT_THRESHOLD, ROWS, SHINGLE_SIZE
 from .pack import DEFAULT_SEQUENCE_LENGTH
@@ -83,6 +84,15 @@ _PARSERS = {bool: _parse_as(lambda raw: _BOOLEANS[raw.lower()], "a boolean"),
             int: _parse_as(int, "an integer"), float: _parse_as(float, "a number"), str: str}
 
 
+def _is_http_url(url: str) -> bool:
+    """Whether ``url`` has an http or https scheme and a host."""
+    try:
+        parts = urlsplit(url)
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 def _opt(section: str, default: Any, option: str = "", parse: Callable | None = None) -> Any:
     """A field set by ``[section] option``, which defaults to the field's name."""
     meta = {"section": section, "option": option,
@@ -134,7 +144,6 @@ class PipelineConfig:
     probe_n: int = _opt("probe", DEFAULT_PROBE_N, "n")
     probe_max_tokens: int = _opt("probe", DEFAULT_PROBE_MAX_TOKENS, "max_tokens")
     probe_temperature: float = _opt("probe", DEFAULT_PROBE_TEMPERATURE, "temperature")
-    probe_model_path: str = _opt("probe", "", "model_path")
 
     def validate(self) -> None:
         problems: list[str] = []
@@ -156,6 +165,9 @@ class PipelineConfig:
                 f"translate.backend: {self.backend!r} not in {BACKEND_KINDS}")
         if self.backend == "http-completion" and not self.endpoint:
             problems.append("translate.endpoint: required for the http backend")
+        elif self.backend == "http-completion" and not _is_http_url(self.endpoint):
+            problems.append(f"translate.endpoint: must be an http:// or https:// URL, "
+                            f"got {self.endpoint!r}")
         for tgt in self.targets:
             if tgt not in LANGUAGE_NAMES:
                 problems.append(f"translate.targets: unknown language {tgt!r}")

@@ -127,17 +127,17 @@ def _split_ends(raw: bytes) -> list[bytes]:
     return lines
 
 
-def _text_lines(fh: BinaryIO) -> Iterator[tuple[int, str]]:
-    """``(byte offset, text)`` of each line of a binary file, split as text
-    mode splits it. The text may keep its ``\\n``."""
+def _text_lines(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
+    """``(byte offset, bytes)`` of each line of a binary file, split as text
+    mode splits it. The bytes may keep their ``\\n``."""
     start = 0
     for raw in fh:
         offset, start = start, start + len(raw)
         if b"\r" not in raw:  # the common case
-            yield offset, raw.decode("utf-8")
+            yield offset, raw
             continue
         for piece in _split_ends(raw):
-            yield offset, piece.decode("utf-8")
+            yield offset, piece
             offset += len(piece) + 1
 
 
@@ -149,26 +149,26 @@ def scan_corpus(
     """Stream ``(byte offset of its line, stripped line, Document)`` triples
     from a JSONL file.
 
-    Malformed lines are reported through ``on_error`` and skipped; in strict
-    mode the first one aborts the stream with CorpusFormatError, and id
-    uniqueness is enforced as well. A ``{"_header": true, ...}`` object on
-    line 1 is skipped. Whitespace-only lines are skipped but counted in line
-    numbers.
+    Malformed lines, those that are not UTF-8 among them, are reported
+    through ``on_error`` and skipped; in strict mode the first one aborts the
+    stream with CorpusFormatError, and id uniqueness is enforced as well. A
+    ``{"_header": true, ...}`` object on line 1 is skipped. Whitespace-only
+    lines are skipped but counted in line numbers.
     """
     seen_ids: set[str] | None = set() if strict else None
     with open(path, "rb") as fh:
-        for line_no, (offset, line) in enumerate(_text_lines(fh), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line_no == 1:
-                try:
-                    obj = json.loads(line)
-                    if isinstance(obj, dict) and obj.get("_header"):
-                        continue
-                except json.JSONDecodeError:
-                    pass
+        for line_no, (offset, raw) in enumerate(_text_lines(fh), start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                if line_no == 1:
+                    try:
+                        obj = json.loads(line)
+                        if isinstance(obj, dict) and obj.get("_header"):
+                            continue
+                    except json.JSONDecodeError:
+                        pass
                 doc = _parse_line(line)
                 if seen_ids is not None:
                     if doc.id in seen_ids:
@@ -178,7 +178,8 @@ def scan_corpus(
                 if strict:
                     raise CorpusFormatError(f"{path}:{line_no}: {exc}") from exc
                 if on_error is not None:
-                    on_error(ReadError(line_no=line_no, message=str(exc), raw=line))
+                    on_error(ReadError(line_no=line_no, message=str(exc),
+                                       raw=raw.decode("utf-8", "replace").strip()))
                 continue
             yield offset, line, doc
 
@@ -200,8 +201,8 @@ def read_at(path: str | Path, offsets: Iterable[int]) -> list[str]:
     with open(path, "rb") as fh:
         for offset in offsets:
             fh.seek(offset)
-            _, line = next(_text_lines(fh), (offset, ""))
-            lines.append(line.strip())
+            _, line = next(_text_lines(fh), (offset, b""))
+            lines.append(line.decode("utf-8").strip())
     return lines
 
 

@@ -9,12 +9,11 @@ look like translation pairs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from collections import Counter
 from pathlib import Path
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +40,7 @@ DEFAULT_PROBE_TEMPERATURE = 1.0
 _CODE_BITS = 21  # bits per code point in a gram code: a 3-gram fits in an int64
 _BLOCK = 1 << 14  # characters per scoring block: at most 3 * _BLOCK rows per gather
 # Entries the row tables, the rank table included, may hold: a model past it (a
-# script with a few thousand characters) is refused where it is built or loaded.
+# script with a few thousand characters) is refused at finalize.
 _TABLE_CAP = 1 << 22
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -61,28 +60,19 @@ class NgramLanguageModel:
     """Character n-gram multinomial model with add-one smoothing."""
 
     def __init__(self) -> None:
-        # lang -> order -> (distinct gram codes, ascending; their counts; first-seen keys)
-        self._tallies: dict[str, dict[int, tuple[np.ndarray, ...]]] = {}
-        self._counts: dict[str, dict[int, Counter]] | None = None  # ``counts``, once built
+        # lang -> order -> (distinct gram codes, ascending; their counts)
+        self._tallies: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
         self.totals: dict[str, dict[int, int]] = {}
         self.vocab_sizes: dict[int, int] = {}
         # Smoothed log-probabilities, one column per language in ``languages``
         # order. Each order has a row per gram seen in any language, by
         # ascending gram code, then a row for unseen grams. None while stale.
         self._table: np.ndarray | None = None
-        self._row_tables: _RowTables | None = None  # each gram's row; None until tabulated
+        self._row_tables: _RowTables | None = None  # each gram's row; None until finalized
 
     @property
     def languages(self) -> list[str]:
         return sorted(self._tallies)
-
-    @property
-    def counts(self) -> dict[str, dict[int, Counter]]:
-        """A read-only view: each language's gram strings and counts, in first-seen order."""
-        if self._counts is None:
-            self._counts = {lang: {n: _counter(n, *per_order[n]) for n in NGRAM_ORDERS}
-                            for lang, per_order in self._tallies.items()}
-        return self._counts
 
     def add_language(self, lang: str, text: str) -> None:
         """Count the text's grams into ``lang``'s, as ``Counter.update`` over strings would."""
@@ -91,23 +81,18 @@ class NgramLanguageModel:
         totals = self.totals.setdefault(lang, dict.fromkeys(NGRAM_ORDERS, 0))
         for n in NGRAM_ORDERS:
             count = max(len(points) - n + 1, 0)
-            codes, counts, first = _group(_pack([points[k:count + k] for k in range(n)]))
-            new = codes, counts, first + totals[n]  # seen after the grams counted before
+            new = _group(_pack([points[k:count + k] for k in range(n)]))
             tallies[n] = _group(*map(np.concatenate, zip(tallies[n], new))) if n in tallies else new
             totals[n] += count
-        self._counts = None
         self._table = None  # stale until finalize()
 
     def finalize(self) -> None:
-        """Fix smoothing vocabularies from the union over languages; a ValueError
-        if there are no languages or the row tables would pass ``_TABLE_CAP``."""
-        self.vocab_sizes = {}  # _tabulate counts each order's union, plus one for unseen grams
-        self._tabulate()
-
-    def _tabulate(self) -> None:
-        """Fix each gram's smoothed log-probability under each language from
-        the counts and the vocabulary sizes, so scoring gathers table rows
-        instead of taking logs."""
+        """Fix each gram's smoothed log-probability under each language, so
+        scoring gathers table rows instead of taking logs. Each order's
+        smoothing vocabulary is its union over languages, plus one for unseen
+        grams. A ValueError if there are no languages or the row tables would
+        pass ``_TABLE_CAP``."""
+        self.vocab_sizes = {}
         languages = self.languages
         if not languages:
             raise ValueError("the model has no languages")
@@ -116,10 +101,11 @@ class NgramLanguageModel:
         first = 0
         for n in NGRAM_ORDERS:
             tallies = [self._tallies[lang][n] for lang in languages]
-            seen = _distinct(np.sort(np.concatenate([codes for codes, _, _ in tallies])))
+            seen = _distinct(np.sort(np.concatenate([codes for codes, _ in tallies])))
+            self.vocab_sizes[n] = 1 + len(seen)
             block = np.empty((len(seen) + 1, len(languages)))
-            for col, (lang, (codes, counts, _)) in enumerate(zip(languages, tallies)):
-                denom = self.totals[lang][n] + self.vocab_sizes.setdefault(n, 1 + len(seen))
+            for col, (lang, (codes, counts)) in enumerate(zip(languages, tallies)):
+                denom = self.totals[lang][n] + self.vocab_sizes[n]
                 block[:, col] = math.log(1 / denom)
                 # math.log, as the per-gram sum it replaces, once per distinct count
                 distinct = _distinct(np.sort(counts))
@@ -176,79 +162,12 @@ class NgramLanguageModel:
         # a sequential running sum: a pairwise sum would change the last bits
         return np.add.accumulate(values, axis=0, out=values)[-1]
 
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "orders": list(NGRAM_ORDERS),
-            "vocab_sizes": {str(k): v for k, v in self.vocab_sizes.items()},
-            "counts": {
-                lang: {str(n): dict(c) for n, c in per_order.items()}
-                for lang, per_order in self.counts.items()
-            },
-        }
-        # a gram may be a lone surrogate, which strict UTF-8 cannot write
-        Path(path).write_text(json.dumps(payload, ensure_ascii=False),
-                              encoding="utf-8", errors="surrogatepass")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "NgramLanguageModel":
-        """The model that ``save`` wrote to ``path``; a ValueError naming the
-        path if the file does not hold one."""
-        try:
-            return cls._from_payload(json.loads(
-                Path(path).read_text(encoding="utf-8", errors="surrogatepass")))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-
-    @classmethod
-    def _from_payload(cls, payload: object) -> "NgramLanguageModel":
-        payload = _as_object(payload, "")
-        if missing := [k for k in ("orders", "vocab_sizes", "counts") if k not in payload]:
-            raise ValueError(f"no {missing[0]!r} key")
-        if payload["orders"] != list(NGRAM_ORDERS):
-            raise ValueError(f"orders {payload['orders']} differ from {list(NGRAM_ORDERS)}")
-        vocab_sizes = _as_object(payload["vocab_sizes"], "'vocab_sizes' is ")
-        counts = {lang: _as_object(c, f"the counts of {lang!r} are ")
-                  for lang, c in _as_object(payload["counts"], "'counts' is ").items()}
-        for name, per_order in [("vocab_sizes", vocab_sizes), *(
-                (f"the counts of {lang!r}", c) for lang, c in counts.items())]:
-            if missing := [n for n in NGRAM_ORDERS if str(n) not in per_order]:
-                raise ValueError(f"{name} lack order {missing[0]}")
-        for n in NGRAM_ORDERS:
-            if type(size := vocab_sizes[str(n)]) is not int or size < 1:
-                raise ValueError(f"vocab_sizes of order {n} is {size!r}, not a positive integer")
-            if size >= 2**63:
-                raise ValueError(f"vocab_sizes of order {n} is 2**63 or more")
-        model = cls()
-        for lang, per_order in counts.items():
-            grams = {n: _as_object(per_order[str(n)], f"the {n}-gram counts of {lang!r} are ")
-                     for n in NGRAM_ORDERS}
-            for n, c in grams.items():
-                for v in c.values():
-                    if type(v) is not int or not 0 <= v < 2**63:
-                        raise ValueError(f"the {n}-gram counts of {lang!r} " + (
-                            "are not all integers" if type(v) is not int else
-                            "include a negative count" if v < 0 else
-                            "include a count of 2**63 or more"))
-            model._tallies[lang] = {n: _group(_gram_codes(c, n), np.array([*c.values()], np.int64),
-                                              np.arange(len(c))) for n, c in grams.items()}
-            model.totals[lang] = {n: sum(c.values()) for n, c in grams.items()}
-        model.vocab_sizes = {n: vocab_sizes[str(n)] for n in NGRAM_ORDERS}
-        model._tabulate()
-        return model
-
-
-def _as_object(value: object, what: str) -> dict:
-    """``value`` if it is a JSON object; else a ValueError that starts with
-    ``what`` and names its JSON type."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what}a JSON {type(value).__name__}, not an object")
-    return value
-
 
 class _RowTables:
     """Each gram's row in ``NgramLanguageModel._table``, found by indexing
-    with the ranks of its characters in the model's alphabet: every code
-    point of a seen gram of any order.
+    with the ranks of its characters in the model's alphabet: the code
+    points of the seen 1-grams, which hold every character of a seen 2- or
+    3-gram.
 
     A character's rank is read from a table indexed by code point, which
     runs to one past the alphabet's largest point; a character outside the
@@ -278,10 +197,7 @@ class _RowTables:
         row; a ValueError if they would hold more than ``_TABLE_CAP`` entries."""
         seen = {n: codes[n][0] for n in NGRAM_ORDERS}
         mask = (1 << _CODE_BITS) - 1
-        # a loaded model may hold grams whose characters or prefixes were
-        # seen in no lower order, so every order adds to both
-        alphabet = _distinct(np.sort(np.concatenate(
-            [seen[n] >> (_CODE_BITS * k) & mask for n in NGRAM_ORDERS for k in range(n)])))
+        alphabet = seen[1]
         prefixes = _distinct(seen[3] >> _CODE_BITS)
         side = len(alphabet) + 1
         rank_size = int(alphabet.max(initial=-1)) + 2
@@ -359,33 +275,15 @@ def _pack(columns: Sequence[np.ndarray]) -> np.ndarray:
     return codes
 
 
-def _gram_codes(grams: Collection[str], n: int) -> np.ndarray:
-    """The codes of n-grams given as strings, in the same order."""
-    joined = "".join(grams)
-    if len(joined) != n * len(grams):
-        raise ValueError(f"the model's {n}-grams are not all {n} characters long")
-    return _pack(_code_points(joined).reshape(-1, n).T)
-
-
-def _group(codes: np.ndarray, counts: np.ndarray | None = None,
-           first: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """Each distinct code, ascending, with the sum of its counts and the least
-    of its first-seen keys; without them, each code counts one, seen at its index."""
+def _group(codes: np.ndarray,
+           counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct code, ascending, with the sum of its counts; without
+    them, each code counts one."""
     order = np.argsort(codes)
     codes = codes[order]
     starts = np.flatnonzero(np.diff(codes, prepend=-1))  # codes are never negative
     counts = np.ones(len(codes), np.int64) if counts is None else counts[order]
-    first = order if first is None else first[order]
-    return codes[starts], np.add.reduceat(counts, starts), np.minimum.reduceat(first, starts)
-
-
-def _counter(n: int, codes: np.ndarray, counts: np.ndarray, first: np.ndarray) -> Counter:
-    """The n-grams of the codes as strings, with their counts, in first-seen order."""
-    order = np.argsort(first)
-    points = codes[order, None] >> _CODE_BITS * np.arange(n - 1, -1, -1) & (1 << _CODE_BITS) - 1
-    text = points.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
-    grams = [text[k:k + n] for k in range(0, len(text), n)]
-    return Counter(dict(zip(grams, counts[order].tolist())))
+    return codes[starts], np.add.reduceat(counts, starts)
 
 
 def bundled_seed_paths() -> dict[str, Path]:

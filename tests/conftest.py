@@ -3,14 +3,12 @@ and a sentence-splitting oracle."""
 
 from __future__ import annotations
 
-import json
 import random
 from pathlib import Path
 
 import pytest
 
 from transmix.corpus import Document, write_corpus
-from transmix.probe import NgramLanguageModel
 from transmix.segment import CLOSERS, TERMINALS, Sentence, is_terminal_text, load_abbreviations
 from transmix.tokenizer import BpeCounter, WhitespaceCounter, bundled_bpe_paths
 
@@ -131,83 +129,3 @@ def is_boundary(text, run_start, run_end, after_closers, lang, abbreviations):
             return False  # German ordinals: "3. Oktober"
     nxt = skip_ws(text, after_closers)
     return not (nxt < n and text[nxt].islower())  # continuation: "he said... and left"
-
-
-# each problem of ``malformed_model_file`` and the error that loading names it by
-MALFORMED_MODELS = {
-    "orders": "orders [1, 2] differ from [1, 2, 3]",
-    "counts": "the counts of 'fr' lack order 2",
-    "vocab_sizes": "vocab_sizes lack order 3",
-    "list": "a JSON list, not an object",
-    "no-orders": "no 'orders' key",
-    "no-counts": "no 'counts' key",
-    "no-vocab_sizes": "no 'vocab_sizes' key",
-    "gram-length": "the model's 2-grams are not all 2 characters long",
-    "count": "the 1-gram counts of 'en' are not all integers",
-    "negative-count": "the 1-gram counts of 'en' include a negative count",
-    "count-overflow": "the 1-gram counts of 'en' include a count of 2**63 or more",
-    "language-counts": "the counts of 'en' are a JSON int, not an object",
-    "counts-list": "'counts' is a JSON list, not an object",
-    "order-counts-list": "the 2-gram counts of 'en' are a JSON list, not an object",
-    "vocab-string": "vocab_sizes of order 1 is '9', not a positive integer",
-    "vocab-zero": "vocab_sizes of order 1 is 0, not a positive integer",
-    "vocab-overflow": "vocab_sizes of order 1 is 2**63 or more",
-    "no-languages": "the model has no languages",
-    "over-cap": "the row tables would hold 9,070,229 entries, over the cap of 4,194,304, "
-                "for an alphabet of 2,119 characters",
-}
-
-
-def malformed_model_file(tmp_path: Path, problem: str) -> Path:
-    """A language-model file with one problem: orders other than (1, 2, 3)
-    ("orders"), a language without its 2-gram counts ("counts"), no 3-gram
-    vocabulary size ("vocab_sizes"), a list in place of the object ("list"),
-    a missing top-level key ("no-orders", "no-counts", "no-vocab_sizes"), a
-    3-character 2-gram ("gram-length"), a count that is a string ("count"),
-    negative ("negative-count") or 2**64 ("count-overflow"), a number in
-    place of a language's counts ("language-counts"), a list in place of all
-    counts ("counts-list") or of one order's ("order-counts-list"), a 1-gram
-    vocabulary size that is a string ("vocab-string"), 0 ("vocab-zero") or
-    2**64 ("vocab-overflow"), no languages ("no-languages"), or 2,100 more
-    1-grams of CJK characters, too many for the row tables ("over-cap")."""
-    model = NgramLanguageModel()
-    model.add_language("en", "the quick brown fox")
-    model.add_language("fr", "le renard brun")
-    model.finalize()
-    path = tmp_path / "langid.json"
-    model.save(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if problem == "orders":
-        payload["orders"] = [1, 2]
-        for per_order in payload["counts"].values():
-            del per_order["3"]
-    elif problem == "counts":
-        del payload["counts"]["fr"]["2"]
-    elif problem == "vocab_sizes":
-        del payload["vocab_sizes"]["3"]
-    elif problem == "list":
-        payload = [payload]
-    elif problem == "no-languages":
-        payload["counts"] = {}
-    elif problem.startswith("no-"):
-        del payload[problem.removeprefix("no-")]
-    elif problem == "gram-length":
-        payload["counts"]["en"]["2"]["abc"] = 1
-    elif problem == "negative-count":
-        payload["counts"]["en"]["1"]["t"] = -1
-    elif problem == "count-overflow":
-        payload["counts"]["en"]["1"]["t"] = 2**64
-    elif problem == "language-counts":
-        payload["counts"]["en"] = 5
-    elif problem == "counts-list":
-        payload["counts"] = []
-    elif problem == "order-counts-list":
-        payload["counts"]["en"]["2"] = list(payload["counts"]["en"]["2"])
-    elif problem.startswith("vocab-"):
-        payload["vocab_sizes"]["1"] = {"vocab-string": "9", "vocab-zero": 0}.get(problem, 2**64)
-    elif problem == "over-cap":
-        payload["counts"]["en"]["1"].update({chr(0x4E00 + k): 1 for k in range(2100)})
-    else:
-        payload["counts"]["en"]["1"]["t"] = "x"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    return path

@@ -15,7 +15,7 @@ from transmix.cli import main
 from transmix.corpus import Document, read_corpus, write_corpus
 from transmix.pack import PackManifest, unpack_inspect
 
-from conftest import MALFORMED_MODELS, malformed_model_file, seed_lines
+from conftest import seed_lines
 
 
 def pipeline_docs(count, rng=None):
@@ -425,18 +425,6 @@ def test_probe_subcommand_with_echo_backend_records_zero_obtained(tmp_path):
     report = json.loads((out / "prior_report.json").read_text())
     assert report["requested"] == 8 and report["obtained"] == 0
     assert read_manifest(out) == {"stage": "probe", **report}
-
-
-@pytest.mark.parametrize("problem", MALFORMED_MODELS)
-def test_probe_with_a_malformed_model_file_fails_the_stage(tmp_path, problem, capsys):
-    path = malformed_model_file(tmp_path, problem)
-    message = MALFORMED_MODELS[problem]
-    ini = tmp_path / "probe.ini"
-    ini.write_text(f"[probe]\nn = 2\nmodel_path = {path}\n", encoding="utf-8")
-    out = tmp_path / "probe"
-    assert main(["probe", "--config", str(ini), "--out-dir", str(out)]) == 1
-    assert (out / "FAILED").read_text() == f"ValueError: {path}: {message}\n"
-    assert f"error: {path}: {message}" in capsys.readouterr().err
 
 
 class TestPipeline:

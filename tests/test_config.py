@@ -156,6 +156,49 @@ def test_removed_mix_buffer_size_option_exits_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_removed_probe_model_path_option_exits_2(tmp_path, monkeypatch, capsys):
+    # the probe always trains its language model from the bundled seeds
+    path = tmp_path / "pipeline.ini"
+    path.write_text("[probe]\nmodel_path = x\n", encoding="utf-8")
+    args = ["probe", "--out-dir", str(tmp_path / "out"), "--config"]
+    assert main([*args, str(path)]) == 2
+    assert "probe.model_path: unknown option" in capsys.readouterr().err
+    path.write_text("", encoding="utf-8")
+    monkeypatch.setenv("TWP_PROBE_MODEL_PATH", "x")
+    assert main([*args, str(path)]) == 2
+    assert "TWP_PROBE_MODEL_PATH: unknown environment override" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("endpoint", [
+    "localhost:8000/v1/completions", "ftp://localhost/v1/completions", "http:///v1/completions",
+    "http://[::1/v1/completions", "/v1/completions"])
+@pytest.mark.parametrize("source", ["ini", "env"])
+def test_endpoint_that_is_not_an_http_url_exits_2(
+        tmp_path, monkeypatch, capsys, endpoint, source):
+    path = tmp_path / "pipeline.ini"
+    path.write_text("[translate]\nbackend = http-completion\n" + (
+        f"endpoint = {endpoint}\n" if source == "ini" else ""), encoding="utf-8")
+    if source == "env":
+        monkeypatch.setenv("TWP_TRANSLATE_ENDPOINT", endpoint)
+    message = f"translate.endpoint: must be an http:// or https:// URL, got {endpoint!r}"
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.problems == [message]
+    assert main(["translate", str(tmp_path / "in.jsonl"), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_http_and_https_endpoints_load(tmp_path):
+    path = tmp_path / "pipeline.ini"
+    for endpoint in ("http://localhost:8000/v1/completions", "https://example.org/v1"):
+        path.write_text(f"[translate]\nbackend = http-completion\nendpoint = {endpoint}\n",
+                        encoding="utf-8")
+        assert load_config(path).endpoint == endpoint
+
+
 def test_removed_translate_enabled_option_exits_2(tmp_path, capsys):
     # an empty "targets =" turns translation off; "enabled" is no option
     path = tmp_path / "pipeline.ini"

@@ -72,6 +72,24 @@ class TestReadCorpus:
         # lenient mode streams both and leaves policy to the consumer
         assert len(list(read_corpus(path))) == 2
 
+    def test_lenient_mode_reports_a_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        lines = [Document(id=f"d{i}", lang="fr", text="café").to_json() for i in range(3)]
+        path.write_bytes(b"\n".join([lines[0].encode(), lines[1].encode("latin-1"),
+                                     lines[2].encode()]) + b"\n")
+        errors = []
+        assert [d.id for d in read_corpus(path, on_error=errors.append)] == ["d0", "d2"]
+        assert [(e.line_no, e.raw) for e in errors] == [(2, lines[1].replace("é", "�"))]
+        assert "can't decode byte 0xe9" in errors[0].message
+
+    def test_strict_mode_aborts_on_a_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        doc = Document(id="d0", lang="fr", text="café").to_json()
+        path.write_bytes(doc.encode() + b"\n" + doc.encode("latin-1") + b"\n")
+        with pytest.raises(CorpusFormatError) as raised:
+            list(read_corpus(path, strict=True))
+        assert str(raised.value).startswith(f"{path}:2: 'utf-8' codec can't decode byte 0xe9")
+
     def test_header_line_skipped_and_readable(self, make_corpus):
         header = json.dumps({"_header": True, "tokenizer_fingerprint": "ws:1"})
         path = make_corpus([header, Document(id="d0", lang="en", text="t")])
