@@ -143,8 +143,7 @@ def run_filter(config: PipelineConfig, input_path: str, stage_dir: Path) -> dict
     counts = {"in": 0, "kept": 0, "rejected": 0}
     # a kept document is written as the line it was read from
     scanned, to_filter = itertools.tee(scan_corpus(input_path, strict=config.strict))
-    reports = quality_mod.filter_corpus(
-        (doc for _, _, doc in to_filter), config.quality, config.stopword_dir or None)
+    reports = quality_mod.filter_corpus((doc for _, _, doc in to_filter), config.quality)
     with open(stage_dir / "kept.jsonl", "w", encoding="utf-8") as kept_fh, \
             open(stage_dir / "rejected.jsonl", "w", encoding="utf-8") as rej_fh:
         for (_, line, _), (_, report) in zip(scanned, reports):
@@ -197,7 +196,6 @@ def run_translate(config: PipelineConfig, input_path: str, stage_dir: Path,
         params=config.generation_params(),
         resume=resume,
         restart=restart,
-        abbreviation_dir=config.abbreviation_dir or None,
         strict=config.strict,
     )
     return {"stage": "translate", **asdict(manifest)}

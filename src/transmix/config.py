@@ -110,7 +110,6 @@ class PipelineConfig:
     bpe_vocab: str = _opt("corpus", "")
     bpe_merges: str = _opt("corpus", "")
     chunk_limit: int = _opt("segment", DEFAULT_CHUNK_LIMIT)
-    abbreviation_dir: str = _opt("segment", "")
     targets: list[str] = _opt("translate", ["fr", "de", "es"], parse=_parse_list)
     backend: str = _opt("translate", "mock-echo")
     endpoint: str = _opt("translate", "")
@@ -133,7 +132,6 @@ class PipelineConfig:
             "max_mean_word_length", "max_symbol_word_ratio",
             "max_bullet_line_fraction", "max_ellipsis_line_fraction",
             "min_alpha_word_fraction", "min_stop_words", "check_repetition")})
-    stopword_dir: str = _opt("quality", "")
     dedup_threshold: float = _opt("dedup", DEFAULT_THRESHOLD, "threshold")
     dedup_bands: int = _opt("dedup", BANDS, "bands")
     dedup_rows: int = _opt("dedup", ROWS, "rows")
@@ -157,9 +155,6 @@ class PipelineConfig:
                     problems.append(f"{name}: required when tokenizer = bpe")
                 elif not Path(value).exists():
                     problems.append(f"{name}: file not found: {value}")
-        if self.abbreviation_dir and not Path(self.abbreviation_dir).is_dir():
-            problems.append(
-                f"segment.abbreviation_dir: not a directory: {self.abbreviation_dir}")
         if self.backend not in BACKEND_KINDS:
             problems.append(
                 f"translate.backend: {self.backend!r} not in {BACKEND_KINDS}")
@@ -171,8 +166,14 @@ class PipelineConfig:
         for tgt in self.targets:
             if tgt not in LANGUAGE_NAMES:
                 problems.append(f"translate.targets: unknown language {tgt!r}")
-        for tgt in sorted({tgt for tgt in self.targets if self.targets.count(tgt) > 1}):
-            problems.append(f"translate.targets: {tgt!r} is given more than once")
+        for name, path in self.mix_sources:
+            if not name or not path:
+                problems.append(f"mix.sources: expected name:path, got {name + ':' + path!r}")
+        for option, items in [("translate.targets", self.targets),
+                              ("mix.sources", [name for name, _ in self.mix_sources])]:
+            problems += [f"{option}: {item!r} is given more than once"
+                         for item in sorted({item for item in items if items.count(item) > 1})]
+        rules = self.quality
         at_least = [("segment.chunk_limit", self.chunk_limit, 1),
                     ("translate.retries", self.retries, 1),
                     ("translate.backoff", self.backoff, 0),
@@ -182,9 +183,23 @@ class PipelineConfig:
                     ("pack.sequence_length", self.sequence_length, 2),
                     ("probe.n", self.probe_n, 1),
                     ("probe.max_tokens", self.probe_max_tokens, 1),
-                    ("probe.temperature", self.probe_temperature, 0)]
+                    ("probe.temperature", self.probe_temperature, 0),
+                    ("quality.min_words", rules.min_words, 0),
+                    ("quality.min_mean_word_length", rules.min_mean_word_length, 0),
+                    ("quality.max_symbol_word_ratio", rules.max_symbol_word_ratio, 0),
+                    ("quality.min_stop_words", rules.min_stop_words, 0)]
         problems += [f"{name}: must be >= {low}, got {value}"
                      for name, value, low in at_least if value < low]
+        for low, high in [("min_words", "max_words"),
+                          ("min_mean_word_length", "max_mean_word_length")]:
+            least, most = getattr(rules, low), getattr(rules, high)
+            if most < least:
+                problems.append(f"quality.{high}: must be >= quality.{low} ({least}), got {most}")
+        for name in ("max_bullet_line_fraction", "max_ellipsis_line_fraction",
+                     "min_alpha_word_fraction"):
+            value = getattr(rules, name)
+            if not 0 <= value <= 1:
+                problems.append(f"quality.{name}: must be in [0, 1], got {value}")
         if self.max_tokens < 0:
             problems.append(
                 f"translate.max_tokens: must be >= 0 (0 = twice the chunk limit), "

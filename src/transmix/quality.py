@@ -97,11 +97,9 @@ class QualityReport:
 
 
 @lru_cache(maxsize=None)
-def load_stopwords(lang: str, data_dir: str | None = None) -> frozenset[str]:
-    base = Path(data_dir) if data_dir else _DATA_DIR
-    path = base / f"{'en' if lang == 'other' else lang}.txt"
-    if not path.exists():
-        raise FileNotFoundError(f"no stop-word list for language {lang!r}: {path}")
+def load_stopwords(lang: str) -> frozenset[str]:
+    """Lowercased stop-word set for a language; 'other' uses the en list."""
+    path = _DATA_DIR / f"{'en' if lang == 'other' else lang}.txt"
     return frozenset(
         w.strip().lower()
         for w in path.read_text(encoding="utf-8").splitlines()
@@ -212,7 +210,6 @@ def _duplicate_fraction(items: list[str]) -> float:
 def filter_corpus(
     docs: Iterable[Document],
     rules: RuleConfig | None = None,
-    stopword_dir: str | None = None,
 ) -> Iterator[tuple[Document, QualityReport]]:
     """Yield (doc, report) pairs; callers partition on report.keep.
 
@@ -222,5 +219,4 @@ def filter_corpus(
     rules = rules or RuleConfig()
     word_cache: WordCache = {}
     for doc in docs:
-        stopwords = load_stopwords(doc.lang, stopword_dir)
-        yield doc, gopher_filter(doc, rules, stopwords, word_cache)
+        yield doc, gopher_filter(doc, rules, load_stopwords(doc.lang), word_cache)

@@ -65,14 +65,9 @@ class Chunk:
 
 
 @lru_cache(maxsize=None)
-def load_abbreviations(lang: str, data_dir: str | None = None) -> frozenset[str]:
-    """Lowercased abbreviation set for a language; 'other' uses the en list.
-
-    ``data_dir`` holds one UTF-8 file per language, one abbreviation per
-    line; None means the bundled lists.
-    """
-    base = Path(data_dir or _DATA_DIR)
-    path = base / f"{'en' if lang == 'other' else lang}.txt"
+def load_abbreviations(lang: str) -> frozenset[str]:
+    """Lowercased abbreviation set for a language; 'other' uses the en list."""
+    path = _DATA_DIR / f"{'en' if lang == 'other' else lang}.txt"
     if not path.exists():
         return frozenset()
     entries = set()
@@ -89,17 +84,14 @@ def is_terminal_text(text: str) -> bool:
     return bool(stripped) and stripped[-1] in TERMINALS
 
 
-def split_sentences(text: str, lang: str = "en",
-                    abbreviations: frozenset[str] | None = None) -> list[Sentence]:
+def split_sentences(text: str, lang: str = "en") -> list[Sentence]:
     """Split text into sentences covering every non-whitespace character.
 
     Gaps between consecutive spans are pure whitespace, so the original text
     can be reconstructed exactly from spans plus gaps. Text without terminal
     punctuation comes back as a single non-terminal sentence.
     """
-    if abbreviations is None:
-        abbreviations = load_abbreviations(lang)
-
+    abbreviations = load_abbreviations(lang)
     n = len(text)
     sentences: list[Sentence] = []
     start = n - len(text.lstrip())
@@ -136,17 +128,15 @@ def split_sentences(text: str, lang: str = "en",
     return sentences
 
 
-def chunk_document(doc: Document, counter: TokenCounter, limit: int = DEFAULT_CHUNK_LIMIT,
-                   abbreviation_dir: str | None = None) -> list[Chunk]:
+def chunk_document(doc: Document, counter: TokenCounter,
+                   limit: int = DEFAULT_CHUNK_LIMIT) -> list[Chunk]:
     """Greedy chunking: append sentences while the running total stays within
     the budget; a single oversized sentence becomes its own chunk (sentences
     are never split). Chunk token counts are sums of per-sentence counts.
-    ``abbreviation_dir`` is as in ``load_abbreviations``.
     """
     if limit < 1:
         raise ValueError("chunk limit must be >= 1")
-    sents = split_sentences(doc.text, doc.lang,
-                            load_abbreviations(doc.lang, abbreviation_dir))
+    sents = split_sentences(doc.text, doc.lang)
     chunks: list[Chunk] = []
     cur: list[Sentence] = []
     cur_tokens = 0

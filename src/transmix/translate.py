@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import Document, read_corpus
 from .segment import (DEFAULT_CHUNK_LIMIT, Chunk, chunk_document, is_terminal_text,
-                      load_abbreviations, split_sentences)
+                      split_sentences)
 from .tokenizer import TokenCounter, WhitespaceCounter
 
 __all__ = [
@@ -280,13 +280,11 @@ class TranslationRecord:
     error: str | None = None
 
 
-def trim_incomplete(raw: str, lang: str,
-                    abbreviation_dir: str | None = None) -> tuple[str, int]:
+def trim_incomplete(raw: str, lang: str) -> tuple[str, int]:
     """Drop trailing sentences that never reached terminal punctuation.
 
     Returns the trimmed prefix (cut at a sentence boundary) and the number of
     sentences removed. Input with no complete sentence trims to "".
-    ``abbreviation_dir`` holds the segmenter's lists (None: the bundled ones).
     Only output that does not end in a complete sentence is split: otherwise
     the last sentence is a suffix of ``raw.rstrip()`` that holds its final
     terminal run and closers, so it is terminal and nothing is dropped.
@@ -294,7 +292,7 @@ def trim_incomplete(raw: str, lang: str,
     stripped = raw.rstrip()
     if is_terminal_text(stripped):
         return stripped, 0
-    sentences = split_sentences(raw, lang, load_abbreviations(lang, abbreviation_dir))
+    sentences = split_sentences(raw, lang)
     keep = len(sentences)
     while keep > 0 and not sentences[keep - 1].terminal:
         keep -= 1
@@ -413,8 +411,7 @@ def _in_order(
             worker.result()
 
 
-def _assemble(doc: Document, tgt: str, chunks: list[Chunk],
-              results: list[BackendResult], abbreviation_dir: str | None,
+def _assemble(doc: Document, tgt: str, chunks: list[Chunk], results: list[BackendResult],
               ) -> tuple[Document | None, list[TranslationRecord]]:
     """Trim each chunk's output and join the pieces in chunk order."""
     records: list[TranslationRecord] = []
@@ -427,7 +424,7 @@ def _assemble(doc: Document, tgt: str, chunks: list[Chunk],
                 error=result.error))
             failed = True
             continue
-        trimmed, dropped = trim_incomplete(result.text, tgt, abbreviation_dir)
+        trimmed, dropped = trim_incomplete(result.text, tgt)
         if not trimmed:
             records.append(TranslationRecord(
                 doc_id=doc.id, chunk_index=chunk.index, status="empty",
@@ -458,7 +455,6 @@ def translate_document(
     chunk_limit: int = DEFAULT_CHUNK_LIMIT,
     params: GenerationParams | None = None,
     sleep: Callable[[float], None] = time.sleep,
-    abbreviation_dir: str | None = None,
 ) -> tuple[Document | None, list[TranslationRecord]]:
     """Translate one document chunk by chunk and reassemble in chunk order.
 
@@ -467,17 +463,16 @@ def translate_document(
     and outputs are merged by index, so the result is deterministic.
     Returns (document, records); the document is None when any chunk failed
     after retries, and the records then carry the error. Chunks whose
-    trimmed output is empty are skipped but recorded. ``abbreviation_dir``
-    is as in ``trim_incomplete``.
+    trimmed output is empty are skipped but recorded.
     """
     template = template or PromptTemplate()
     params = params or GenerationParams()
     counter = counter or WhitespaceCounter()
-    chunks = chunk_document(doc, counter, chunk_limit, abbreviation_dir)
+    chunks = chunk_document(doc, counter, chunk_limit)
     request = _chunk_request(backend, template, chunk_limit, params, sleep)
     [(_, _, _, results)] = _in_order([(doc, tgt, chunks)], request,
                                      params.max_in_flight)
-    return _assemble(doc, tgt, chunks, results, abbreviation_dir)
+    return _assemble(doc, tgt, chunks, results)
 
 
 class JournalCorruptError(RuntimeError):
@@ -613,7 +608,6 @@ def translate_corpus(
     resume: bool = False,
     restart: bool = False,
     sleep: Callable[[float], None] = time.sleep,
-    abbreviation_dir: str | None = None,
     strict: bool = False,
 ) -> TranslateManifest:
     """Translate a corpus into one output corpus per target, resumably.
@@ -635,8 +629,8 @@ def translate_corpus(
     (wipe with restart to retry). An existing journal requires an explicit
     choice: resume to continue, restart to wipe. An exception raised by the
     backend stops the run after the last pair before it is committed.
-    ``abbreviation_dir`` is as in ``trim_incomplete``, and ``strict`` as in
-    ``read_corpus``. A target given more than once is a ``ValueError``.
+    ``strict`` is as in ``read_corpus``. A target given more than once is a
+    ``ValueError``.
     """
     for tgt in targets:
         if targets.count(tgt) > 1:
@@ -652,7 +646,7 @@ def translate_corpus(
             todo = [tgt for tgt in targets if (doc.id, tgt) not in done]
             manifest.skipped_resume += len(targets) - len(todo)
             if todo:
-                chunks = chunk_document(doc, counter, chunk_limit, abbreviation_dir)
+                chunks = chunk_document(doc, counter, chunk_limit)
                 for tgt in todo:
                     yield doc, tgt, chunks
 
@@ -661,8 +655,7 @@ def translate_corpus(
     with _RunStore(Path(out_dir), targets, resume, restart) as store, \
             closing(_in_order(pairs(store.done), request, params.max_in_flight)) as results:
         for doc, tgt, chunks, chunk_results in results:
-            translated, records = _assemble(doc, tgt, chunks, chunk_results,
-                                            abbreviation_dir)
+            translated, records = _assemble(doc, tgt, chunks, chunk_results)
             store.commit(doc.id, tgt, translated, records)
             manifest.chunk_calls += len(records)
             manifest.oversized_chunks += sum(c.token_count > chunk_limit for c in chunks)

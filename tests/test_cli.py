@@ -159,32 +159,6 @@ def test_a_stage_subcommand_writes_the_manifest_of_that_pipeline_stage(
     assert (out / "manifest.json").read_bytes() == (in_pipeline / "manifest.json").read_bytes()
 
 
-def test_custom_abbreviation_dir_does_not_outlast_the_command(tmp_path):
-    from transmix.segment import split_sentences
-
-    abbreviations = tmp_path / "abbreviations"
-    abbreviations.mkdir()
-    (abbreviations / "en.txt").write_text("xyz.\n", encoding="utf-8")
-    path = tmp_path / "in.jsonl"
-    write_corpus(path, [Document(id="d", lang="en", text="We met Xyz. Smith today. He left.")])
-
-    def oversized_chunks(name, segment):
-        ini = tmp_path / f"{name}.ini"
-        ini.write_text(f"[segment]\nchunk_limit = 4\n{segment}[translate]\ntargets = fr\n",
-                       encoding="utf-8")
-        out = tmp_path / name
-        assert main(["translate", str(path), "--out-dir", str(out), "--config", str(ini)]) == 0
-        return read_manifest(out)["oversized_chunks"]
-
-    # "We met Xyz. Smith today." is one 5-token sentence only when "Xyz." is
-    # an abbreviation, as in the custom list
-    assert oversized_chunks("custom", f"abbreviation_dir = {abbreviations}\n") == 1
-    assert oversized_chunks("bundled", "") == 0
-    # the bundled list, which holds "dr.", is back for the next caller
-    assert [s.text for s in split_sentences("Call Dr. Smith now.", "en")] == \
-        ["Call Dr. Smith now."]
-
-
 def test_filter_subcommand_partitions(tmp_path):
     docs = pipeline_docs(10) + [
         Document(id="tiny", lang="en", text="way too short")]
@@ -308,9 +282,9 @@ def test_mix_refuses_two_sources_of_one_name(tmp_path, capsys):
     ini = tmp_path / "mix.ini"
     ini.write_text(f"[mix]\nsources = a:{a1}, a:{a2}\n", encoding="utf-8")
     out = tmp_path / "mixed"
-    assert main(["mix", "--config", str(ini), "--out-dir", str(out)]) == 1
-    assert "has two sources named 'a'" in capsys.readouterr().err
-    assert not (out / "mixed.jsonl").exists()
+    assert main(["mix", "--config", str(ini), "--out-dir", str(out)]) == 2
+    assert "mix.sources: 'a' is given more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mix_without_sources_is_a_config_error(tmp_path, capsys):

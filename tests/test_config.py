@@ -156,6 +156,25 @@ def test_removed_mix_buffer_size_option_exits_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, option, command", [
+    ("segment", "abbreviation_dir", "translate"), ("quality", "stopword_dir", "filter")])
+@pytest.mark.parametrize("source", ["ini", "env"])
+def test_removed_language_list_option_exits_2(
+        tmp_path, monkeypatch, capsys, section, option, command, source):
+    # the segmenter and the stop-word rule read only the bundled lists
+    path = tmp_path / "pipeline.ini"
+    path.write_text(f"[{section}]\n" + (f"{option} = {tmp_path}\n" if source == "ini" else ""),
+                    encoding="utf-8")
+    env_name = f"TWP_{section}_{option}".upper()
+    if source == "env":
+        monkeypatch.setenv(env_name, str(tmp_path))
+    assert main([command, str(tmp_path / "in.jsonl"), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(path)]) == 2
+    assert (f"{section}.{option}: unknown option" if source == "ini" else
+            f"{env_name}: unknown environment override") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_removed_probe_model_path_option_exits_2(tmp_path, monkeypatch, capsys):
     # the probe always trains its language model from the bundled seeds
     path = tmp_path / "pipeline.ini"
@@ -265,7 +284,12 @@ def test_unknown_env_override_rejected_with_its_name(monkeypatch):
 OUT_OF_RANGE = [("translate", "max_in_flight", "0"), ("translate", "timeout", "0"),
                 ("translate", "temperature", "-1"), ("dedup", "shingle_size", "0"),
                 ("mix", "budget_per_source", "-1"), ("probe", "temperature", "-2"),
-                ("probe", "max_tokens", "-5")]
+                ("probe", "max_tokens", "-5"), ("quality", "min_words", "-1"),
+                ("quality", "min_mean_word_length", "-0.5"),
+                ("quality", "max_symbol_word_ratio", "-0.1"), ("quality", "min_stop_words", "-1"),
+                ("quality", "max_bullet_line_fraction", "1.5"),
+                ("quality", "max_ellipsis_line_fraction", "-0.1"),
+                ("quality", "min_alpha_word_fraction", "1.5")]
 
 
 @pytest.mark.parametrize("section, option, value, source", [
@@ -304,6 +328,43 @@ def test_repeated_target_is_config_error(tmp_path, capsys):
                  "--config", str(path)]) == 2
     assert "translate.targets: 'fr' is given more than once" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("low, high, low_value, high_value", [
+    ("min_words", "max_words", "100", "10"),
+    ("min_mean_word_length", "max_mean_word_length", "6.0", "5.0")])
+def test_quality_maximum_below_its_minimum_is_config_error(
+        tmp_path, capsys, low, high, low_value, high_value):
+    # no document can pass such a rule
+    path = tmp_path / "pipeline.ini"
+    path.write_text(f"[quality]\n{low} = {low_value}\n{high} = {high_value}\n",
+                    encoding="utf-8")
+    message = f"quality.{high}: must be >= quality.{low} ({low_value}), got {high_value}"
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.problems == [message]
+    assert main(["filter", str(tmp_path / "in.jsonl"), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    path.write_text(f"[quality]\n{low} = {low_value}\n{high} = {low_value}\n",
+                    encoding="utf-8")
+    load_config(path)  # a rule whose bounds meet still loads
+
+
+def test_bad_mix_sources_entry_is_config_error(tmp_path, capsys):
+    path = tmp_path / "pipeline.ini"
+    for sources, problem in [
+            ("a:x.jsonl, a:x.jsonl", "mix.sources: 'a' is given more than once"),
+            ("a:", "mix.sources: expected name:path, got 'a:'"),
+            (":x.jsonl", "mix.sources: expected name:path, got ':x.jsonl'")]:
+        path.write_text(f"[mix]\nsources = {sources}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.problems == [problem]
+        assert main(["mix", "--out-dir", str(tmp_path / "out"), "--config", str(path)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_targets_are_the_languages_a_prompt_can_name(tmp_path):

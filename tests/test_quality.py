@@ -94,11 +94,6 @@ def test_stop_word_rule_uses_language_list():
     assert report.keep
 
 
-def test_missing_stopword_list_is_configuration_error():
-    with pytest.raises(FileNotFoundError):
-        load_stopwords("de", data_dir="/nonexistent")
-
-
 def test_repetition_rules_disabled_by_default():
     doc = Document(id="rep", lang="en",
                    text="\n".join(["the same line of decent length here"] * 60))

@@ -257,17 +257,3 @@ class TestChunkDocument:
         doc = Document(id="d", lang="en", text="The harbour lights. The old map.")
         chunks = chunk_document(doc, bpe_counter, limit=6)
         assert sum(len(c.sentences) for c in chunks) == 2
-
-
-def test_custom_abbreviation_dir(tmp_path, ws_counter):
-    (tmp_path / "en.txt").write_text("Xyz.\n", encoding="utf-8")
-    text = "We met Xyz. Smith today. He left."
-    default = [s.text for s in split_sentences(text, "en")]
-    assert default[0] == "We met Xyz."
-    custom = [s.text for s in split_sentences(
-        text, "en", load_abbreviations("en", str(tmp_path)))]
-    assert custom[0] == "We met Xyz. Smith today."
-    doc = Document(id="d", lang="en", text=text)
-    [chunk] = chunk_document(doc, ws_counter, abbreviation_dir=str(tmp_path))
-    assert [s.text for s in chunk.sentences] == custom
-    assert [s.text for s in split_sentences(text, "en")] == default

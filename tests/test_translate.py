@@ -121,12 +121,6 @@ class TestTrimIncomplete:
     def test_empty_input(self):
         assert trim_incomplete("", "en") == ("", 0)
 
-    def test_abbreviation_dir_is_used(self, tmp_path):
-        (tmp_path / "en.txt").write_text("Xyz.\n", encoding="utf-8")
-        raw = "We met Xyz. Smith today"
-        assert trim_incomplete(raw, "en") == ("We met Xyz.", 1)
-        assert trim_incomplete(raw, "en", str(tmp_path)) == ("", 1)
-
     def test_matches_oracle_on_random_fixtures(self):
         rng = random.Random(4)
         alphabet = 'ab A.!?… \n"'
