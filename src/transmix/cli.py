@@ -1,11 +1,11 @@
 """Command-line front-end and end-to-end stage orchestration.
 
-Exit codes: 0 on success, 1 on a stage failure or SIGTERM (partial
-artifacts retained with a FAILED marker in the failing stage's directory,
-and in the run's root for ``pipeline``), 2 on usage or configuration
-errors. Each ``run_*`` stage writes its outputs and returns its manifest;
-``_stage`` alone writes the stage directory's ``resolved_config.json``,
-``FAILED`` and ``manifest.json``, the last only when the stage succeeds.
+Exit codes: 0 on success, 1 on a stage failure or SIGTERM, 2 on usage or
+configuration errors. A failed stage leaves FAILED in its directory, and in
+the run's root for ``pipeline``. Each ``run_*`` stage writes its outputs
+through ``corpus.open_output``, which names a file only once it is whole,
+and returns its manifest; ``_stage`` alone writes ``resolved_config.json``,
+``FAILED`` and, when the stage succeeds, ``manifest.json``.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def _stage(path: Path, config: PipelineConfig, run: Callable[..., dict | None],
 
 
 def _write_json(path: Path, record: dict) -> None:
-    path.write_text(json.dumps(record, indent=2, ensure_ascii=False) + "\n",
-                    encoding="utf-8")
+    with corpus_mod.open_output(path) as fh:
+        fh.write(json.dumps(record, indent=2, ensure_ascii=False) + "\n")
 
 
 # ---- stages ---------------------------------------------------------------
@@ -144,8 +144,8 @@ def run_filter(config: PipelineConfig, input_path: str, stage_dir: Path) -> dict
     # a kept document is written as the line it was read from
     scanned, to_filter = itertools.tee(scan_corpus(input_path, strict=config.strict))
     reports = quality_mod.filter_corpus((doc for _, _, doc in to_filter), config.quality)
-    with open(stage_dir / "kept.jsonl", "w", encoding="utf-8") as kept_fh, \
-            open(stage_dir / "rejected.jsonl", "w", encoding="utf-8") as rej_fh:
+    with corpus_mod.open_output(stage_dir / "kept.jsonl") as kept_fh, \
+            corpus_mod.open_output(stage_dir / "rejected.jsonl") as rej_fh:
         for (_, line, _), (_, report) in zip(scanned, reports):
             counts["in"] += 1
             if report.keep:

@@ -13,6 +13,7 @@ no option is rejected too.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -78,10 +79,18 @@ def _parse_sources(raw: str) -> list[tuple[str, str]]:
     return sources
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):  # NaN passes every range check
+        raise ValueError
+    return value
+
+
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES  # 1/0, true/false, yes/no, on/off
 # the parser of an option that names none, by the type of its default
 _PARSERS = {bool: _parse_as(lambda raw: _BOOLEANS[raw.lower()], "a boolean"),
-            int: _parse_as(int, "an integer"), float: _parse_as(float, "a number"), str: str}
+            int: _parse_as(int, "an integer"), float: _parse_as(_finite, "a finite number"),
+            str: str}
 
 
 def _is_http_url(url: str) -> bool:

@@ -21,10 +21,11 @@ import json
 import os
 import stat
 from array import array
+from contextlib import contextmanager
 from operator import itemgetter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import IO, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "read_corpus",
     "read_at",
     "read_back_lines",
+    "open_output",
     "write_corpus",
     "CorpusStats",
     "LanguageStats",
@@ -284,10 +286,27 @@ def read_back_lines(sources: Sequence[TwoPassCorpus], refs: Iterable[int]) -> It
         yield from lines
 
 
+@contextmanager
+def open_output(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Write ``<path>.partial``, UTF-8 text or binary for ``"wb"``, and rename it
+    to ``path`` on a clean exit; any exception, SystemExit too, deletes it."""
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        raise FileExistsError(f"{path} exists and is not a regular file")
+    partial = f"{path}.partial"
+    fh = open(partial, mode, encoding=None if "b" in mode else "utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
+
+
 def write_corpus(path: str | Path, docs: Iterable[Document | str]) -> int:
     """Write Documents, or lines as read, as JSONL; returns the number written."""
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for doc in docs:
             fh.write((doc if isinstance(doc, str) else doc.to_json()) + "\n")
             n += 1

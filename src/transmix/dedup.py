@@ -39,7 +39,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import Document, open_output
 
 __all__ = [
     "normalize_words",
@@ -359,7 +359,7 @@ class DedupResult:
     params: dict = field(default_factory=dict)
 
     def write_manifest(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output(path) as fh:
             fh.write(json.dumps({"_header": True, **self.params}) + "\n")
             for cluster in self.clusters:
                 fh.write(json.dumps(cluster, ensure_ascii=False) + "\n")

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import Document, open_output
 from .tokenizer import TokenCounter
 
 __all__ = [
@@ -77,7 +77,7 @@ def pack_stream(
     )
     eos = counter.eos_id
     buffer: list[int] = []
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, VERSION, sequence_length, DTYPE_U32))
         for doc in docs:
             ids = counter.encode(doc.text)
@@ -96,9 +96,9 @@ def pack_stream(
                 fh.write(np.asarray(buffer[:cut], dtype="<u4").tobytes())
                 del buffer[:cut]
                 manifest.sequence_count += full
-    manifest.dropped_remainder = len(buffer)
-    if not manifest.identity_holds():
-        raise RuntimeError("token conservation identity violated")
+        manifest.dropped_remainder = len(buffer)
+        if not manifest.identity_holds():
+            raise RuntimeError("token conservation identity violated")
     return manifest
 
 

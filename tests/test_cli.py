@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -29,37 +30,49 @@ def pipeline_docs(count, rng=None):
     return docs
 
 
-# runs ``transmix`` with argv[3:], signing in two workers, and sends itself
-# SIGTERM on entering run_mix ("mix") or on the 100th signature dedup indexes
-# ("dedup"), having written to argv[2] how many child processes it had then
-SIGTERM_AT = """
+# runs ``transmix`` with argv[4:], signing in two workers, and sends itself
+# the signal argv[2] names on entering run_mix ("mix"), on the 100th
+# signature dedup indexes ("dedup") or on the 100th document pack encodes
+# ("pack"), having written to argv[3] how many child processes it had then
+KILL_AT = """
 import multiprocessing, os, signal, sys, time
-from transmix import cli, dedup
+from transmix import cli, dedup, tokenizer
 
 os.sched_getaffinity = lambda pid: {0, 1}
-point, children = sys.argv[1:3]
+point, signame, children = sys.argv[1:4]
 
-def terminate():
+def kill():
     with open(children, "w") as fh:
         fh.write(str(len(multiprocessing.active_children())))
-    os.kill(os.getpid(), signal.SIGTERM)
+    os.kill(os.getpid(), getattr(signal, signame))
     time.sleep(60)
-    sys.exit("SIGTERM did not end the run")
+    sys.exit(f"{signame} did not end the run")
+
+def kill_on_call(cls, name, n):
+    method, calls = getattr(cls, name), []
+
+    def counted(*args):
+        calls.append(None)
+        if len(calls) == n:
+            kill()
+        return method(*args)
+
+    setattr(cls, name, counted)
 
 if point == "mix":
-    cli.run_mix = lambda *args: terminate()
-else:
-    append, calls = dedup.LshIndex._append, []
-
-    def counted(self, doc_id):
-        calls.append(doc_id)
-        if len(calls) == 100:
-            terminate()
-        return append(self, doc_id)
-
-    dedup.LshIndex._append = counted
-sys.exit(cli.main(sys.argv[3:]))
+    cli.run_mix = lambda *args: kill()
+elif point == "dedup":
+    kill_on_call(dedup.LshIndex, "_append", 100)
+else:  # only pack encodes
+    kill_on_call(tokenizer.WhitespaceCounter, "encode", 100)
+sys.exit(cli.main(sys.argv[4:]))
 """
+
+
+def tree_bytes(root):
+    """The bytes of every file under ``root``, by its path relative to it."""
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def running_with(text):
@@ -387,6 +400,7 @@ def test_pack_identity_violation_fails_the_stage(tmp_path, small_corpus, monkeyp
     assert main(["pack", str(small_corpus), "--out-dir", str(out)]) == 1
     assert "token conservation identity violated" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["FAILED", "resolved_config.json"]
 
 
 def test_probe_subcommand_with_echo_backend_records_zero_obtained(tmp_path):
@@ -553,9 +567,9 @@ class TestPipeline:
             assert not (out / stage / "FAILED").exists()
         assert not (out / "05_pack").exists()
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
-    @pytest.mark.parametrize("point, stage", [("mix", "04_mix"), ("dedup", "02_dedup")])
-    def test_sigterm_marks_the_stage_and_the_run_root(self, tmp_path, point, stage):
+    def kill_pipeline_at(self, tmp_path, point, signame):
+        """Runs ``pipeline`` on 150 documents into ``tmp_path / "run"`` in a
+        child that sends itself ``signame`` at ``point`` (see KILL_AT)."""
         in_path = tmp_path / "in.jsonl"
         write_corpus(in_path, pipeline_docs(150))
         out = tmp_path / "run"
@@ -563,9 +577,16 @@ class TestPipeline:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
             str(Path(transmix.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
-            [sys.executable, "-c", SIGTERM_AT, point, str(children),
+            [sys.executable, "-c", KILL_AT, point, signame, str(children),
              "pipeline", str(in_path), "--out-dir", str(out), "--seed", "7"],
             env=env, capture_output=True, text=True, timeout=300)
+        return proc, out, children
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    @pytest.mark.parametrize("point, stage", [
+        ("mix", "04_mix"), ("dedup", "02_dedup"), ("pack", "05_pack")])
+    def test_sigterm_marks_the_stage_and_the_run_root(self, tmp_path, point, stage):
+        proc, out, children = self.kill_pipeline_at(tmp_path, point, "SIGTERM")
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.endswith("terminated by SIGTERM\n")
         for marked in (out, out / stage):
@@ -573,6 +594,32 @@ class TestPipeline:
         assert not (out / stage / "manifest.json").exists()
         assert int(children.read_text()) == (2 if point == "dedup" else 0)
         assert running_with(str(out)) == []
+        # the stage removed what it had half written
+        assert not (out / "05_pack" / "tokens.bin").exists()
+        assert list(out.rglob("*.partial")) == []
+
+    def test_sigkill_in_pack_leaves_no_tokens_file_and_resume_finishes(self, tmp_path):
+        proc, out, _ = self.kill_pipeline_at(tmp_path, "pack", "SIGKILL")
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        assert not (out / "05_pack" / "tokens.bin").exists()
+        assert (out / "05_pack" / "tokens.bin.partial").exists()
+
+        in_path = str(tmp_path / "in.jsonl")
+        assert main(["pipeline", in_path, "--out-dir", str(out), "--seed", "7",
+                     "--resume"]) == 0
+        clean = tmp_path / "clean"
+        assert main(["pipeline", in_path, "--out-dir", str(clean), "--seed", "7"]) == 0
+        resumed, expected = tree_bytes(out), tree_bytes(clean)
+        assert [name for name in resumed if name.endswith(".partial")] == []
+        # a resume counts only this invocation's translations
+        per_invocation = ("ok", "skipped_resume", "chunk_calls")
+        translate = [json.loads(files.pop("03_translate/manifest.json"))
+                     for files in (resumed, expected)]
+        for manifest in translate:
+            for key in per_invocation:
+                manifest.pop(key)
+        assert translate[0] == translate[1]
+        assert resumed == expected
 
     def test_seed_changes_pack_output(self, tmp_path):
         _, out_a = self.run_pipeline(tmp_path, "runA", seed="7")
@@ -684,7 +731,7 @@ def test_dedup_refuses_an_input_changed_between_passes(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["dedup", str(path), "--out-dir", str(out)]) == 1
     assert "changed between reads" in (out / "FAILED").read_text()
-    assert (out / "kept.jsonl").read_text() == ""
+    assert not (out / "kept.jsonl").exists()
 
     # same size and mtime, other text: the documents read again do not match
     write_corpus(path, pipeline_docs(12))

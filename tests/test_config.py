@@ -318,6 +318,30 @@ def test_out_of_range_option_is_config_error(
     assert not (tmp_path / "out").exists()
 
 
+FLOAT_OPTIONS = [("translate", "timeout"), ("translate", "temperature"),
+                 ("translate", "backoff"), ("dedup", "threshold"), ("probe", "temperature"),
+                 ("quality", "min_mean_word_length"), ("quality", "max_mean_word_length"),
+                 ("quality", "max_symbol_word_ratio"), ("quality", "max_bullet_line_fraction"),
+                 ("quality", "max_ellipsis_line_fraction"), ("quality", "min_alpha_word_fraction")]
+
+
+@pytest.mark.parametrize("section, option", FLOAT_OPTIONS)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["ini", "env"])
+def test_a_float_option_that_is_not_finite_exits_2(
+        tmp_path, monkeypatch, capsys, section, option, value, source):
+    # NaN passes every range check, and a backoff of inf overflows time.sleep
+    path = tmp_path / "pipeline.ini"
+    path.write_text(f"[{section}]\n" + (f"{option} = {value}\n" if source == "ini" else ""),
+                    encoding="utf-8")
+    if source == "env":
+        monkeypatch.setenv(f"TWP_{section}_{option}".upper(), value)
+    assert main(["filter", str(tmp_path / "in.jsonl"), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(path)]) == 2
+    assert f"{section}.{option}: not a finite number: '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_repeated_target_is_config_error(tmp_path, capsys):
     path = tmp_path / "pipeline.ini"
     path.write_text("[translate]\ntargets = fr, de, fr\n", encoding="utf-8")

@@ -15,6 +15,7 @@ from transmix.corpus import (
     compute_stats,
     consistent,
     implied_doc_count,
+    open_output,
     read_at,
     read_back_lines,
     read_corpus,
@@ -118,6 +119,55 @@ def test_unicode_survives_round_trip(tmp_path):
     write_corpus(path, [doc])
     assert "Grüße" in path.read_text(encoding="utf-8")  # not escaped
     assert list(read_corpus(path)) == [doc]
+
+
+def text_in_mode(mode, text):
+    return text.encode("utf-8") if mode == "wb" else text
+
+
+@pytest.mark.parametrize("mode", ["w", "wb"])
+def test_open_output_names_the_file_once_it_is_written(tmp_path, mode):
+    path = tmp_path / "out.jsonl"
+    with open_output(path, mode) as fh:
+        fh.write(text_in_mode(mode, "Grüße\n"))
+        assert not path.exists()
+    assert path.read_bytes() == "Grüße\n".encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+
+@pytest.mark.parametrize("mode", ["w", "wb"])
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_open_output_that_fails_leaves_the_earlier_file(tmp_path, mode, error):
+    path = tmp_path / "out.jsonl"
+    with open_output(path, mode) as fh:
+        fh.write(text_in_mode(mode, "first\n"))
+    with pytest.raises(error):
+        with open_output(path, mode) as fh:
+            fh.write(text_in_mode(mode, "second, torn"))
+            raise error
+    assert path.read_bytes() == b"first\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo", "symlink"])
+def test_open_output_refuses_a_target_that_is_not_a_regular_file(tmp_path, kind):
+    # a rename would replace it, as it would replace the link /dev/stdout
+    path = tmp_path / "out"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(path)
+    else:
+        (tmp_path / "target").write_text("kept\n", encoding="utf-8")
+        path.symlink_to("target")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(FileExistsError, match="not a regular file"):
+        with open_output(path):
+            pass
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert {"directory": path.is_dir, "fifo": path.is_fifo, "symlink": path.is_symlink}[kind]()
+    if kind == "symlink":
+        assert path.read_text(encoding="utf-8") == "kept\n"
 
 
 def reference_read_corpus(path, strict=False, on_error=None):
