@@ -8,7 +8,7 @@ union-find clustering. All randomness derives from one seed, recorded in the
 cluster manifest so runs are comparable.
 
 ``dedup_corpus`` reads its documents once and keeps no text once signed:
-forked workers, one per CPU, sign batches of 64 (see ``_signed_batches``).
+``_forkpool`` signs batches of 64 in forked workers, at most one per batch.
 Each language has one LSH index, the one store of its ids and signature
 rows: each signature is copied into a 1 KB ``uint64`` row of one 256-row
 block in RAM. Full blocks go to a temporary file under ``TMPDIR`` (a
@@ -23,22 +23,18 @@ signatures, kept ids and manifests depend on neither layout nor workers.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import multiprocessing
 import os
-import signal
 import tempfile
-import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from collections import defaultdict, deque
+from collections import defaultdict
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._forkpool import ordered_map
 from .corpus import Document, open_output
 
 __all__ = [
@@ -395,8 +391,8 @@ def dedup_corpus(
     removed: set[str] = set()
     clusters: list[dict] = []
     failed: list[Exception] = []
-    batches = _signed_batches(_read_batches(docs, order, failed), partial(
-        _sign_batch, seed=seed, shingle_size=shingle_size, exact=exact))
+    batches = ordered_map(partial(_sign_batch, seed=seed, shingle_size=shingle_size,
+                                  exact=exact), _read_batches(docs, order, failed))
     try:
         for keys, sigs, shingles in batches:
             for (doc_id, lang), sig in zip(keys, sigs):
@@ -468,48 +464,6 @@ def _sign_batch(batch: list, seed: int, shingle_size: int, exact: bool) -> tuple
             _sign_into(arrays[-1] if exact else shingles, seed, sigs[len(keys)], scratch)
             keys.append((doc_id, lang))
     return keys, sigs[:len(keys)], arrays
-
-
-def _signed_batches(batches: Iterator[list], sign: Callable[[list], tuple]) -> Iterator[tuple]:
-    """``sign(batch)`` for each batch, in order: from a second batch on in
-    forked workers, one per CPU in the affinity mask, two batches a worker
-    in flight, if the platform can fork and no other thread runs (it could
-    deadlock the child). Closing it cancels unstarted batches, stops workers."""
-    head = list(itertools.islice(batches, 2))
-    forkable = (len(head) == 2 and threading.active_count() == 1
-                and hasattr(os, "sched_getaffinity")
-                and "fork" in multiprocessing.get_all_start_methods())
-    workers = len(os.sched_getaffinity(0)) if forkable else 1
-    batches = itertools.chain(head, batches)
-    if workers == 1:
-        yield from map(sign, batches)
-        return
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker)
-    pending: deque = deque()  # futures, oldest first
-    try:
-        for batch in batches:
-            pending.append(pool.submit(sign, batch))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        for future in pending:
-            yield future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _start_worker() -> None:
-    """Leave Ctrl-C to the parent, end at SIGTERM whatever handler the parent
-    set, and exit once the parent is gone."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    threading.Thread(target=_exit_with_parent, daemon=True).start()
-
-
-def _exit_with_parent() -> None:
-    # returns once the parent's end of a pipe closes (later workers hold it too)
-    multiprocessing.parent_process().join()
-    os._exit(1)
 
 
 def _dedup_group(index: LshIndex, shingles: list[np.ndarray] | None, seed: int,

@@ -511,6 +511,10 @@ def _journal_entry(obj) -> tuple[str, str, bool] | None:
     return (doc_id, tgt, status == "ok") if valid else None
 
 
+_COMMIT_PAIRS = 256  # pairs held before a commit flushes them
+_COMMIT_SECONDS = 1.0  # or seconds since the last flush
+
+
 class _RunStore(ExitStack):
     """The files of one translate run, open for appending until the store is
     closed: an output corpus per target, ``failures.jsonl`` and the journal.
@@ -565,23 +569,38 @@ class _RunStore(ExitStack):
                         for tgt, p in out_paths.items()}
         self.failures = self.enter_context(open(failures_path, "a", encoding="utf-8"))
         self.journal = self.enter_context(open(journal_path, "a", encoding="utf-8"))
+        self._held: list[str] = []  # journal lines of the pairs not yet flushed
+        self._flushed_at = time.monotonic()
+        self.callback(self.flush)  # runs before the files close, on an error too
 
     def commit(self, doc_id: str, tgt: str, translated: Document | None,
                records: list[TranslationRecord]) -> None:
-        """Write and flush a pair's output line (none if it failed) and its
-        failure lines, and only then its journal line."""
+        """Write a pair's output line (none if it failed) and its failure
+        lines, and hold its journal line until ``flush``, which also runs
+        when the store closes."""
         if translated is not None:
             self.outputs[tgt].write(translated.to_json() + "\n")
-            self.outputs[tgt].flush()
         for record in records:
             if record.status != "ok":
                 self.failures.write(json.dumps({"target": tgt, **asdict(record)},
                                                ensure_ascii=False) + "\n")
-                self.failures.flush()
         status = "ok" if translated is not None else "failed"
-        self.journal.write(json.dumps(
+        self._held.append(json.dumps(
             {"doc_id": doc_id, "target": tgt, "status": status}) + "\n")
+        if (len(self._held) >= _COMMIT_PAIRS
+                or time.monotonic() - self._flushed_at >= _COMMIT_SECONDS):
+            self.flush()
+
+    def flush(self) -> None:
+        """Flush the output and failure lines of the held pairs, and only
+        then write and flush their journal lines, so that no journal line
+        reaches the OS before the lines it vouches for."""
+        for fh in [*self.outputs.values(), self.failures]:
+            fh.flush()
+        held, self._held = self._held, []  # so an error below cannot write them twice
+        self.journal.write("".join(held))
         self.journal.flush()
+        self._flushed_at = time.monotonic()
 
 
 @dataclass
@@ -618,8 +637,9 @@ def translate_corpus(
     spans documents and targets, and the input is read only as the window
     needs refilling, so memory is bounded by the window. A (doc, target)
     pair is committed once all its chunks are back and every earlier pair
-    is committed: its output line and failure lines are flushed, then its
-    line in ``journal.jsonl``.
+    is committed: its output line and failure lines are written, and its
+    line in ``journal.jsonl`` only after they are flushed (see
+    ``_RunStore.commit``), at the latest when the run ends or fails.
 
     Journaled pairs are skipped on resume, which first cuts every file back
     to what the journal vouches for (``_RunStore``), so interrupted runs

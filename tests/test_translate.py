@@ -1,12 +1,18 @@
 """Translation pipeline tests: prompts, trimming, reassembly, resume."""
 
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
+import transmix
 from transmix.corpus import Document, read_corpus, write_corpus
 from transmix.segment import CLOSERS, TERMINALS, load_abbreviations, split_sentences
 from transmix.translate import (
@@ -822,6 +828,58 @@ class TestRequestWindow:
                          out_dir, resume=True, counter=ws_counter, params=FAST,
                          sleep=NO_SLEEP)
         assert (out_dir / "fr.jsonl").read_bytes() == (ref_dir / "fr.jsonl").read_bytes()
+
+
+# translates argv[1] into fr and de under argv[2], flushing every three
+# pairs, and kills itself with SIGKILL at the journal write of the third
+# flush: after that flush's output lines, before its journal lines
+KILLED_TRANSLATE = """
+import os, signal, sys
+from transmix import translate
+from transmix.tokenizer import WhitespaceCounter
+
+translate._COMMIT_PAIRS, translate._COMMIT_SECONDS = 3, 3600.0
+open_store = translate._RunStore.__init__
+
+def killing_store(self, *args):
+    open_store(self, *args)
+    write, calls = self.journal.write, []
+
+    def killing_write(text):
+        calls.append(text)
+        if len(calls) == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return write(text)
+
+    self.journal.write = killing_write
+
+translate._RunStore.__init__ = killing_store
+translate.translate_corpus(
+    sys.argv[1], ["fr", "de"], translate.MockEchoBackend(translate.PromptTemplate()),
+    sys.argv[2], counter=WhitespaceCounter(), chunk_limit=5,
+    params=translate.GenerationParams(retries=1, backoff=0.0, max_in_flight=8))
+"""
+
+
+def test_kill_between_output_and_journal_flush_resumes_like_serial(tmp_path, ws_counter):
+    in_path = corpus_of(tmp_path, 12)
+    names = ["fr.jsonl", "de.jsonl", "journal.jsonl", "failures.jsonl"]
+    ref_dir, out_dir = tmp_path / "serial", tmp_path / "killed"
+    translate_corpus(in_path, ["fr", "de"], MockEchoBackend(PromptTemplate()), ref_dir,
+                     counter=ws_counter, chunk_limit=5, params=FAST, sleep=NO_SLEEP)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(transmix.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", KILLED_TRANSLATE, str(in_path),
+                            str(out_dir)], env=env, timeout=60)
+    assert child.returncode == -signal.SIGKILL
+    lines = {name: len((out_dir / name).read_bytes().splitlines()) for name in names}
+    # two flushes journaled; the third flush's output lines are on disk
+    assert lines["journal.jsonl"] == 6
+    assert lines["fr.jsonl"] + lines["de.jsonl"] == 9
+    translate_corpus(in_path, ["fr", "de"], MockEchoBackend(PromptTemplate()), out_dir,
+                     resume=True, counter=ws_counter, chunk_limit=5, params=WINDOW,
+                     sleep=NO_SLEEP)
+    assert outputs(out_dir, names) == outputs(ref_dir, names)
 
 
 @pytest.mark.parametrize("backend_cls", [MockEchoBackend, MockCipherBackend])
