@@ -164,6 +164,11 @@ class PipelineConfig:
                     problems.append(f"{name}: required when tokenizer = bpe")
                 elif not Path(value).exists():
                     problems.append(f"{name}: file not found: {value}")
+            if not problems:  # so a malformed file fails before any stage runs
+                try:
+                    self.make_counter()
+                except (OSError, ValueError) as exc:
+                    problems.append(f"corpus.tokenizer: bpe: {exc}")
         if self.backend not in BACKEND_KINDS:
             problems.append(
                 f"translate.backend: {self.backend!r} not in {BACKEND_KINDS}")

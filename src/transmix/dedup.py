@@ -1,7 +1,8 @@
 """MinHash near-duplicate detection with LSH banding.
 
 Texts are normalized (lowercased, punctuation stripped, whitespace
-collapsed) and shingled into word 5-grams hashed to 64 bits. Signatures are
+collapsed; the ``str.translate`` table is a ``BoundedMemo`` of up to 65,536
+code points) and shingled into word 5-grams hashed to 64 bits. Signatures are
 128 per-permutation minima; banding at 16 bands x 8 rows generates candidate
 pairs, which are confirmed against the similarity threshold before
 union-find clustering. All randomness derives from one seed, recorded in the
@@ -36,6 +37,7 @@ import numpy as np
 
 from ._forkpool import ordered_map
 from .corpus import Document, open_output
+from .tokenizer import BoundedMemo
 
 __all__ = [
     "normalize_words",
@@ -60,23 +62,14 @@ DEFAULT_THRESHOLD = 0.8
 _DROP_CAP = 65_536
 
 
-class _DropTable(dict):
-    """``str.translate`` table deleting every character that is ``_`` or
-    neither alphanumeric nor whitespace, and keeping the rest.
-
-    A pure memo of at most ``_DROP_CAP`` code points: past the cap, a
-    character's entry is computed on each lookup and not stored.
-    """
-
-    def __missing__(self, code: int) -> int | None:
-        ch = chr(code)
-        entry = code if ch != "_" and (ch.isalnum() or ch.isspace()) else None
-        if len(self) < _DROP_CAP:
-            self[code] = entry
-        return entry
+def _kept_code(code: int) -> int | None:
+    """A code point's ``str.translate`` entry: None deletes ``_`` and every
+    character that is neither alphanumeric nor whitespace."""
+    ch = chr(code)
+    return code if ch != "_" and (ch.isalnum() or ch.isspace()) else None
 
 
-_DROP = _DropTable()
+_DROP = BoundedMemo(_kept_code, _DROP_CAP)
 
 
 def normalize_words(text: str) -> list[str]:

@@ -9,6 +9,7 @@ little-endian uint32 token ids.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,7 +103,9 @@ def pack_stream(
     return manifest
 
 
-def _read_header(fh) -> tuple[int, int]:
+def _read_header(fh) -> int:
+    """The sequence length of an open pack file, once its header is valid and
+    its payload a whole number of sequences."""
     raw = fh.read(HEADER.size)
     if len(raw) < HEADER.size:
         raise PackFormatError("file too short for header")
@@ -113,7 +116,15 @@ def _read_header(fh) -> tuple[int, int]:
         raise PackFormatError(f"unsupported version {version}")
     if dtype != DTYPE_U32:
         raise PackFormatError(f"unsupported token dtype code {dtype}")
-    return seq_len, dtype
+    if seq_len < 2:
+        raise PackFormatError(f"header sequence length {seq_len} is below 2")
+    payload_bytes = os.fstat(fh.fileno()).st_size - HEADER.size
+    seq_bytes = seq_len * DTYPE_U32
+    if payload_bytes % seq_bytes != 0:
+        raise PackFormatError(
+            f"truncated file: {payload_bytes} payload bytes is not a "
+            f"multiple of {seq_bytes}")
+    return seq_len
 
 
 def unpack_inspect(
@@ -129,20 +140,16 @@ def unpack_inspect(
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        seq_len, _ = _read_header(fh)
+        seq_len = _read_header(fh)
         if expected_length is not None and seq_len != expected_length:
             raise PackFormatError(
                 f"header sequence length {seq_len} != expected {expected_length}")
-        payload_bytes = path.stat().st_size - HEADER.size
         seq_bytes = seq_len * DTYPE_U32
-        if payload_bytes % seq_bytes != 0:
-            raise PackFormatError(
-                f"truncated file: {payload_bytes} payload bytes is not a "
-                f"multiple of {seq_bytes}")
-        available = payload_bytes // seq_bytes
         out: list[list[int]] = []
-        for _ in range(min(n, available)):
+        for _ in range(n):
             raw = fh.read(seq_bytes)
+            if not raw:
+                break
             if len(raw) < seq_bytes:
                 raise PackFormatError("unexpected EOF inside a sequence")
             out.append(np.frombuffer(raw, dtype="<u4").astype(int).tolist())
@@ -150,8 +157,9 @@ def unpack_inspect(
 
 
 def sequence_count(path: str | Path) -> int:
-    """Number of complete sequences stored in a pack file."""
+    """Number of sequences stored in a pack file; raises PackFormatError
+    where ``unpack_inspect`` does, on a truncated payload too."""
     path = Path(path)
     with open(path, "rb") as fh:
-        seq_len, _ = _read_header(fh)
+        seq_len = _read_header(fh)
     return (path.stat().st_size - HEADER.size) // (seq_len * DTYPE_U32)

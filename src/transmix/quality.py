@@ -3,6 +3,8 @@
 Rules run in a fixed order and every active rule is measured even after the
 first failure, so reports are complete enough to audit threshold choices.
 Words are maximal non-whitespace runs; alphabetic means Unicode letter.
+A ``BoundedMemo`` keeps each word's features, up to 100,000 distinct words,
+and ``filter_corpus`` shares one across its corpus.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .corpus import Document
+from .tokenizer import WORD_MEMO_CAP, BoundedMemo
 
 __all__ = [
     "RuleConfig",
@@ -31,12 +34,6 @@ BASE_RULES = ("word_count", "mean_word_length", "symbol_word_ratio", "bullet_lin
               "ellipsis_line_fraction", "alpha_word_fraction", "stop_words")
 
 _DATA_DIR = Path(__file__).parent / "data" / "stopwords"
-
-# most distinct words a word cache holds, so a stream of unique words cannot
-# grow it unbounded
-_WORD_CACHE_CAP = 100_000
-# word -> (length, has a letter, stop-word key); the same in every language
-WordCache = dict[str, tuple[int, bool, str]]
 
 
 @dataclass(frozen=True)
@@ -115,17 +112,22 @@ def _strip_edges(word: str) -> str:
     return word.strip("\"'.,;:!?()[]{}«»“”‘’-")
 
 
+def _word_features(word: str) -> tuple[int, bool, str]:
+    """(length, has a letter, stop-word key); the same in every language."""
+    return len(word), any(c.isalpha() for c in word), _strip_edges(word).lower()
+
+
 def gopher_filter(doc: Document, rules: RuleConfig | None = None,
                   stopwords: frozenset[str] | None = None,
-                  word_cache: WordCache | None = None) -> QualityReport:
+                  word_memo: BoundedMemo | None = None) -> QualityReport:
     """Evaluate every active rule against one document.
 
-    ``word_cache`` keeps per-word features across calls, up to 100,000
-    words; ``filter_corpus`` passes one dict for its whole corpus.
+    ``word_memo`` keeps per-word features across calls; ``filter_corpus``
+    passes one for its whole corpus.
     """
     rules = rules or RuleConfig()
-    if word_cache is None:
-        word_cache = {}
+    if word_memo is None:
+        word_memo = BoundedMemo(_word_features, WORD_MEMO_CAP)
     if stopwords is None:
         stopwords = load_stopwords(doc.lang)
 
@@ -144,13 +146,7 @@ def gopher_filter(doc: Document, rules: RuleConfig | None = None,
     total_len = alpha_words = 0
     distinct_stops: set[str] = set()
     for word, count in Counter(words).items():
-        features = word_cache.get(word)
-        if features is None:
-            features = (len(word), any(c.isalpha() for c in word),
-                        _strip_edges(word).lower())
-            if len(word_cache) < _WORD_CACHE_CAP:
-                word_cache[word] = features
-        length, has_alpha, key = features
+        length, has_alpha, key = word_memo[word]
         total_len += length * count
         if has_alpha:
             alpha_words += count
@@ -217,6 +213,6 @@ def filter_corpus(
     their relative order.
     """
     rules = rules or RuleConfig()
-    word_cache: WordCache = {}
+    word_memo = BoundedMemo(_word_features, WORD_MEMO_CAP)
     for doc in docs:
-        yield doc, gopher_filter(doc, rules, load_stopwords(doc.lang), word_cache)
+        yield doc, gopher_filter(doc, rules, load_stopwords(doc.lang), word_memo)

@@ -2,7 +2,8 @@
 
 Every counter is deterministic, exposes a reserved EOS id for document
 separation, and carries a fingerprint so downstream artifacts can record
-which tokenizer produced their counts.
+which tokenizer produced their counts. ``BoundedMemo`` is the package's one
+bounded memo: of word ids here, word features in quality, code points in dedup.
 """
 
 from __future__ import annotations
@@ -20,8 +21,24 @@ __all__ = [
 _WORD_END = "</w>"
 _UNK = "<unk>"
 _EOS = "<eos>"
-# most words a counter caches, so a stream of unique words cannot grow it unbounded
-_WORD_CACHE_CAP = 100_000
+# most keys a per-word memo holds, so a stream of unique words cannot grow it
+WORD_MEMO_CAP = 100_000
+
+
+class BoundedMemo(dict):
+    """``fn(key)`` for each key looked up, stored while it holds fewer than
+    ``cap`` keys; past the cap, a missing key's value is computed each time."""
+
+    def __init__(self, fn, cap: int) -> None:
+        super().__init__()
+        self.fn = fn
+        self.cap = cap
+
+    def __missing__(self, key):
+        value = self.fn(key)
+        if len(self) < self.cap:
+            self[key] = value
+        return value
 
 
 class TokenCounter:
@@ -43,8 +60,8 @@ class WhitespaceCounter(TokenCounter):
 
     Token ids are stable 32-bit hashes of the word; id 0 is reserved for EOS.
     Good enough for packing and budget arithmetic when no BPE files are at
-    hand, not reversible. Ids are cached per counter, up to
-    ``_WORD_CACHE_CAP`` distinct words, so a repeated word is hashed once.
+    hand, not reversible. Each counter memoizes the ids of up to
+    ``WORD_MEMO_CAP`` distinct words, so a repeated word is hashed once.
     """
 
     mode = "whitespace"
@@ -52,21 +69,13 @@ class WhitespaceCounter(TokenCounter):
     def __init__(self) -> None:
         self.eos_id = 0
         self.fingerprint = "ws:1"
-        self._word_cache: dict[str, int] = {}
+        self._word_ids = BoundedMemo(_word_id, WORD_MEMO_CAP)
 
     def count(self, text: str) -> int:
         return len(text.split())
 
     def encode(self, text: str) -> list[int]:
-        ids: list[int] = []
-        for word in text.split():
-            cached = self._word_cache.get(word)
-            if cached is None:
-                cached = _word_id(word)
-                if len(self._word_cache) < _WORD_CACHE_CAP:
-                    self._word_cache[word] = cached
-            ids.append(cached)
-        return ids
+        return list(map(self._word_ids.__getitem__, text.split()))
 
 
 def _word_id(word: str) -> int:
@@ -104,31 +113,26 @@ class BpeCounter(TokenCounter):
         for rank, line in enumerate(merges_bytes.decode("utf-8").splitlines()):
             if not line:
                 continue
-            left, right = line.split(" ")
-            self.merge_ranks[(left, right)] = rank
+            pair = tuple(line.split(" "))
+            if len(pair) != 2 or not all(pair):
+                raise ValueError(f"merges line {rank + 1} is not two symbols separated "
+                                 f"by one space: {line!r} in {merges_path}")
+            self.merge_ranks[pair] = rank
 
         self.unk_id = self.token_to_id[_UNK]
         self.eos_id = self.token_to_id[_EOS]
         h = hashlib.blake2b(vocab_bytes + b"\x00" + merges_bytes, digest_size=8)
         self.fingerprint = "bpe:" + h.hexdigest()
-        self._word_cache: dict[str, list[int]] = {}
+        self._word_ids = BoundedMemo(self._encode_word, WORD_MEMO_CAP)
 
     def count(self, text: str) -> int:
         return len(self.encode(text))
 
     def encode(self, text: str) -> list[int]:
-        ids: list[int] = []
-        for word in text.split():
-            cached = self._word_cache.get(word)
-            if cached is None:
-                cached = [
-                    self.token_to_id.get(sym, self.unk_id)
-                    for sym in self._bpe_word(word)
-                ]
-                if len(self._word_cache) < _WORD_CACHE_CAP:
-                    self._word_cache[word] = cached
-            ids.extend(cached)
-        return ids
+        return [i for word in text.split() for i in self._word_ids[word]]
+
+    def _encode_word(self, word: str) -> list[int]:
+        return [self.token_to_id.get(sym, self.unk_id) for sym in self._bpe_word(word)]
 
     def _bpe_word(self, word: str) -> list[str]:
         symbols = list(word) + [_WORD_END]

@@ -15,6 +15,7 @@ import transmix
 from transmix.cli import main
 from transmix.corpus import Document, read_corpus, write_corpus
 from transmix.pack import PackManifest, unpack_inspect
+from transmix.tokenizer import bundled_bpe_paths
 
 from conftest import seed_lines
 
@@ -131,6 +132,21 @@ def test_config_error_exits_2(tmp_path, capsys):
     bad.write_text("[translate]\nbackend = warp\n", encoding="utf-8")
     assert main(["stats", "x.jsonl", "--config", str(bad)]) == 2
     assert "translate.backend" in capsys.readouterr().err
+
+
+def test_malformed_bpe_merges_exit_2_before_any_stage(tmp_path, capsys):
+    vocab, merges = bundled_bpe_paths()
+    bad = tmp_path / "merges.txt"
+    bad.write_text(merges.read_text(encoding="utf-8") + "a b c\n", encoding="utf-8")
+    ini = tmp_path / "bpe.ini"
+    ini.write_text(f"[corpus]\ntokenizer = bpe\nbpe_vocab = {vocab}\nbpe_merges = {bad}\n",
+                   encoding="utf-8")
+    corpus = tmp_path / "in.jsonl"
+    write_corpus(corpus, pipeline_docs(5))
+    out = tmp_path / "run"
+    assert main(["pipeline", str(corpus), "--config", str(ini), "--out-dir", str(out)]) == 2
+    assert f"'a b c' in {bad}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_input_is_stage_failure(tmp_path):

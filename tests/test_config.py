@@ -93,6 +93,17 @@ def test_bpe_tokenizer_requires_existing_files(tmp_path):
     assert config.make_counter().mode == "bpe"
 
 
+def test_validate_builds_a_counter_only_for_bpe(monkeypatch):
+    built = []
+    monkeypatch.setattr(PipelineConfig, "make_counter",
+                        lambda self: built.append(self.tokenizer))
+    PipelineConfig().validate()
+    assert built == []
+    vocab, merges = bundled_bpe_paths()
+    PipelineConfig(tokenizer="bpe", bpe_vocab=str(vocab), bpe_merges=str(merges)).validate()
+    assert built == ["bpe"]
+
+
 def test_instruction_override_validated(tmp_path):
     path = tmp_path / "pipeline.ini"
     path.write_text(

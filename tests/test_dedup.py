@@ -35,6 +35,7 @@ from transmix.dedup import (
     shingle_set,
     signature,
 )
+from transmix.tokenizer import BoundedMemo
 
 NUM_HASHES = 128
 
@@ -951,12 +952,15 @@ def test_signing_workers_exit_when_their_parent_is_killed(tmp_path):
 
 
 def test_normalize_memo_stops_at_its_cap():
+    assert isinstance(dedup._DROP, BoundedMemo) and dedup._DROP.cap == 65_536
     # every code point, so the table sees far more than its cap
     text = "".join(map(chr, range(0x110000)))
-    words = normalize_words(text)
-    assert len(dedup._DROP) == dedup._DROP_CAP
-    assert normalize_words(text) == words  # past the cap, entries are computed
-    assert len(dedup._DROP) == dedup._DROP_CAP
+    lowered = text.lower()
+    expected = "".join(c for c in lowered
+                       if c != "_" and (c.isalnum() or c.isspace())).split()
+    for _ in range(2):  # past the cap, entries are computed on each lookup
+        assert normalize_words(text) == expected
+        assert len(dedup._DROP) == 65_536
 
 
 def test_dedup_corpus_memory_per_document_is_bounded():

@@ -8,6 +8,10 @@ import pytest
 
 from transmix.corpus import Document
 from transmix.pack import (
+    DTYPE_U32,
+    HEADER,
+    MAGIC,
+    VERSION,
     PackFormatError,
     PackManifest,
     pack_stream,
@@ -161,6 +165,23 @@ class TestUnpackInspect:
         path.write_bytes(b"TWPK")
         with pytest.raises(PackFormatError, match="short"):
             unpack_inspect(path, 1)
+
+    def test_readers_agree_on_a_cut_file(self, ws_counter, tmp_path):
+        # 63 whole sequences, then the last one cut 10 bytes short
+        path = tmp_path / "tokens.bin"
+        manifest = pack_stream([doc_of(63 * 16 - 1)], ws_counter, path, sequence_length=16)
+        assert manifest.sequence_count == sequence_count(path) == 63
+        path.write_bytes(path.read_bytes()[:-10])
+        for read in (sequence_count, lambda p: unpack_inspect(p, 63)):
+            with pytest.raises(PackFormatError, match="truncated"):
+                read(path)
+
+    def test_header_sequence_length_below_two(self, tmp_path):
+        path = tmp_path / "zero.bin"
+        path.write_bytes(HEADER.pack(MAGIC, VERSION, 0, DTYPE_U32))
+        for read in (sequence_count, lambda p: unpack_inspect(p, 1)):
+            with pytest.raises(PackFormatError, match="below 2"):
+                read(path)
 
     def test_sequence_count_helper(self, ws_counter, tmp_path):
         path = tmp_path / "t.bin"

@@ -304,15 +304,25 @@ def test_reports_equal_three_pass_reference_on_seed_documents():
 
 
 def test_word_cache_stops_at_its_cap(monkeypatch):
-    monkeypatch.setattr(quality, "_WORD_CACHE_CAP", 5)
-    words = [f"Word{i}," for i in range(60)] + ["the", "and", "of"] * 5
+    memos = []
+    real = quality.gopher_filter
+
+    def spy(doc, rules, stopwords, word_memo):
+        memos.append(word_memo)
+        return real(doc, rules, stopwords, word_memo)
+
+    monkeypatch.setattr(quality, "gopher_filter", spy)
+    # the stop words come last, past the cap
+    words = [f"Word{i}," for i in range(100_060)] + ["the", "and", "of"] * 5
     doc = Document(id="capped", lang="en", text=" ".join(words))
-    stops = load_stopwords("en")
-    cache = {}
-    for _ in range(2):  # the second pass reads the cached words back
-        report = gopher_filter(doc, RuleConfig(), stops, cache)
-        assert report.to_dict() == reference_gopher_filter(doc, RuleConfig(), stops).to_dict()
-        assert len(cache) == 5
+    expected = reference_gopher_filter(doc, RuleConfig(), load_stopwords("en")).to_dict()
+    assert expected["keep"] is False and expected["rules"][-1]["value"] == 3.0
+    # the second document reads the stored words back
+    for _, report in filter_corpus([doc, doc]):
+        assert report.to_dict() == expected
+        assert len(memos[-1]) == 100_000
+    assert memos[0] is memos[1] and memos[0].cap == 100_000
+    assert "the" not in memos[0]
 
 
 def test_filter_corpus_shares_one_word_cache(monkeypatch):

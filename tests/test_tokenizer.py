@@ -1,11 +1,13 @@
 """Token counter tests, including an independent rank-order BPE oracle."""
 
 import random
+import re
 
 import pytest
 
 from transmix import tokenizer
 from transmix.tokenizer import (
+    BoundedMemo,
     BpeCounter,
     WhitespaceCounter,
     _word_id,
@@ -84,14 +86,15 @@ class TestWhitespaceCounter:
             assert ws_counter.encode(text) == [_word_id(w) for w in text.split()]
             assert ws_counter.encode(text) == [_word_id(w) for w in text.split()]
 
-    def test_word_cache_never_grows_past_its_cap(self, monkeypatch):
-        monkeypatch.setattr(tokenizer, "_WORD_CACHE_CAP", 50)
+    def test_word_cache_never_grows_past_its_cap(self):
         counter = WhitespaceCounter()
-        words = [f"w{i}" for i in range(200)]
+        assert counter._word_ids.cap == tokenizer.WORD_MEMO_CAP == 100_000
+        words = [f"w{i}" for i in range(100_050)]
         text = " ".join(words)
-        for _ in range(2):
+        for _ in range(2):  # past the cap, the second pass hashes again
             assert counter.encode(text) == [_word_id(w) for w in words]
-            assert len(counter._word_cache) == 50
+            assert len(counter._word_ids) == 100_000
+        assert "w99999" in counter._word_ids and "w100000" not in counter._word_ids
         assert counter.fingerprint == "ws:1"
 
     def test_concat_count_monotone(self, ws_counter):
@@ -143,9 +146,44 @@ class TestBpeCounter:
         merges.write_text("a b\n", encoding="utf-8")
         assert BpeCounter(vocab, merges).fingerprint != small.fingerprint
 
+    def test_word_memo_stops_at_its_cap(self, bpe_counter):
+        counter = BpeCounter(*bundled_bpe_paths())
+        assert counter._word_ids.cap == 100_000
+        words = [f"w{i}" for i in range(100_050)]
+        first = counter.encode(" ".join(words))
+        assert len(counter._word_ids) == 100_000
+        merges = load_merges()
+        past_cap = [counter.token_to_id.get(sym, counter.unk_id)
+                    for w in words[-50:] for sym in oracle_bpe_tokens(w, merges)]
+        assert first[-len(past_cap):] == past_cap
+        assert counter.encode(" ".join(words)) == first
+        assert len(counter._word_ids) == 100_000
+        assert counter.fingerprint == bpe_counter.fingerprint
+
+    @pytest.mark.parametrize("line", ["a b c", "ab", "a  b", "a "])
+    def test_malformed_merges_line_names_file_and_line(self, tmp_path, line):
+        vocab, merges = tmp_path / "v.txt", tmp_path / "m.txt"
+        vocab.write_text("<unk>\n<eos>\na\nb\n", encoding="utf-8")
+        merges.write_text(f"a b\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3 .*" + re.escape(f"{line!r} in {merges}")):
+            BpeCounter(vocab, merges)
+
     def test_missing_specials_rejected(self, tmp_path):
         (tmp_path / "v.txt").write_text("a\nb\n", encoding="utf-8")
         (tmp_path / "m.txt").write_text("a b\n", encoding="utf-8")
         with pytest.raises(ValueError, match="<unk>"):
             BpeCounter(tmp_path / "v.txt", tmp_path / "m.txt")
 
+
+def test_bounded_memo_stores_at_most_cap_keys():
+    calls = []
+
+    def square(key):
+        calls.append(key)
+        return key * key
+
+    memo = BoundedMemo(square, 3)
+    assert [memo[k] for k in (1, 2, 1, 3, 4, 4, 2)] == [1, 4, 1, 9, 16, 16, 4]
+    # each stored key is computed once; 4, past the cap, on each lookup
+    assert calls == [1, 2, 3, 4, 4]
+    assert memo == {1: 1, 2: 4, 3: 9}
