@@ -3,7 +3,9 @@ validation up front. ``transmix`` writes ``asdict`` of the resolved config
 as ``resolved_config.json`` in every stage directory.
 
 The fields of ``PipelineConfig`` are the table of options, each with its INI
-section and option, default and parser; ``load_config`` rejects any other key.
+section and option, default, parser and range, stated once; the ``[quality]``
+options are the fields of ``quality.RuleConfig``, which states theirs.
+``load_config`` rejects any other key.
 Any option can be overridden with ``TWP_<SECTION>_<OPTION>`` environment
 variables (e.g. ``TWP_DEDUP_THRESHOLD=0.85``), which is how cluster batch
 jobs inject settings without editing files; a ``TWP_`` variable that names
@@ -102,10 +104,12 @@ def _is_http_url(url: str) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
-def _opt(section: str, default: Any, option: str = "", parse: Callable | None = None) -> Any:
-    """A field set by ``[section] option``, which defaults to the field's name."""
+def _opt(section: str, default: Any, option: str = "", parse: Callable | None = None,
+         low: float | None = None) -> Any:
+    """A field set by ``[section] option``, which defaults to the field's name;
+    ``validate`` checks that its value is at least ``low``."""
     meta = {"section": section, "option": option,
-            "parse": parse or _PARSERS[type(default)]}
+            "parse": parse or _PARSERS[type(default)], "low": low}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=meta)
     return field(default=default, metadata=meta)
@@ -118,7 +122,7 @@ class PipelineConfig:
     tokenizer: str = _opt("corpus", "whitespace")
     bpe_vocab: str = _opt("corpus", "")
     bpe_merges: str = _opt("corpus", "")
-    chunk_limit: int = _opt("segment", DEFAULT_CHUNK_LIMIT)
+    chunk_limit: int = _opt("segment", DEFAULT_CHUNK_LIMIT, low=1)
     targets: list[str] = _opt("translate", ["fr", "de", "es"], parse=_parse_list)
     backend: str = _opt("translate", "mock-echo")
     endpoint: str = _opt("translate", "")
@@ -127,30 +131,25 @@ class PipelineConfig:
     http_timeout: float = _opt("translate", DEFAULT_HTTP_TIMEOUT, "timeout")
     # these [translate] fields are GenerationParams, with its defaults
     max_tokens: int = _opt("translate", GenerationParams.max_tokens)
-    temperature: float = _opt("translate", GenerationParams.temperature)
-    retries: int = _opt("translate", GenerationParams.retries)
-    backoff: float = _opt("translate", GenerationParams.backoff)
-    max_in_flight: int = _opt("translate", GenerationParams.max_in_flight)
+    temperature: float = _opt("translate", GenerationParams.temperature, low=0)
+    retries: int = _opt("translate", GenerationParams.retries, low=1)
+    backoff: float = _opt("translate", GenerationParams.backoff, low=0)
+    max_in_flight: int = _opt("translate", GenerationParams.max_in_flight, low=1)
     wrapper_open: str = _opt("translate", PromptTemplate.wrapper_open)
     wrapper_close: str = _opt("translate", PromptTemplate.wrapper_close)
     instruction: str = _opt("translate", "")
-    # [quality] sets these RuleConfig fields, with RuleConfig's defaults
-    quality: RuleConfig = field(default_factory=RuleConfig, metadata={
-        "section": "quality", "rules": (
-            "min_words", "max_words", "min_mean_word_length",
-            "max_mean_word_length", "max_symbol_word_ratio",
-            "max_bullet_line_fraction", "max_ellipsis_line_fraction",
-            "min_alpha_word_fraction", "min_stop_words", "check_repetition")})
+    # [quality] sets each RuleConfig field, with RuleConfig's defaults and ranges
+    quality: RuleConfig = field(default_factory=RuleConfig)
     dedup_threshold: float = _opt("dedup", DEFAULT_THRESHOLD, "threshold")
     dedup_bands: int = _opt("dedup", BANDS, "bands")
     dedup_rows: int = _opt("dedup", ROWS, "rows")
-    shingle_size: int = _opt("dedup", SHINGLE_SIZE)
+    shingle_size: int = _opt("dedup", SHINGLE_SIZE, low=1)
     mix_budget_per_source: int = _opt("mix", 0, "budget_per_source")  # 0 = smallest source total
     mix_sources: list[tuple[str, str]] = _opt("mix", [], "sources", _parse_sources)
-    sequence_length: int = _opt("pack", DEFAULT_SEQUENCE_LENGTH)
-    probe_n: int = _opt("probe", DEFAULT_PROBE_N, "n")
-    probe_max_tokens: int = _opt("probe", DEFAULT_PROBE_MAX_TOKENS, "max_tokens")
-    probe_temperature: float = _opt("probe", DEFAULT_PROBE_TEMPERATURE, "temperature")
+    sequence_length: int = _opt("pack", DEFAULT_SEQUENCE_LENGTH, low=2)
+    probe_n: int = _opt("probe", DEFAULT_PROBE_N, "n", low=1)
+    probe_max_tokens: int = _opt("probe", DEFAULT_PROBE_MAX_TOKENS, "max_tokens", low=1)
+    probe_temperature: float = _opt("probe", DEFAULT_PROBE_TEMPERATURE, "temperature", low=0)
 
     def validate(self) -> None:
         problems: list[str] = []
@@ -187,33 +186,17 @@ class PipelineConfig:
                               ("mix.sources", [name for name, _ in self.mix_sources])]:
             problems += [f"{option}: {item!r} is given more than once"
                          for item in sorted({item for item in items if items.count(item) > 1})]
-        rules = self.quality
-        at_least = [("segment.chunk_limit", self.chunk_limit, 1),
-                    ("translate.retries", self.retries, 1),
-                    ("translate.backoff", self.backoff, 0),
-                    ("translate.temperature", self.temperature, 0),
-                    ("translate.max_in_flight", self.max_in_flight, 1),
-                    ("dedup.shingle_size", self.shingle_size, 1),
-                    ("pack.sequence_length", self.sequence_length, 2),
-                    ("probe.n", self.probe_n, 1),
-                    ("probe.max_tokens", self.probe_max_tokens, 1),
-                    ("probe.temperature", self.probe_temperature, 0),
-                    ("quality.min_words", rules.min_words, 0),
-                    ("quality.min_mean_word_length", rules.min_mean_word_length, 0),
-                    ("quality.max_symbol_word_ratio", rules.max_symbol_word_ratio, 0),
-                    ("quality.min_stop_words", rules.min_stop_words, 0)]
-        problems += [f"{name}: must be >= {low}, got {value}"
-                     for name, value, low in at_least if value < low]
+        for section, option, name, _, is_rule, low, high in _OPTIONS:
+            value = getattr(self.quality if is_rule else self, name)
+            if high is not None and not low <= value <= high:
+                problems.append(f"{section}.{option}: must be in [{low}, {high}], got {value}")
+            elif low is not None and value < low:
+                problems.append(f"{section}.{option}: must be >= {low}, got {value}")
         for low, high in [("min_words", "max_words"),
                           ("min_mean_word_length", "max_mean_word_length")]:
-            least, most = getattr(rules, low), getattr(rules, high)
+            least, most = getattr(self.quality, low), getattr(self.quality, high)
             if most < least:
                 problems.append(f"quality.{high}: must be >= quality.{low} ({least}), got {most}")
-        for name in ("max_bullet_line_fraction", "max_ellipsis_line_fraction",
-                     "min_alpha_word_fraction"):
-            value = getattr(rules, name)
-            if not 0 <= value <= 1:
-                problems.append(f"quality.{name}: must be in [0, 1], got {value}")
         if self.max_tokens < 0:
             problems.append(
                 f"translate.max_tokens: must be >= 0 (0 = twice the chunk limit), "
@@ -267,17 +250,19 @@ class PipelineConfig:
                                    for f in fields(GenerationParams)})
 
 
-def _options() -> Iterator[tuple[str, str, str, Callable[[str], Any], bool]]:
-    """(section, option, field, parse, is_rule) for each option of the table;
-    a rule option sets a field of ``PipelineConfig.quality``."""
-    rule_types = {f.name: type(f.default) for f in fields(RuleConfig)}
+def _options() -> Iterator[tuple[str, str, str, Callable[[str], Any], bool,
+                                  float | None, float | None]]:
+    """(section, option, field, parse, is_rule, low, high) for each option of
+    the table; a rule option sets a field of ``PipelineConfig.quality``."""
     for f in fields(PipelineConfig):
-        meta = f.metadata
-        if "rules" in meta:
-            yield from ((meta["section"], name, name, _PARSERS[rule_types[name]], True)
-                        for name in meta["rules"])
+        if f.name == "quality":
+            yield from (("quality", rule.name, rule.name, _PARSERS[type(rule.default)], True,
+                         rule.metadata.get("low"), rule.metadata.get("high"))
+                        for rule in fields(RuleConfig))
         else:
-            yield meta["section"], meta["option"] or f.name, f.name, meta["parse"], False
+            meta = f.metadata
+            yield (meta["section"], meta["option"] or f.name, f.name, meta["parse"], False,
+                   meta["low"], None)
 
 
 _OPTIONS = list(_options())
@@ -309,7 +294,7 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
                  if name.startswith(ENV_PREFIX + "_") and name not in _ENV_NAMES]
     values: dict[str, Any] = {}
     rules: dict[str, Any] = {}
-    for (section, option, name, parse, is_rule), env_name in zip(_OPTIONS, _ENV_NAMES):
+    for (section, option, name, parse, is_rule, *_), env_name in zip(_OPTIONS, _ENV_NAMES):
         raw = os.environ.get(env_name, parser.get(section, option, fallback=None))
         try:
             if raw is not None:

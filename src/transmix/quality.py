@@ -3,6 +3,8 @@
 Rules run in a fixed order and every active rule is measured even after the
 first failure, so reports are complete enough to audit threshold choices.
 Words are maximal non-whitespace runs; alphabetic means Unicode letter.
+The fields of ``RuleConfig`` are the ``[quality]`` options, each with its
+default and range; the repetition rules use fixed 0.3 thresholds.
 A ``BoundedMemo`` keeps each word's features, up to 100,000 distinct words,
 and ``filter_corpus`` shares one across its corpus.
 """
@@ -32,28 +34,32 @@ BULLET_CHARS = ("•", "‣", "▪", "-", "*")
 # the rules every document is measured by, in report order
 BASE_RULES = ("word_count", "mean_word_length", "symbol_word_ratio", "bullet_line_fraction",
               "ellipsis_line_fraction", "alpha_word_fraction", "stop_words")
+# the repetition rules' fixed thresholds
+MAX_DUPLICATE_LINE_FRACTION = 0.3
+MAX_DUPLICATE_PARAGRAPH_FRACTION = 0.3
 
 _DATA_DIR = Path(__file__).parent / "data" / "stopwords"
+_AT_LEAST_0 = {"low": 0}
+_FRACTION = {"low": 0, "high": 1}
 
 
 @dataclass(frozen=True)
 class RuleConfig:
-    """Thresholds for the quality rules; the repetition rules can be
-    switched on."""
+    """Thresholds for the quality rules, each a ``[quality]`` option whose
+    metadata holds its range (``low``, and ``high`` where it has one); the
+    repetition rules can be switched on."""
 
-    min_words: int = 50
+    min_words: int = field(default=50, metadata=_AT_LEAST_0)
     max_words: int = 100_000
-    min_mean_word_length: float = 3.0
+    min_mean_word_length: float = field(default=3.0, metadata=_AT_LEAST_0)
     max_mean_word_length: float = 10.0
-    max_symbol_word_ratio: float = 0.1
-    max_bullet_line_fraction: float = 0.9
-    max_ellipsis_line_fraction: float = 0.3
-    min_alpha_word_fraction: float = 0.8
-    min_stop_words: int = 2
+    max_symbol_word_ratio: float = field(default=0.1, metadata=_AT_LEAST_0)
+    max_bullet_line_fraction: float = field(default=0.9, metadata=_FRACTION)
+    max_ellipsis_line_fraction: float = field(default=0.3, metadata=_FRACTION)
+    min_alpha_word_fraction: float = field(default=0.8, metadata=_FRACTION)
+    min_stop_words: int = field(default=2, metadata=_AT_LEAST_0)
     # repetition rules are off by default; enable for noisy web dumps
     check_repetition: bool = False
-    max_duplicate_line_fraction: float = 0.3
-    max_duplicate_paragraph_fraction: float = 0.3
 
     def active_rules(self) -> tuple[str, ...]:
         if self.check_repetition:
@@ -184,11 +190,11 @@ def gopher_filter(doc: Document, rules: RuleConfig | None = None,
     if rules.check_repetition:
         dup_line = _duplicate_fraction(lines)
         measured["duplicate_line_fraction"] = (
-            dup_line, dup_line <= rules.max_duplicate_line_fraction)
+            dup_line, dup_line <= MAX_DUPLICATE_LINE_FRACTION)
         paragraphs = [p.strip() for p in doc.text.split("\n\n") if p.strip()]
         dup_para = _duplicate_fraction(paragraphs)
         measured["duplicate_paragraph_fraction"] = (
-            dup_para, dup_para <= rules.max_duplicate_paragraph_fraction)
+            dup_para, dup_para <= MAX_DUPLICATE_PARAGRAPH_FRACTION)
 
     report = QualityReport(doc_id=doc.id)
     for rule in rules.active_rules():

@@ -84,6 +84,13 @@ def _word_id(word: str) -> int:
     return 1 + int.from_bytes(digest, "little") % (2**32 - 1)
 
 
+def _decode(data: bytes, path: Path) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # a bare one names no file
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 class BpeCounter(TokenCounter):
     """Word-internal BPE driven by plain-text vocab and merges files.
 
@@ -103,14 +110,14 @@ class BpeCounter(TokenCounter):
         merges_bytes = merges_path.read_bytes()
 
         self.token_to_id: dict[str, int] = {}
-        for i, line in enumerate(vocab_bytes.decode("utf-8").splitlines()):
+        for i, line in enumerate(_decode(vocab_bytes, vocab_path).splitlines()):
             if line:
                 self.token_to_id[line] = i
         if _UNK not in self.token_to_id or _EOS not in self.token_to_id:
             raise ValueError(f"vocab must define {_UNK} and {_EOS}: {vocab_path}")
 
         self.merge_ranks: dict[tuple[str, str], int] = {}
-        for rank, line in enumerate(merges_bytes.decode("utf-8").splitlines()):
+        for rank, line in enumerate(_decode(merges_bytes, merges_path).splitlines()):
             if not line:
                 continue
             pair = tuple(line.split(" "))

@@ -15,6 +15,7 @@ import queue
 import sys
 import threading
 import time
+import urllib.error
 import urllib.request
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -113,6 +114,7 @@ def build_prompt(chunk: Chunk | str, src: str, tgt: str,
 class BackendResult:
     text: str | None = None
     error: str | None = None
+    retryable: bool = True  # whether the same request may succeed if sent again
 
     @property
     def ok(self) -> bool:
@@ -214,7 +216,10 @@ class HttpCompletionBackend:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 body = json.loads(resp.read().decode("utf-8"))
         except Exception as exc:  # noqa: BLE001 - network errors become typed failures
-            return BackendResult(error=f"{type(exc).__name__}: {exc}")
+            # a 4xx other than 429 (too many requests) refuses the request itself
+            final = (isinstance(exc, urllib.error.HTTPError)
+                     and 400 <= exc.code < 500 and exc.code != 429)
+            return BackendResult(error=f"{type(exc).__name__}: {exc}", retryable=not final)
         try:
             value = _walk_path(body, self.response_path)
         except (KeyError, IndexError, TypeError):
@@ -253,13 +258,14 @@ def complete_with_retries(
     backoff: float = 1.0,
     sleep: Callable[[float], None] = time.sleep,
 ) -> BackendResult:
-    """Call the backend up to ``retries`` times with exponential backoff."""
+    """Call the backend up to ``retries`` times with exponential backoff;
+    a result that is not retryable is returned at once."""
     result = BackendResult(error="no attempts made")
     delay = backoff
     for attempt in range(max(1, retries)):
         result = backend.complete(prompt, max_tokens=max_tokens,
                                   temperature=temperature)
-        if result.ok:
+        if result.ok or not result.retryable:
             return result
         if attempt + 1 < retries:
             sleep(delay)

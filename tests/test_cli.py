@@ -149,6 +149,17 @@ def test_malformed_bpe_merges_exit_2_before_any_stage(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bpe_merges_that_are_not_utf8_exit_2_naming_the_file(tmp_path, capsys):
+    vocab, merges = bundled_bpe_paths()
+    bad = tmp_path / "merges.txt"
+    bad.write_bytes(merges.read_bytes() + b"caf\xe9 s\n")
+    ini = tmp_path / "bpe.ini"
+    ini.write_text(f"[corpus]\ntokenizer = bpe\nbpe_vocab = {vocab}\nbpe_merges = {bad}\n",
+                   encoding="utf-8")
+    assert main(["stats", str(tmp_path / "in.jsonl"), "--config", str(ini)]) == 2
+    assert f"corpus.tokenizer: bpe: {bad}: not UTF-8 text (" in capsys.readouterr().err
+
+
 def test_missing_input_is_stage_failure(tmp_path):
     assert main(["filter", str(tmp_path / "ghost.jsonl"),
                  "--out-dir", str(tmp_path / "out")]) == 1

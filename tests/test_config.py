@@ -10,6 +10,7 @@ import pytest
 from transmix.cli import main
 from transmix.config import ConfigError, PipelineConfig, load_config
 from transmix.config import _OPTIONS
+from transmix.quality import RuleConfig
 from transmix.tokenizer import bundled_bpe_paths
 from transmix.translate import LANGUAGE_NAMES, GenerationParams, MockCipherBackend, MockEchoBackend
 
@@ -327,6 +328,43 @@ def test_out_of_range_option_is_config_error(
     assert main(args) == 2
     assert f"{section}.{option}: must be " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+BOUNDS = [(section, option, is_rule, name, side, bound)
+          for section, option, name, _, is_rule, low, high in _OPTIONS
+          for side, bound in (("low", low), ("high", high)) if bound is not None]
+
+
+@pytest.mark.parametrize("section, option, is_rule, name, side, bound", BOUNDS,
+                         ids=[f"{s}.{o}-{side}" for s, o, _, _, side, _ in BOUNDS])
+@pytest.mark.parametrize("source", ["ini", "env"])
+def test_a_value_just_past_a_declared_bound_exits_2(
+        tmp_path, monkeypatch, capsys, section, option, is_rule, name, side, bound, source):
+    default = getattr(PipelineConfig().quality if is_rule else PipelineConfig(), name)
+    step = 1 if isinstance(default, int) else 0.01
+    path = tmp_path / "pipeline.ini"
+
+    def set_option(value):
+        path.write_text(f"[{section}]\n" + (f"{option} = {value}\n" if source == "ini" else ""),
+                        encoding="utf-8")
+        if source == "env":
+            monkeypatch.setenv(f"TWP_{section}_{option}".upper(), str(value))
+
+    set_option(bound - step if side == "low" else bound + step)
+    assert main(["filter", str(tmp_path / "in.jsonl"), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(path)]) == 2
+    assert f"{section}.{option}: must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    set_option(bound)
+    config = load_config(path)
+    assert getattr(config.quality if is_rule else config, name) == bound
+
+
+def test_quality_options_are_the_rule_config_fields():
+    assert [(section, option, name) for section, option, name, _, is_rule, *_ in _OPTIONS
+            if is_rule] == [("quality", f.name, f.name) for f in fields(RuleConfig)]
+    assert not [option for section, option, _, _, is_rule, *_ in _OPTIONS
+                if section == "quality" and not is_rule]
 
 
 FLOAT_OPTIONS = [("translate", "timeout"), ("translate", "temperature"),

@@ -7,6 +7,8 @@ import pytest
 from transmix import quality
 from transmix.corpus import Document
 from transmix.quality import (
+    MAX_DUPLICATE_LINE_FRACTION,
+    MAX_DUPLICATE_PARAGRAPH_FRACTION,
     QualityReport,
     RuleConfig,
     RuleResult,
@@ -243,10 +245,10 @@ def reference_gopher_filter(doc, rules, stopwords):
         def dup(items):
             return (len(items) - len(set(items))) / len(items) if items else 0.0
         measured["duplicate_line_fraction"] = (
-            dup(lines), dup(lines) <= rules.max_duplicate_line_fraction)
+            dup(lines), dup(lines) <= MAX_DUPLICATE_LINE_FRACTION)
         paragraphs = [p.strip() for p in doc.text.split("\n\n") if p.strip()]
         measured["duplicate_paragraph_fraction"] = (
-            dup(paragraphs), dup(paragraphs) <= rules.max_duplicate_paragraph_fraction)
+            dup(paragraphs), dup(paragraphs) <= MAX_DUPLICATE_PARAGRAPH_FRACTION)
     report = QualityReport(doc_id=doc.id)
     for rule in rules.active_rules():
         value, passed = measured[rule]

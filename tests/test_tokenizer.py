@@ -168,6 +168,17 @@ class TestBpeCounter:
         with pytest.raises(ValueError, match="line 3 .*" + re.escape(f"{line!r} in {merges}")):
             BpeCounter(vocab, merges)
 
+    @pytest.mark.parametrize("bad", ["vocab", "merges"])
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, bad):
+        paths = {"vocab": tmp_path / "v.txt", "merges": tmp_path / "m.txt"}
+        paths["vocab"].write_text("<unk>\n<eos>\na\nb\n", encoding="utf-8")
+        paths["merges"].write_text("a b\n", encoding="utf-8")
+        paths[bad].write_bytes(paths[bad].read_bytes() + "caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(ValueError) as err:
+            BpeCounter(paths["vocab"], paths["merges"])
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(f"{paths[bad]}: not UTF-8 text (")
+
     def test_missing_specials_rejected(self, tmp_path):
         (tmp_path / "v.txt").write_text("a\nb\n", encoding="utf-8")
         (tmp_path / "m.txt").write_text("a b\n", encoding="utf-8")

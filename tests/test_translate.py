@@ -932,10 +932,11 @@ def completion_server():
             length = int(self.headers["Content-Length"])
             body = json.loads(self.rfile.read(length).decode("utf-8"))
             received.append(body)
-            if "FAIL" in body["prompt"]:
-                self.send_response(500)
-                self.end_headers()
-                return
+            for marker, status in (("FAIL", 500), ("REFUSE", 400)):
+                if marker in body["prompt"]:
+                    self.send_response(status)
+                    self.end_headers()
+                    return
             payload = {"choices": [{"text": "Une réponse complète."}]}
             data = json.dumps(payload).encode("utf-8")
             self.send_response(200)
@@ -969,6 +970,20 @@ class TestHttpBackend:
         backend = HttpCompletionBackend(server.url, model="m")
         result = backend.complete("FAIL please")
         assert not result.ok and "500" in result.error
+
+    @pytest.mark.parametrize("prompt, status, requests, delays", [
+        ("FAIL please", "500", 3, [1.0, 2.0]),  # a server error may pass on a retry
+        ("REFUSE please", "400", 1, []),  # a 400 refuses the request itself
+    ])
+    def test_only_retryable_http_errors_are_retried(self, completion_server,
+                                                     prompt, status, requests, delays):
+        server, received = completion_server
+        backend = HttpCompletionBackend(server.url, model="m")
+        slept = []
+        result = complete_with_retries(backend, prompt, 10, 0.0, retries=3, backoff=1.0,
+                                       sleep=slept.append)
+        assert not result.ok and status in result.error
+        assert (len(received), slept) == (requests, delays)
 
     def test_bad_response_path(self, completion_server):
         server, _ = completion_server
