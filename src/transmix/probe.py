@@ -65,8 +65,9 @@ class NgramLanguageModel:
         self.totals: dict[str, dict[int, int]] = {}
         self.vocab_sizes: dict[int, int] = {}
         # Smoothed log-probabilities, one column per language in ``languages``
-        # order. Each order has a row per gram seen in any language, by
-        # ascending gram code, then a row for unseen grams. None while stale.
+        # order, plus a zero column when the number of languages is odd. Each
+        # order has a row per gram seen in any language, by ascending gram code,
+        # then a row for unseen grams. None while stale.
         self._table: np.ndarray | None = None
         self._row_tables: _RowTables | None = None  # each gram's row; None until finalized
 
@@ -103,7 +104,7 @@ class NgramLanguageModel:
             tallies = [self._tallies[lang][n] for lang in languages]
             seen = _distinct(np.sort(np.concatenate([codes for codes, _ in tallies])))
             self.vocab_sizes[n] = 1 + len(seen)
-            block = np.empty((len(seen) + 1, len(languages)))
+            block = np.zeros((len(seen) + 1, len(languages) + len(languages) % 2))
             for col, (lang, (codes, counts)) in enumerate(zip(languages, tallies)):
                 denom = self.totals[lang][n] + self.vocab_sizes[n]
                 block[:, col] = math.log(1 / denom)
@@ -129,7 +130,8 @@ class NgramLanguageModel:
         return {lang: total / len(text) for lang, total in zip(self.languages, totals)}
 
     def _totals(self, text: str) -> list[float]:
-        """Per-language sums of the text's gram log-probabilities.
+        """Per-language sums of the text's gram log-probabilities, and a 0.0
+        for the pad column, if any.
 
         Each sum adds one gram at a time, the 1-grams in text order, then the
         2-grams, then the 3-grams, as a per-gram loop would, so every total is
@@ -141,7 +143,7 @@ class NgramLanguageModel:
         tables = self._row_tables
         rows = np.empty(3 * min(len(text), block), dtype=np.int32)
         filled = 0
-        total = np.zeros(self._table.shape[1])
+        total = np.zeros(self._table.shape[1] // 2, dtype=np.complex128)
         ranked = -1, None  # a block's start and its characters' ranks, for every order
         for n in NGRAM_ORDERS:
             for start in range(0, len(text) - n + 1, block):
@@ -154,12 +156,15 @@ class NgramLanguageModel:
                 if ranked[0] != start:
                     ranked = start, tables._ranks(text[start:start + block + 2])
                 tables.fill(n, ranked[1], out)
-        return self._accumulate(total, rows[:filled]).tolist()
+        return self._accumulate(total, rows[:filled]).view(np.float64).tolist()
 
     def _accumulate(self, total: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        values = self._table.take(rows, axis=0)
+        # A sequential running sum, two languages a lane: a complex add is one
+        # IEEE add of the real parts and one of the imaginary parts, so every
+        # total is the same float as a float64 running sum's, in half the
+        # latency-bound steps. A pairwise sum would change the last bits.
+        values = self._table.view(np.complex128).take(rows, axis=0)
         values[0] += total
-        # a sequential running sum: a pairwise sum would change the last bits
         return np.add.accumulate(values, axis=0, out=values)[-1]
 
 
@@ -430,27 +435,30 @@ def detect_translation_pair(
     if len(prefixes) >= 2:
         return True, {"rule": "name_prefix", "names": sorted(prefixes)}
 
-    # (b) tab-separated bilingual line
+    # (b) tab-separated bilingual line; the right side is classified only
+    # when the left side is a language
     for i, line in enumerate(lines):
         if "\t" not in line:
             continue
         left, _, right = line.partition("\t")
         left_score = classify_language(left.strip(" *-"), model)
+        if left_score.label == "other":
+            continue
         right_score = classify_language(right.strip(" *-"), model)
-        if (left_score.label != "other" and right_score.label != "other"
-                and left_score.label != right_score.label):
+        if right_score.label not in ("other", left_score.label):
             return True, {"rule": "tab_bilingual", "line": i,
                           "labels": [left_score.label, right_score.label]}
 
-    # (c) blocks alternating between two confidently-labeled languages
+    # (c) blocks alternating between two confidently-labeled languages; the
+    # blocks are classified in order, up to the first one that breaks the rule
     blocks = [b.strip() for b in text.split("\n\n") if b.strip()]
-    if len(blocks) >= 2:
-        labeled = [classify_language(b, model) for b in blocks]
-        langs = {s.label for s in labeled}
-        if (len(langs) == 2 and "other" not in langs
-                and all(s.margin >= BLOCK_MARGIN for s in labeled)
-                and all(labeled[i].label != labeled[i + 1].label
-                        for i in range(len(labeled) - 1))):
-            return True, {"rule": "alternating_blocks", "labels": sorted(langs)}
-
-    return False, None
+    if len(blocks) < 2:
+        return False, None
+    labels: list[str] = []
+    for block in blocks:
+        score = classify_language(block, model)
+        if (score.label == "other" or score.margin < BLOCK_MARGIN
+                or labels[-1:] == [score.label] or len({*labels, score.label}) > 2):
+            return False, None
+        labels.append(score.label)
+    return True, {"rule": "alternating_blocks", "labels": sorted(set(labels))}

@@ -115,6 +115,7 @@ class BackendResult:
     text: str | None = None
     error: str | None = None
     retryable: bool = True  # whether the same request may succeed if sent again
+    retry_after: float | None = None  # seconds a 429 or 503 asked the client to wait
 
     @property
     def ok(self) -> bool:
@@ -219,7 +220,8 @@ class HttpCompletionBackend:
             # a 4xx other than 429 (too many requests) refuses the request itself
             final = (isinstance(exc, urllib.error.HTTPError)
                      and 400 <= exc.code < 500 and exc.code != 429)
-            return BackendResult(error=f"{type(exc).__name__}: {exc}", retryable=not final)
+            return BackendResult(error=f"{type(exc).__name__}: {exc}", retryable=not final,
+                                 retry_after=_retry_after(exc))
         try:
             value = _walk_path(body, self.response_path)
         except (KeyError, IndexError, TypeError):
@@ -229,6 +231,17 @@ class HttpCompletionBackend:
             return BackendResult(
                 error=f"field at {self.response_path!r} is not a string")
         return BackendResult(text=value)
+
+
+def _retry_after(exc: Exception) -> float | None:
+    """The seconds of a 429 or 503 response's ``Retry-After`` header. None
+    for other errors, and for an HTTP-date or a malformed value. Ten digits
+    or more (31 years or more) count as malformed, since ``time.sleep``
+    refuses the largest of them."""
+    if not (isinstance(exc, urllib.error.HTTPError) and exc.code in (429, 503)):
+        return None
+    value = (exc.headers.get("Retry-After") or "").strip()
+    return float(value) if value.isascii() and value.isdigit() and len(value) < 10 else None
 
 
 def _walk_path(obj, path: str):
@@ -258,8 +271,9 @@ def complete_with_retries(
     backoff: float = 1.0,
     sleep: Callable[[float], None] = time.sleep,
 ) -> BackendResult:
-    """Call the backend up to ``retries`` times with exponential backoff;
-    a result that is not retryable is returned at once."""
+    """Call the backend up to ``retries`` times with exponential backoff,
+    waiting at least the ``retry_after`` a failed result asks for; a result
+    that is not retryable is returned at once."""
     result = BackendResult(error="no attempts made")
     delay = backoff
     for attempt in range(max(1, retries)):
@@ -268,7 +282,7 @@ def complete_with_retries(
         if result.ok or not result.retryable:
             return result
         if attempt + 1 < retries:
-            sleep(delay)
+            sleep(max(delay, result.retry_after or 0.0))
             delay *= 2
     return result
 

@@ -215,6 +215,32 @@ def test_text_longer_than_a_block_scores_like_per_gram_logs(model, reference, he
     assert_scores_equal_reference(model, reference, [text[:probe._BLOCK + 1000]])
 
 
+@pytest.fixture(scope="module", params=[1, 2, 3, 4], ids=lambda k: f"{k}langs")
+def sized_model(request):
+    """A model of the first 1, 2, 3 or 4 languages, and its reference scoring:
+    a table of an odd number of languages carries a zero pad column."""
+    train, _ = split_seeds()
+    calls = [(lang, train[lang]) for lang in LANGS[:request.param]]
+    return trained(sorted(calls)), Reference(sorted(calls))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64, probe._BLOCK])
+def test_two_languages_per_lane_score_like_per_gram_logs_bit_for_bit(
+        block, sized_model, held_out, monkeypatch):
+    model, reference = sized_model
+    monkeypatch.setattr(probe, "_BLOCK", block)
+    # past one block, the running totals are carried between blocks
+    longer = " ".join(itertools.islice(itertools.cycle(held_out["fr"]), 400))[:block + 1000]
+    texts = EDGE_TEXTS + [held_out[lang][k] for lang in LANGS for k in (0, 1)] + [longer]
+    for text in texts:
+        expected = {lang: reference.log_prob(lang, text).hex() for lang in model.languages}
+        assert {lang: score.hex() for lang, score in model.log_probs(text).items()} \
+            == expected, repr(text)
+        if any(ch.isalpha() for ch in text):
+            assert {lang: score.hex() for lang, score in
+                    classify_language(text, model).scores.items()} == expected, repr(text)
+
+
 def test_model_of_a_large_alphabet_is_refused_at_finalize():
     # 1,499 characters make row tables of more than _TABLE_CAP entries
     rng = random.Random(3)
@@ -432,7 +458,100 @@ class TestProbePrior:
         assert len(reads) == 1
 
 
+def reference_detect(text, model, language_names):
+    """The eager rules that the lazy ones replaced: every tab line's two sides
+    and, with two or more blocks, every block are classified."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    prefixes = set()
+    for line in lines:
+        head, sep, _ = line.lstrip().partition(":")
+        if sep and head.strip() in language_names:
+            prefixes.add(head.strip())
+    if len(prefixes) >= 2:
+        return True, {"rule": "name_prefix", "names": sorted(prefixes)}
+    for i, line in enumerate(lines):
+        if "\t" not in line:
+            continue
+        left, _, right = line.partition("\t")
+        left_score = classify_language(left.strip(" *-"), model)
+        right_score = classify_language(right.strip(" *-"), model)
+        if (left_score.label != "other" and right_score.label != "other"
+                and left_score.label != right_score.label):
+            return True, {"rule": "tab_bilingual", "line": i,
+                          "labels": [left_score.label, right_score.label]}
+    blocks = [b.strip() for b in text.split("\n\n") if b.strip()]
+    if len(blocks) >= 2:
+        labeled = [classify_language(b, model) for b in blocks]
+        langs = {s.label for s in labeled}
+        if (len(langs) == 2 and "other" not in langs
+                and all(s.margin >= probe.BLOCK_MARGIN for s in labeled)
+                and all(labeled[i].label != labeled[i + 1].label
+                        for i in range(len(labeled) - 1))):
+            return True, {"rule": "alternating_blocks", "labels": sorted(langs)}
+    return False, None
+
+
+NAMES = {"en": "English", "fr": "French", "de": "German", "es": "Spanish"}
+# a digit-only paragraph is 'other'; a short one may fall below BLOCK_MARGIN
+OTHER_PARAGRAPHS = ["12345 67890", "2024", "Hotel", "Taxi Radio", "Ok.", "Menu"]
+
+
+def mixed_generation(rng):
+    """2-8 paragraphs in one, two or three languages, which mostly alternate,
+    with some 'Name:' prefixes, tab lines, digit-only and short paragraphs."""
+    langs = rng.sample(LANGS, rng.choice((1, 2, 3)))
+    paragraphs = []
+    for k in range(rng.randint(2, 8)):
+        lang = langs[k % len(langs)] if rng.random() < 0.8 else rng.choice(langs)
+        lines = seed_lines(lang)
+        start = rng.randrange(len(lines) - 2)
+        para = " ".join(lines[start:start + rng.randint(1, 2)])
+        roll = rng.random()
+        if roll < 0.1:
+            para = rng.choice(OTHER_PARAGRAPHS)
+        elif roll < 0.15:
+            para = f"{NAMES[lang]}: {para}"
+        elif roll < 0.25:
+            other = rng.choice(LANGS)
+            left = (rng.choice(OTHER_PARAGRAPHS) if rng.random() < 0.4
+                    else " ".join(seed_lines(other)[start:start + 1]))
+            para = f"{left}\t* {para}" if rng.random() < 0.5 else f"{para}\n- {left}\t{para}"
+        paragraphs.append(para)
+    return "\n\n".join(paragraphs)
+
+
 class TestDetectTranslationPair:
+    def test_lazy_rules_find_what_the_eager_rules_find(self, model):
+        rng = random.Random(35)
+        names = probe.load_language_names()
+        outcomes = Counter()
+        for _ in range(2000):
+            text = mixed_generation(rng)
+            found, why = detect_translation_pair(text, model, language_names=names)
+            assert (found, why) == reference_detect(text, model, names), text
+            outcomes[why["rule"] if found else None] += 1
+        # every rule fires, and most generations are not pairs
+        assert set(outcomes) == {"name_prefix", "tab_bilingual", "alternating_blocks", None}
+        assert outcomes[None] > 500, outcomes
+
+    def test_paragraphs_are_classified_up_to_the_first_that_breaks_alternation(
+            self, model, monkeypatch):
+        calls = []
+
+        def counted(text, model):
+            calls.append(text)
+            return classify_language(text, model)
+
+        monkeypatch.setattr(probe, "classify_language", counted)
+        lines = seed_lines("fr")
+        text = "\n\n".join(" ".join(lines[k:k + 2]) for k in range(0, 12, 2))
+        assert detect_translation_pair(text, model) == (False, None)
+        assert len(calls) == 2  # the second paragraph repeats the first one's label
+        calls.clear()
+        # a tab line whose left side is 'other' classifies that side only
+        assert detect_translation_pair(f"12345\t{lines[0]}", model) == (False, None)
+        assert calls == ["12345"]
+
     def test_name_prefix_format(self, model):
         text = ("English: The hotel lies close to the old harbour wall.\n"
                 "Czech: Hotel stojí blízko staré přístavní zdi.")

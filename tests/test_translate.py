@@ -923,6 +923,15 @@ class _Server:
         self.httpd.server_close()
 
 
+# (prompt marker, status, Retry-After header or None) of completion_server's errors
+ERROR_REPLIES = [
+    ("FAIL", 500, None), ("REFUSE", 400, None),
+    ("BUSY", 429, "7"), ("UNAVAILABLE", 503, " 7 "), ("BRIEF", 429, "1"),
+    ("CRASH", 500, "7"), ("DATED", 429, "Wed, 21 Oct 2026 07:28:00 GMT"),
+    ("GARBLED", 503, "7.5"), ("FOREVER", 429, "9" * 10),
+]
+
+
 @pytest.fixture
 def completion_server():
     received = []
@@ -932,9 +941,11 @@ def completion_server():
             length = int(self.headers["Content-Length"])
             body = json.loads(self.rfile.read(length).decode("utf-8"))
             received.append(body)
-            for marker, status in (("FAIL", 500), ("REFUSE", 400)):
+            for marker, status, retry_after in ERROR_REPLIES:
                 if marker in body["prompt"]:
                     self.send_response(status)
+                    if retry_after is not None:
+                        self.send_header("Retry-After", retry_after)
                     self.end_headers()
                     return
             payload = {"choices": [{"text": "Une réponse complète."}]}
@@ -984,6 +995,26 @@ class TestHttpBackend:
                                        sleep=slept.append)
         assert not result.ok and status in result.error
         assert (len(received), slept) == (requests, delays)
+
+    def test_retries_wait_as_long_as_retry_after_asks(self, completion_server):
+        server, received = completion_server
+        backend = HttpCompletionBackend(server.url, model="m")
+        for prompt, retry_after, delays in [
+            ("BUSY please", 7.0, [7.0, 7.0]),
+            ("UNAVAILABLE please", 7.0, [7.0, 7.0]),
+            ("BRIEF please", 1.0, [1.0, 2.0]),  # the backoff when it is the longer wait
+            ("CRASH please", None, [1.0, 2.0]),  # a 500 asks for no wait
+            ("DATED please", None, [1.0, 2.0]),  # an HTTP-date is ignored
+            ("GARBLED please", None, [1.0, 2.0]),
+            ("FOREVER please", None, [1.0, 2.0]),  # more than time.sleep takes
+        ]:
+            assert backend.complete(prompt).retry_after == retry_after, prompt
+            received.clear()
+            slept = []
+            result = complete_with_retries(backend, prompt, 10, 0.0, retries=3, backoff=1.0,
+                                           sleep=slept.append)
+            assert not result.ok and result.retryable, prompt
+            assert (len(received), slept) == (3, delays), prompt
 
     def test_bad_response_path(self, completion_server):
         server, _ = completion_server
